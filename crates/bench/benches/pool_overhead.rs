@@ -6,12 +6,13 @@
 //! `pool_overhead` section of `BENCH_pool.json` at the workspace root:
 //!
 //! * **1-shard pool overhead** — the pool engine forced onto a single shard
-//!   (`TrainRuntime::Pool`) against the inline sequential engine on the same
-//!   workload shape. The difference is dominated by runtime cost — batch
-//!   partitioning, one channel round-trip per batch, the ordered merge —
-//!   but is not a *pure* dispatch measure: the two engines run different
-//!   pipelines (shard vs master RNG streams), so they draw different
-//!   negatives and skip different zero-loss pairs. Per-positive work is
+//!   (`TrainRuntime::Pool`) against the inline sequential engine
+//!   (`TrainRuntime::Auto` at one shard) on the same workload shape. The
+//!   difference is dominated by runtime cost — batch partitioning, one
+//!   channel round-trip per batch, the ordered merge — but is not a *pure*
+//!   dispatch measure: the two engines run different pipelines (shard vs
+//!   master RNG streams), so they draw different negatives and skip
+//!   different zero-loss pairs. Per-positive work is
 //!   trajectory-independent to first order (the same `N1 + N2` candidates
 //!   are scored per refresh regardless of which entities they are), which
 //!   is what makes the comparison meaningful; best-of-N sampling absorbs
@@ -98,7 +99,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_epoch");
     group.sample_size(10);
     for (label, runtime, shards) in [
-        ("sequential", TrainRuntime::Sequential, 1),
+        ("sequential", TrainRuntime::Auto, 1),
         ("pool_1", TrainRuntime::Pool, 1),
         ("pool_4", TrainRuntime::Pool, 4),
     ] {
@@ -121,7 +122,7 @@ fn assert_pool_overhead(_c: &mut Criterion) {
         .unwrap_or(1);
 
     let samples = 5;
-    let secs_seq = epoch_seconds(&data, &dataset, TrainRuntime::Sequential, 1, samples);
+    let secs_seq = epoch_seconds(&data, &dataset, TrainRuntime::Auto, 1, samples);
     let secs_pool_1 = epoch_seconds(&data, &dataset, TrainRuntime::Pool, 1, samples);
     let secs_pool_4 = epoch_seconds(&data, &dataset, TrainRuntime::Pool, 4, samples);
     let overhead_1 = secs_pool_1 / secs_seq - 1.0;

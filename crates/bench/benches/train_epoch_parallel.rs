@@ -142,12 +142,9 @@ fn assert_parallel_epoch_speedup(_c: &mut Criterion) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_parallel.json");
-    if let Err(e) = nscaching_bench::update_bench_section(
-        &path,
-        "train_epoch_parallel",
-        "train_epoch_parallel",
-        &section,
-    ) {
+    if let Err(e) =
+        nscaching_bench::update_bench_section(&path, "parallel", "train_epoch_parallel", &section)
+    {
         eprintln!("could not record BENCH_parallel.json at {path:?}: {e}");
     }
 

@@ -126,10 +126,7 @@ pub fn scaled_cache_size(num_entities: usize) -> usize {
 /// Section IV-A2: Adam, margin γ for the translational models, penalty λ for
 /// the semantic-matching models. `--threads` (when given) sets both the
 /// trainer's shard count and the evaluation protocols' worker threads,
-/// overriding the `NSC_SHARDS` / available-parallelism defaults; `--runtime`
-/// pins the epoch engine (sequential / pool / the double-buffered pipelined
-/// engine) where the default leaves `TrainRuntime::Auto`'s shard-count
-/// heuristic in charge.
+/// overriding the `NSC_SHARDS` / available-parallelism defaults.
 pub fn standard_train_config(kind: ModelKind, settings: &ExperimentSettings) -> TrainConfig {
     let learning_rate = match kind {
         ModelKind::TransE | ModelKind::TransH | ModelKind::TransD | ModelKind::TransR => 0.02,
@@ -158,9 +155,6 @@ pub fn standard_train_config(kind: ModelKind, settings: &ExperimentSettings) -> 
         // variable NSC_SHARDS is exported in the environment: the paper's
         // tables and figures must not change because of ambient env.
         None => config = config.with_shards(1),
-    }
-    if let Some(runtime) = settings.runtime {
-        config = config.with_runtime(runtime);
     }
     config
 }
@@ -674,47 +668,6 @@ mod tests {
         assert!(trans.optimizer.learning_rate < semantic.optimizer.learning_rate);
         assert_eq!(trans.epochs, settings.epochs);
         assert!(semantic.final_protocol.max_triples.is_some());
-    }
-
-    #[test]
-    fn runtime_flag_pins_the_train_engine() {
-        use nscaching_train::TrainRuntime;
-        let settings = smoke_settings();
-        let config = standard_train_config(ModelKind::TransE, &settings);
-        assert_eq!(
-            config.runtime,
-            TrainRuntime::Auto,
-            "default is the heuristic"
-        );
-        let mut settings = smoke_settings();
-        settings.runtime = Some(TrainRuntime::Pipelined);
-        settings.threads = Some(2);
-        let config = standard_train_config(ModelKind::TransE, &settings);
-        assert_eq!(config.runtime, TrainRuntime::Pipelined);
-        assert_eq!(config.shards, 2);
-    }
-
-    #[test]
-    fn pipelined_runtime_trains_end_to_end_through_the_runner() {
-        use nscaching_train::TrainRuntime;
-        let mut settings = smoke_settings();
-        settings.runtime = Some(TrainRuntime::Pipelined);
-        settings.threads = Some(2);
-        let dataset = BenchDataset::new(
-            BenchmarkFamily::Wn18rr
-                .generate(settings.scale, settings.seed)
-                .unwrap(),
-        );
-        let outcome = train_once(
-            &dataset,
-            ModelKind::TransE,
-            Method::NsCachingScratch,
-            &settings,
-            0,
-            0,
-        );
-        assert_eq!(outcome.history.epochs.len(), settings.epochs);
-        assert!(outcome.report.combined.mrr >= 0.0);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use std::path::{Path, PathBuf};
 /// --eval-max <n>   cap on evaluated test triples (default: all)
 /// --threads <n>    training shards and eval worker threads (default:
 ///                  NSC_SHARDS for training, available parallelism for eval)
-/// --runtime <engine>  training engine: sequential | pool | pipelined
-///                  (default: the shard-count heuristic, TrainRuntime::Auto)
 /// --checkpoint-every <n>  save a training checkpoint every n epochs
 ///                  (default 0 = off; files land in --checkpoint-dir)
 /// --checkpoint-dir <dir>  where per-run checkpoints are written
@@ -45,9 +43,6 @@ pub struct ExperimentSettings {
     /// Worker count threaded into `TrainConfig::shards` and
     /// `EvalProtocol::threads` (None = each component's own default).
     pub threads: Option<usize>,
-    /// Training engine pin threaded into `TrainConfig::runtime`
-    /// (None = `TrainRuntime::Auto`, the shard-count heuristic).
-    pub runtime: Option<nscaching_train::TrainRuntime>,
     /// Smoke mode: shrink everything so the binary finishes in seconds.
     pub smoke: bool,
     /// Restrict grid experiments to these dataset families (comma-separated
@@ -77,7 +72,6 @@ impl Default for ExperimentSettings {
             out_dir: PathBuf::from("results"),
             eval_max: None,
             threads: None,
-            runtime: None,
             smoke: false,
             datasets: None,
             models: None,
@@ -142,18 +136,6 @@ impl ExperimentSettings {
                         return Err("--threads must be positive".to_owned());
                     }
                     settings.threads = Some(threads);
-                }
-                "--runtime" => {
-                    settings.runtime = Some(match next_value(arg)?.to_lowercase().as_str() {
-                        "sequential" => nscaching_train::TrainRuntime::Sequential,
-                        "pool" => nscaching_train::TrainRuntime::Pool,
-                        "pipelined" => nscaching_train::TrainRuntime::Pipelined,
-                        other => {
-                            return Err(format!(
-                                "invalid --runtime {other}: expected sequential, pool or pipelined"
-                            ))
-                        }
-                    });
                 }
                 "--datasets" => {
                     settings.datasets = Some(
@@ -221,7 +203,7 @@ impl ExperimentSettings {
     /// Usage string shown for `--help` and argument errors.
     pub fn usage() -> &'static str {
         "usage: <experiment> [--scale F] [--epochs N] [--dim N] [--seed N] [--out DIR] \
-         [--eval-max N] [--threads N] [--runtime sequential|pool|pipelined] \
+         [--eval-max N] [--threads N] \
          [--datasets a,b] [--models A,B] \
          [--checkpoint-every N] [--checkpoint-dir DIR] [--resume PATH] \
          [--metrics-out FILE] [--smoke]"
@@ -307,8 +289,6 @@ mod tests {
             "100",
             "--threads",
             "4",
-            "--runtime",
-            "pipelined",
         ])
         .unwrap();
         assert_eq!(s.scale, 0.05);
@@ -318,23 +298,6 @@ mod tests {
         assert_eq!(s.out_dir, PathBuf::from("tmpout"));
         assert_eq!(s.eval_max, Some(100));
         assert_eq!(s.threads, Some(4));
-        assert_eq!(s.runtime, Some(nscaching_train::TrainRuntime::Pipelined));
-    }
-
-    #[test]
-    fn runtime_parses_every_engine_and_rejects_unknown_ones() {
-        use nscaching_train::TrainRuntime;
-        for (flag, expected) in [
-            ("sequential", TrainRuntime::Sequential),
-            ("pool", TrainRuntime::Pool),
-            ("Pipelined", TrainRuntime::Pipelined),
-        ] {
-            let s = ExperimentSettings::parse(["--runtime", flag]).unwrap();
-            assert_eq!(s.runtime, Some(expected), "--runtime {flag}");
-        }
-        assert!(ExperimentSettings::default().runtime.is_none());
-        assert!(ExperimentSettings::parse(["--runtime", "turbo"]).is_err());
-        assert!(ExperimentSettings::parse(["--runtime"]).is_err());
     }
 
     #[test]

@@ -243,9 +243,6 @@ mod tests {
             vec![]
         }
         fn apply_constraints(&mut self, _touched: &[(TableId, usize)]) {}
-        fn clone_box(&self) -> Box<dyn KgeModel> {
-            Box::new(ToyModel::new(self.num_entities))
-        }
     }
 
     fn filter_of(triples: &[Triple]) -> FilterIndex {

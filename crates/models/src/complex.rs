@@ -184,10 +184,6 @@ impl KgeModel for ComplEx {
     fn apply_constraints(&mut self, _touched: &[(TableId, usize)]) {
         // Regularised, not constrained — see DistMult.
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

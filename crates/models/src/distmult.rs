@@ -134,10 +134,6 @@ impl KgeModel for DistMult {
         // Semantic-matching models are regularised (soft penalty) rather than
         // constrained, following the paper's Eq. (2) setup.
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -164,10 +164,6 @@ impl KgeModel for Rescal {
     }
 
     fn apply_constraints(&mut self, _touched: &[(TableId, usize)]) {}
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -138,16 +138,6 @@ pub trait KgeModel: Send + Sync {
     /// normal vectors, …) on the given rows after an optimizer step.
     fn apply_constraints(&mut self, touched: &[(TableId, usize)]);
 
-    /// Deep-copy the model behind the trait object.
-    ///
-    /// The clone owns independent parameter tables (and, for the
-    /// projection-cached models, a fresh cache identity — see
-    /// `projcache`), so mutating either copy never aliases the other. The
-    /// pipelined trainer uses this to maintain the pre-step parameter
-    /// snapshot that workers sample against while the main thread applies
-    /// the previous batch.
-    fn clone_box(&self) -> Box<dyn KgeModel>;
-
     /// Default loss for this model, derived from its kind.
     fn loss_type(&self) -> LossType {
         self.kind().loss_type()

@@ -382,10 +382,6 @@ impl KgeModel for TransD {
             }
         }
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -159,10 +159,6 @@ impl KgeModel for TransE {
             }
         }
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

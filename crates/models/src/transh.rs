@@ -219,10 +219,6 @@ impl KgeModel for TransH {
             }
         }
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -404,10 +404,6 @@ impl KgeModel for TransR {
             }
         }
     }
-
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,7 @@
 //! key to slot index plus a `Vec` slot arena of keys and values. All
 //! *ordering* decisions — who is promoted on a hit, who dies when the cache
 //! is full — are delegated to an [`EvictionPolicy`]
-//! (see [`crate::policy`] for the catalog and the plug-in recipe), and the
-//! *entry* decision — whether a newcomer may evict anyone at all — to an
-//! optional TinyLFU admission filter ([`with_admission`](PolicyCache::with_admission),
-//! see [`crate::admission`]; off by default, preserving the unfiltered
-//! behaviour bit-for-bit).
+//! (see [`crate::policy`] for the catalog and the plug-in recipe).
 //! Everything is pre-allocated to `capacity` up front, and an eviction
 //! recycles its slot in place, so the **steady state — hits, and misses that
 //! evict — performs no heap allocation**; that property is what lets the
@@ -23,11 +19,9 @@
 //! policy selection (the sharded cache, the simulator) goes through
 //! `PolicyCache<K, V, Box<dyn EvictionPolicy + Send>>` instead.
 
-use crate::admission::TinyLfu;
 use crate::policy::{EvictionPolicy, LruPolicy, PolicyInit, PolicyKind};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Niche index marking "no slot".
 const NIL: u32 = u32::MAX;
@@ -47,10 +41,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by inserts into a full cache.
     pub evictions: u64,
-    /// Inserts dropped by the admission filter (always 0 with admission
-    /// off): the candidate lost its frequency contest against the
-    /// prospective eviction victim.
-    pub rejections: u64,
 }
 
 impl CacheStats {
@@ -70,7 +60,6 @@ impl CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             evictions: self.evictions + other.evictions,
-            rejections: self.rejections + other.rejections,
         }
     }
 }
@@ -95,9 +84,6 @@ pub struct PolicyCache<K, V, P: EvictionPolicy = LruPolicy> {
     capacity: usize,
     stats: CacheStats,
     policy: P,
-    /// TinyLFU admission filter; `None` (the default) preserves the
-    /// unfiltered behaviour bit-for-bit. See [`crate::admission`].
-    admission: Option<TinyLfu>,
 }
 
 impl<K: Hash + Eq + Copy, V, P: EvictionPolicy + PolicyInit> PolicyCache<K, V, P> {
@@ -124,30 +110,7 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
             capacity,
             stats: CacheStats::default(),
             policy,
-            admission: None,
         }
-    }
-
-    /// Put a freshly sized [`TinyLfu`] admission filter in front of the
-    /// eviction policy (builder style). Frequencies are sampled on every
-    /// [`get`](Self::get); an insert into a full cache is dropped when the
-    /// filter judges the candidate less frequent than the policy's
-    /// prospective victim.
-    pub fn with_admission(mut self) -> Self {
-        self.admission = Some(TinyLfu::for_capacity(self.capacity));
-        self
-    }
-
-    /// Whether a TinyLFU admission filter guards inserts.
-    pub fn admission_enabled(&self) -> bool {
-        self.admission.is_some()
-    }
-
-    /// Stable per-process hash feeding the admission filter's sketch.
-    fn admission_hash(key: &K) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish()
     }
 
     /// Which eviction policy orders this cache.
@@ -182,14 +145,8 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
         self.map.contains_key(key)
     }
 
-    /// Look up `key`, reporting the access to the eviction policy (and, with
-    /// admission enabled, to the frequency sketch — lookups are the filter's
-    /// sampling point, so a key builds admission credit by being asked for,
-    /// hit or miss).
+    /// Look up `key`, reporting the access to the eviction policy.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        if let Some(filter) = &mut self.admission {
-            filter.record(Self::admission_hash(key));
-        }
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.stats.hits += 1;
@@ -215,18 +172,6 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
             return;
         }
         let slot = if self.map.len() == self.capacity {
-            if let Some(filter) = &self.admission {
-                // The admission contest: peek (don't detach) the prospective
-                // victim and compare sketch frequencies. A rejected candidate
-                // is dropped with every book — policy's and cache's — exactly
-                // as it was.
-                let victim = self.policy.peek_victim();
-                let victim_key = &self.slots[victim as usize].key;
-                if !filter.admit(Self::admission_hash(&key), Self::admission_hash(victim_key)) {
-                    self.stats.rejections += 1;
-                    return;
-                }
-            }
             // Recycle the victim's slot in place.
             let victim = self.policy.victim();
             let slot = &mut self.slots[victim as usize];
@@ -260,16 +205,12 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
         Some(std::mem::take(&mut self.slots[slot as usize].value))
     }
 
-    /// Drop every entry and reset the counters and the admission sketch
-    /// (keeps the allocations).
+    /// Drop every entry and reset the counters (keeps the allocations).
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
         self.policy.clear();
-        if let Some(filter) = &mut self.admission {
-            filter.clear();
-        }
         self.stats = CacheStats::default();
     }
 }
@@ -277,7 +218,7 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{LfuPolicy, LfudaPolicy, SlruPolicy};
+    use crate::policy::SlruPolicy;
 
     #[test]
     fn inserts_and_hits() {
@@ -388,9 +329,7 @@ mod tests {
         }
         assert_eq!(survivors::<LruPolicy>(), vec![1, 2, 4], "LRU drops 3");
         assert_eq!(survivors::<SlruPolicy>(), vec![1, 2, 4], "SLRU drops 3");
-        assert_eq!(survivors::<LfuPolicy>(), vec![1, 2, 4], "LFU drops 3");
-        assert_eq!(survivors::<LfudaPolicy>(), vec![1, 2, 4], "LFUDA drops 3");
-        // Scan resistance separates the families: after warming a working
+        // Scan resistance separates the policies: after warming a working
         // set, stream one-touch keys through.
         fn scan_survivor_count<P: EvictionPolicy + PolicyInit>() -> usize {
             let mut c: PolicyCache<u32, u32, P> = PolicyCache::new(4);
@@ -414,12 +353,7 @@ mod tests {
         );
         // The first scan insert must evict *someone* hot, but every later
         // one-touch key displaces the previous one-touch key, never the
-        // frequently-used (LFU) or protected (SLRU) set.
-        assert_eq!(
-            scan_survivor_count::<LfuPolicy>(),
-            3,
-            "LFU gives up one slot to the scan, then holds"
-        );
+        // protected set.
         assert_eq!(
             scan_survivor_count::<SlruPolicy>(),
             3,
@@ -441,90 +375,5 @@ mod tests {
             assert_eq!(boxed.contains(&key), fixed.contains(&key), "key {key}");
         }
         assert_eq!(boxed.stats(), fixed.stats());
-    }
-
-    /// The get-then-insert miss pattern of the serving engine, with or
-    /// without the admission filter.
-    fn replay<P: EvictionPolicy>(cache: &mut PolicyCache<u32, u32, P>, trace: &[u32]) {
-        for &key in trace {
-            if cache.get(&key).is_none() {
-                cache.insert(key, key);
-            }
-        }
-    }
-
-    #[test]
-    fn admission_rejects_one_touch_keys_and_keeps_the_working_set_whole() {
-        // Warm a 4-slot working set, then sweep 40 one-touch keys through.
-        // Plain SLRU gives up one slot to the scan (the probation tail);
-        // the admission filter rejects every scan key — each is seen once,
-        // the incumbents many times — so the whole set survives.
-        let mut warm: Vec<u32> = Vec::new();
-        for _ in 0..4 {
-            warm.extend([1, 2, 3, 4]);
-        }
-        let scan: Vec<u32> = (100..140).collect();
-
-        let mut plain: PolicyCache<u32, u32, SlruPolicy> = PolicyCache::new(4);
-        replay(&mut plain, &warm);
-        replay(&mut plain, &scan);
-        assert_eq!(
-            (1..=4).filter(|k| plain.contains(k)).count(),
-            3,
-            "plain SLRU loses exactly the probation tail to the scan"
-        );
-
-        let mut filtered: PolicyCache<u32, u32, SlruPolicy> = PolicyCache::new(4).with_admission();
-        assert!(filtered.admission_enabled());
-        replay(&mut filtered, &warm);
-        replay(&mut filtered, &scan);
-        assert_eq!(
-            (1..=4).filter(|k| filtered.contains(k)).count(),
-            4,
-            "admission keeps the whole working set"
-        );
-        let stats = filtered.stats();
-        assert_eq!(stats.evictions, 0, "no scan key won its contest");
-        assert_eq!(stats.rejections, 40, "every scan key was rejected");
-    }
-
-    #[test]
-    fn admission_lets_a_newly_hot_key_in_once_it_earns_credit() {
-        // A full cache of moderately warm keys; a new key asked for
-        // repeatedly must eventually out-score the victim and displace it —
-        // the filter is a frequency gate, not a door welded shut.
-        let mut cache: PolicyCache<u32, u32, SlruPolicy> = PolicyCache::new(4).with_admission();
-        let mut warm: Vec<u32> = Vec::new();
-        for _ in 0..2 {
-            warm.extend([1, 2, 3, 4]);
-        }
-        replay(&mut cache, &warm);
-        let hot_new: Vec<u32> = vec![9; 8];
-        replay(&mut cache, &hot_new);
-        assert!(cache.contains(&9), "the newly hot key was admitted");
-        assert!(cache.stats().evictions >= 1);
-    }
-
-    #[test]
-    fn admission_off_is_the_default_and_changes_nothing() {
-        // Bit-compatibility: the same churn through a default cache and a
-        // pre-admission-era reference sequence of operations must agree.
-        let mut cache: PolicyCache<u32, u32, SlruPolicy> = PolicyCache::new(3);
-        assert!(!cache.admission_enabled());
-        replay(&mut cache, &[1, 2, 3, 1, 1, 2, 4, 5, 6]);
-        assert_eq!(cache.stats().rejections, 0);
-        assert_eq!(cache.stats().evictions, 3, "every miss-insert evicted");
-    }
-
-    #[test]
-    fn clear_resets_the_admission_sketch() {
-        let mut cache: PolicyCache<u32, u32, SlruPolicy> = PolicyCache::new(2).with_admission();
-        replay(&mut cache, &[1, 1, 1, 2, 2, 2]);
-        cache.clear();
-        assert!(cache.admission_enabled(), "the filter survives a clear");
-        // Post-clear, all estimates are zero: ties admit, so churn works.
-        replay(&mut cache, &[7, 8, 9]);
-        assert!(cache.contains(&9));
-        assert_eq!(cache.stats().rejections, 0);
     }
 }

@@ -21,6 +21,7 @@
 //! payload, reporting premature ends as [`SnapshotError::Truncated`].
 
 use crate::error::SnapshotError;
+use std::io;
 use std::path::Path;
 
 /// Leading magic of every snapshot file. The trailing `\x01\n` pair catches
@@ -196,10 +197,20 @@ pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
 /// by a writer that died before its atomic rename: the torn temp is ignored
 /// for reading (the final name always holds a complete frame or nothing) and
 /// deleted so it cannot accumulate.
+///
+/// Anything but a regular file is refused before it is opened, as an
+/// [`io::ErrorKind::InvalidInput`] error: reading a character device such as
+/// `/dev/zero` never ends, and opening a FIFO blocks until a writer appears.
 pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     let tmp = staging_path(path);
     if tmp.exists() {
         let _ = std::fs::remove_file(&tmp);
+    }
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(SnapshotError::Io(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file",
+        )));
     }
     let bytes = std::fs::read(path)?;
     if bytes.len() < FRAME_BYTES {
@@ -225,8 +236,13 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let expected_total = FRAME_BYTES + payload_len;
+    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    // A hostile length near `u64::MAX` must read as a truncated file, not
+    // overflow the frame size.
+    let expected_total = usize::try_from(payload_len)
+        .ok()
+        .and_then(|len| len.checked_add(FRAME_BYTES))
+        .unwrap_or(usize::MAX);
     if bytes.len() < expected_total {
         return Err(SnapshotError::Truncated {
             context: "payload",
@@ -240,8 +256,9 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
             bytes.len() - expected_total
         )));
     }
-    let payload = &bytes[20..20 + payload_len];
-    let expected = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
+    let payload_end = expected_total - 8;
+    let payload = &bytes[20..payload_end];
+    let expected = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8 bytes"));
     let found = fnv1a64(payload);
     if expected != found {
         return Err(SnapshotError::ChecksumMismatch { expected, found });

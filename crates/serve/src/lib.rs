@@ -12,12 +12,10 @@
 //!    an `Arc` and answers top-k link-prediction, rank and
 //!    triplet-classification queries through the workspace's batched scoring
 //!    fast paths, fronted by a version-invalidated, hash-**sharded** result
-//!    cache with a pluggable eviction policy ([`PolicyKind`]: LRU, SLRU,
-//!    LFU, LFUDA — selected from trace-driven simulation, see [`policy`]),
-//!    an optional TinyLFU **admission filter** in front of it
-//!    ([`CacheConfig::admission`], see [`admission`]), and fanned out over
-//!    the existing worker pool for batch traffic. The cache-miss path
-//!    selects its top-k via an O(|E| + k log k) partial selection kernel
+//!    cache with a pluggable eviction policy ([`PolicyKind`]: LRU or SLRU,
+//!    selected from trace-driven simulation, see [`policy`]), and fanned
+//!    out over the existing worker pool for batch traffic. The cache-miss
+//!    path selects its top-k via an O(|E| + k log k) partial selection kernel
 //!    (`nscaching_math::top_k_indices_into`) instead of a full sort, and
 //!    with a bound per-relation [`CandidateIndex`] scores only the query
 //!    relation's observed candidate set instead of the full vocabulary
@@ -101,7 +99,6 @@
 //! reasoning and [`sharded`] for what hash-splitting does (and provably
 //! does not) change.
 
-pub mod admission;
 pub mod cache;
 pub mod candidates;
 pub mod crash;
@@ -114,14 +111,11 @@ pub mod sharded;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use admission::TinyLfu;
 pub use cache::{CacheStats, LruCache, PolicyCache};
 pub use candidates::CandidateIndex;
 pub use error::SnapshotError;
 pub use manager::{CheckpointEntry, CheckpointManager, Recovery, VerifiedEntry};
-pub use policy::{
-    EvictionPolicy, LfuPolicy, LfudaPolicy, LruPolicy, PolicyInit, PolicyKind, SlruPolicy,
-};
+pub use policy::{EvictionPolicy, LruPolicy, PolicyInit, PolicyKind, SlruPolicy};
 pub use server::{
     BatchScratch, CacheConfig, KnowledgeServer, QueryError, QueryScratch, RankedEntity, TopKQuery,
 };

@@ -11,20 +11,17 @@
 //! | hook | called when | the policy must |
 //! |------|-------------|-----------------|
 //! | [`on_insert`](EvictionPolicy::on_insert) | a key was added under `slot` | start tracking `slot` |
-//! | [`on_hit`](EvictionPolicy::on_hit) | `slot` was read or its value replaced | update recency/frequency books |
+//! | [`on_hit`](EvictionPolicy::on_hit) | `slot` was read or its value replaced | update its recency books |
 //! | [`on_remove`](EvictionPolicy::on_remove) | `slot` was explicitly removed | forget `slot` |
 //! | [`victim`](EvictionPolicy::victim) | the cache is full and needs room | pick a tracked slot, forget it, return it |
-//! | [`peek_victim`](EvictionPolicy::peek_victim) | admission wants the prospective victim | name `victim`'s next answer, books untouched |
 //!
 //! Slots are dense `u32` indices below the capacity the policy was built for
-//! ([`PolicyInit::for_capacity`]), so implementations can keep all their
-//! books in pre-sized, slot-indexed vectors — every policy here is
-//! allocation-free in the steady state (the LFU/LFUDA frequency buckets ride
-//! a `BTreeMap` whose node churn is bounded by the live-slot count; see the
-//! empty-bucket invariant below). To plug in a new policy: implement the
-//! trait + [`PolicyInit`], add a [`PolicyKind`] variant, and the simulator
-//! (`cache_sim` bench), the sharded cache and the server pick it up from the
-//! enum.
+//! ([`PolicyInit::for_capacity`]), so implementations keep all their books
+//! in pre-sized, slot-indexed vectors — both policies here are
+//! allocation-free in the steady state. To plug in a new policy: implement
+//! the trait + [`PolicyInit`], add a [`PolicyKind`] variant, and the
+//! simulator (`cache_sim` bench), the sharded cache and the server pick it
+//! up from the enum.
 //!
 //! # The catalog
 //!
@@ -38,39 +35,21 @@
 //!   keys can never displace the protected set, which is what makes it scan
 //!   resistant — an eval sweep that touches everything once churns only the
 //!   probation segment.
-//! * [`LfuPolicy`] — least-frequently-used with LRU tie-breaking inside a
-//!   frequency bucket. Zipf-shaped entity traffic (the skew NSCaching itself
-//!   exploits, PAPER.md §4) concentrates hits on head entities; LFU keeps
-//!   them pinned regardless of recency noise.
-//! * [`LfudaPolicy`] — LFU with dynamic aging (the squid/cache-rs `LFUDA`):
-//!   key priority is `age + frequency`, and the age rises to the victim's
-//!   priority on every eviction, so formerly-hot keys decay instead of
-//!   squatting forever when popularity shifts.
 //!
 //! Which to serve with is a measurement, not a guess: the `cache_sim` bench
-//! replays synthetic Zipf / scan / shifting-popularity traces through every
-//! variant and records the hit-rate table into `BENCH_serve.json` (section
-//! `cache_sim`). Headline from this container's recording: LFU wins the
-//! stationary Zipf head and the scan trace but collapses ~13 pp once
-//! popularity drifts; LRU wins the drift trace but gives up ~4 pp to scan
-//! pollution; **SLRU is the best all-rounder** — within ~0.2 pp of every
-//! winner it doesn't beat and never catastrophic — which is why
+//! replays synthetic Zipf / scan / shifting-popularity traces through both
+//! and records the hit-rate table into `BENCH_serve.json` (section
+//! `cache_sim`). SLRU beats LRU by about 1 pp on Zipf and 3.5 pp on scan and
+//! gives up about 1 pp on the shift trace, which is why
 //! [`CacheConfig`](crate::server::CacheConfig) defaults to it while the
 //! legacy `KnowledgeServer::new` constructor stays on bit-compatible LRU.
 //!
-//! # The LFU empty-bucket invariant
-//!
-//! The cache-rs exemplar this catalog follows shipped a 250× LFU slowdown:
-//! empty frequency lists were never removed from the bucket map, so finding
-//! the next minimum frequency after an eviction scanned thousands of dead
-//! buckets (`O(F)`). Both frequency-family policies here remove a bucket
-//! **the moment it empties** (bucket count ≤ live slots, asserted in the
-//! regression test) and [`LfuPolicy`] additionally keeps a *min-frequency
-//! cursor* maintained in O(1) on the hot paths — an insert resets it to 1, a
-//! hit that drains the minimum bucket advances it to `freq + 1` — so the
-//! eviction path never searches for its victim at all. Only an explicit
-//! `remove` that drains the minimum bucket falls back to the bucket map's
-//! ordered first-key lookup (`O(log live-slots)`).
+//! The frequency family was measured on the same traces and retired. LFU
+//! came within 0.14 pp of SLRU on Zipf (92.60% vs 92.46%) and 0.22 pp on
+//! scan (82.30% vs 82.08%), but collapsed on the shift trace (77.63% vs
+//! 89.89%, 12.3 pp); LFUDA won no trace; and a TinyLFU admission filter in
+//! front of SLRU moved its hit rate by at most 0.03 pp. None of them paid
+//! for its code on this traffic.
 //!
 //! # Sharding and invalidation
 //!
@@ -84,8 +63,6 @@
 //! `tests/policy_invariants.rs`, which re-prove the invariant for every
 //! policy at 1 and 4 shards.
 
-use std::collections::BTreeMap;
-
 /// Niche slot index marking "none".
 const NIL: u32 = u32::MAX;
 
@@ -97,28 +74,17 @@ pub enum PolicyKind {
     Lru,
     /// Segmented LRU (scan-resistant).
     Slru,
-    /// Least-frequently-used, LRU within a frequency.
-    Lfu,
-    /// LFU with dynamic aging (drift-tolerant).
-    Lfuda,
 }
 
 impl PolicyKind {
     /// Every available policy, in simulator/table order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Lru,
-        PolicyKind::Slru,
-        PolicyKind::Lfu,
-        PolicyKind::Lfuda,
-    ];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::Lru, PolicyKind::Slru];
 
     /// Stable lowercase name (bench tables, logs).
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Lru => "lru",
             PolicyKind::Slru => "slru",
-            PolicyKind::Lfu => "lfu",
-            PolicyKind::Lfuda => "lfuda",
         }
     }
 
@@ -127,8 +93,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Lru => Box::new(LruPolicy::for_capacity(capacity)),
             PolicyKind::Slru => Box::new(SlruPolicy::for_capacity(capacity)),
-            PolicyKind::Lfu => Box::new(LfuPolicy::for_capacity(capacity)),
-            PolicyKind::Lfuda => Box::new(LfudaPolicy::for_capacity(capacity)),
         }
     }
 }
@@ -154,14 +118,6 @@ pub trait EvictionPolicy: std::fmt::Debug {
     /// Choose the slot to evict, stop tracking it, and return it.
     fn victim(&mut self) -> u32;
 
-    /// The slot an immediately following [`victim`](Self::victim) call would
-    /// return, **without** detaching it or touching any books. Same
-    /// precondition as `victim` (at least one slot tracked). The admission
-    /// filter uses this to run its frequency contest *before* committing to
-    /// an eviction — a rejected candidate must leave the victim's policy
-    /// state exactly as it was.
-    fn peek_victim(&self) -> u32;
-
     /// Forget every slot (cache clear). Keeps allocations.
     fn clear(&mut self);
 }
@@ -181,9 +137,6 @@ impl EvictionPolicy for Box<dyn EvictionPolicy + Send> {
     }
     fn victim(&mut self) -> u32 {
         (**self).victim()
-    }
-    fn peek_victim(&self) -> u32 {
-        (**self).peek_victim()
     }
     fn clear(&mut self) {
         (**self).clear()
@@ -330,10 +283,6 @@ impl EvictionPolicy for LruPolicy {
         victim
     }
 
-    fn peek_victim(&self) -> u32 {
-        self.list.tail
-    }
-
     fn clear(&mut self) {
         self.links.clear();
         self.list = ListHead::EMPTY;
@@ -441,295 +390,11 @@ impl EvictionPolicy for SlruPolicy {
         }
     }
 
-    fn peek_victim(&self) -> u32 {
-        if !self.probation.is_empty() {
-            self.probation.tail
-        } else {
-            self.protected.tail
-        }
-    }
-
     fn clear(&mut self) {
         self.links.clear();
         self.segment.clear();
         self.probation = ListHead::EMPTY;
         self.protected = ListHead::EMPTY;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LFU
-// ---------------------------------------------------------------------------
-
-/// Least-frequently-used with LRU tie-breaking: slots live on per-frequency
-/// intrusive lists (`buckets`), the victim is the least-recent slot of the
-/// minimum frequency. Guards against the cache-rs empty-frequency-list bug:
-/// a bucket is removed **the instant it empties** (so the bucket map holds
-/// at most one entry per live slot) and the `min_freq` cursor makes the
-/// eviction path O(1) — see the module docs.
-#[derive(Debug)]
-pub struct LfuPolicy {
-    links: Links,
-    /// frequency → list of slots at that frequency (most-recent first).
-    /// Invariant: no empty lists.
-    buckets: BTreeMap<u64, ListHead>,
-    /// Access count per slot.
-    freq: Vec<u64>,
-    /// The minimum key of `buckets` whenever any slot is tracked.
-    min_freq: u64,
-}
-
-impl PolicyInit for LfuPolicy {
-    fn for_capacity(capacity: usize) -> Self {
-        Self {
-            links: Links::with_capacity(capacity),
-            buckets: BTreeMap::new(),
-            freq: Vec::with_capacity(capacity),
-            min_freq: 0,
-        }
-    }
-}
-
-impl LfuPolicy {
-    fn set_freq(&mut self, slot: u32, freq: u64) {
-        let need = slot as usize + 1;
-        if self.freq.len() < need {
-            self.freq.resize(need, 0);
-        }
-        self.freq[slot as usize] = freq;
-    }
-
-    /// Attach `slot` at the head of the `freq` bucket, creating it on demand.
-    fn attach(&mut self, freq: u64, slot: u32) {
-        let list = self.buckets.entry(freq).or_insert(ListHead::EMPTY);
-        self.links.attach_front(list, slot);
-    }
-
-    /// Detach `slot` from the `freq` bucket, removing the bucket if it
-    /// empties (the cache-rs fix). Returns whether the bucket emptied.
-    fn detach(&mut self, freq: u64, slot: u32) -> bool {
-        let list = self.buckets.get_mut(&freq).expect("slot's bucket exists");
-        self.links.detach(list, slot);
-        if list.is_empty() {
-            self.buckets.remove(&freq);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of live frequency buckets (regression hook: must stay ≤ the
-    /// number of tracked slots — empty buckets are removed immediately).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The current minimum-frequency cursor (diagnostics/tests).
-    pub fn min_frequency(&self) -> u64 {
-        self.min_freq
-    }
-}
-
-impl EvictionPolicy for LfuPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lfu
-    }
-
-    fn on_insert(&mut self, slot: u32) {
-        self.set_freq(slot, 1);
-        self.attach(1, slot);
-        // A fresh slot starts at frequency 1 — the global minimum.
-        self.min_freq = 1;
-    }
-
-    fn on_hit(&mut self, slot: u32) {
-        let freq = self.freq[slot as usize];
-        let emptied = self.detach(freq, slot);
-        if emptied && self.min_freq == freq {
-            // The whole minimum bucket moved up by one: O(1) cursor advance,
-            // no search (the slot itself re-attaches at freq + 1 below).
-            self.min_freq = freq + 1;
-        }
-        self.set_freq(slot, freq + 1);
-        self.attach(freq + 1, slot);
-    }
-
-    fn on_remove(&mut self, slot: u32) {
-        let freq = self.freq[slot as usize];
-        if self.detach(freq, slot) && self.min_freq == freq {
-            // Rare non-eviction path: the minimum bucket is gone and the new
-            // minimum is unknown — recover it from the ordered bucket map
-            // (O(log live-slots); empty-bucket removal keeps the map small).
-            self.min_freq = self.buckets.keys().next().copied().unwrap_or(0);
-        }
-    }
-
-    fn victim(&mut self) -> u32 {
-        let list = self
-            .buckets
-            .get_mut(&self.min_freq)
-            .expect("min_freq cursor points at a live bucket");
-        let victim = list.tail;
-        self.links.detach(list, victim);
-        if list.is_empty() {
-            self.buckets.remove(&self.min_freq);
-            // No search here either: eviction only happens to make room for
-            // an insert, whose on_insert resets the cursor to 1. Keep it
-            // exact anyway for the (policy-level) caller that never inserts.
-            self.min_freq = self.buckets.keys().next().copied().unwrap_or(0);
-        }
-        victim
-    }
-
-    fn peek_victim(&self) -> u32 {
-        self.buckets
-            .get(&self.min_freq)
-            .expect("min_freq cursor points at a live bucket")
-            .tail
-    }
-
-    fn clear(&mut self) {
-        self.links.clear();
-        self.buckets.clear();
-        self.freq.clear();
-        self.min_freq = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LFUDA
-// ---------------------------------------------------------------------------
-
-/// LFU with dynamic aging: a slot's priority is `age + access count`, where
-/// `age` rises to the victim's priority on every eviction. A formerly hot
-/// key stops accumulating priority when its hits stop, while every new
-/// insert enters at `age + 1` — so after a popularity shift the old head
-/// decays in a bounded number of evictions instead of squatting forever
-/// (plain LFU's failure mode). Victim: least-recent slot of the minimum
-/// priority bucket. Buckets are removed the instant they empty, like
-/// [`LfuPolicy`]; the minimum is the ordered bucket map's first key
-/// (priorities are not contiguous, so a cursor cannot replace the lookup —
-/// still `O(log live-slots)` thanks to the empty-bucket invariant).
-#[derive(Debug)]
-pub struct LfudaPolicy {
-    links: Links,
-    /// priority → list of slots at that priority (most-recent first).
-    /// Invariant: no empty lists.
-    buckets: BTreeMap<u64, ListHead>,
-    /// Access count per slot.
-    freq: Vec<u64>,
-    /// Current priority per slot (`age-at-last-access + freq`).
-    priority: Vec<u64>,
-    /// The aging factor: priority of the most recently evicted slot.
-    age: u64,
-}
-
-impl PolicyInit for LfudaPolicy {
-    fn for_capacity(capacity: usize) -> Self {
-        Self {
-            links: Links::with_capacity(capacity),
-            buckets: BTreeMap::new(),
-            freq: Vec::with_capacity(capacity),
-            priority: Vec::with_capacity(capacity),
-            age: 0,
-        }
-    }
-}
-
-impl LfudaPolicy {
-    fn set_books(&mut self, slot: u32, freq: u64, priority: u64) {
-        let need = slot as usize + 1;
-        if self.freq.len() < need {
-            self.freq.resize(need, 0);
-            self.priority.resize(need, 0);
-        }
-        self.freq[slot as usize] = freq;
-        self.priority[slot as usize] = priority;
-    }
-
-    fn attach(&mut self, priority: u64, slot: u32) {
-        let list = self.buckets.entry(priority).or_insert(ListHead::EMPTY);
-        self.links.attach_front(list, slot);
-    }
-
-    fn detach(&mut self, priority: u64, slot: u32) {
-        let list = self
-            .buckets
-            .get_mut(&priority)
-            .expect("slot's bucket exists");
-        self.links.detach(list, slot);
-        if list.is_empty() {
-            self.buckets.remove(&priority);
-        }
-    }
-
-    /// The current aging factor (diagnostics/tests).
-    pub fn age(&self) -> u64 {
-        self.age
-    }
-
-    /// Number of live priority buckets (empty-bucket invariant hook).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-}
-
-impl EvictionPolicy for LfudaPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lfuda
-    }
-
-    fn on_insert(&mut self, slot: u32) {
-        let priority = self.age + 1;
-        self.set_books(slot, 1, priority);
-        self.attach(priority, slot);
-    }
-
-    fn on_hit(&mut self, slot: u32) {
-        let freq = self.freq[slot as usize] + 1;
-        let old = self.priority[slot as usize];
-        // Monotone per slot: the age never decreases, so age + freq > old.
-        let priority = self.age + freq;
-        self.detach(old, slot);
-        self.set_books(slot, freq, priority);
-        self.attach(priority, slot);
-    }
-
-    fn on_remove(&mut self, slot: u32) {
-        self.detach(self.priority[slot as usize], slot);
-    }
-
-    fn victim(&mut self) -> u32 {
-        let (&priority, list) = self
-            .buckets
-            .iter_mut()
-            .next()
-            .expect("victim() on an empty policy");
-        let victim = list.tail;
-        self.links.detach(list, victim);
-        if list.is_empty() {
-            self.buckets.remove(&priority);
-        }
-        // Dynamic aging: the floor rises to what it took to get evicted.
-        self.age = priority;
-        victim
-    }
-
-    fn peek_victim(&self) -> u32 {
-        self.buckets
-            .iter()
-            .next()
-            .expect("peek_victim() on an empty policy")
-            .1
-            .tail
-    }
-
-    fn clear(&mut self) {
-        self.links.clear();
-        self.buckets.clear();
-        self.freq.clear();
-        self.priority.clear();
-        self.age = 0;
     }
 }
 
@@ -815,99 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn lfu_evicts_the_least_frequent_with_lru_ties() {
-        let mut p = LfuPolicy::for_capacity(3);
-        let evicted = run(
-            &mut p,
-            &[
-                ("ins", 0),
-                ("hit", 0),
-                ("hit", 0),
-                ("ins", 1),
-                ("ins", 2),
-                ("hit", 2),
-                ("ins", 3), // 1 (freq 1) is the least frequent
-                ("ins", 1), // slot 3 and 1 at freq 1; 3 is older → evicted
-            ],
-            3,
-        );
-        assert_eq!(evicted, vec![1, 3]);
-    }
-
-    #[test]
-    fn lfu_min_freq_cursor_tracks_hits_and_removes() {
-        let mut p = LfuPolicy::for_capacity(4);
-        p.on_insert(0);
-        p.on_insert(1);
-        assert_eq!(p.min_frequency(), 1);
-        p.on_hit(0); // 0 → freq 2; bucket 1 still holds slot 1
-        assert_eq!(p.min_frequency(), 1, "slot 1 still at freq 1");
-        p.on_hit(1); // bucket 1 drained → O(1) cursor advance
-        assert_eq!(p.min_frequency(), 2, "bucket 1 drained by the hit");
-        p.on_hit(1); // 1 → freq 3; bucket 2 still holds slot 0
-        p.on_remove(0); // bucket 2 drained by a remove → ordered-map recovery
-        assert_eq!(p.min_frequency(), 3, "remove recovered the true minimum");
-        assert_eq!(p.victim(), 1);
-        assert_eq!(p.bucket_count(), 0);
-    }
-
-    #[test]
-    fn lfu_never_accumulates_empty_buckets() {
-        // The cache-rs regression: drive one slot through thousands of
-        // frequency transitions while churning inserts — the bucket map must
-        // stay bounded by the live-slot count, never by the hit count.
-        let mut p = LfuPolicy::for_capacity(4);
-        p.on_insert(0);
-        for _ in 0..50_000 {
-            p.on_hit(0);
-        }
-        assert_eq!(p.bucket_count(), 1, "49_999 drained buckets were removed");
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_insert(3);
-        for _ in 0..1_000 {
-            p.on_hit(1);
-            p.on_hit(2);
-        }
-        assert!(
-            p.bucket_count() <= 4,
-            "bucket count ({}) must stay ≤ live slots",
-            p.bucket_count()
-        );
-        // Eviction finds the min-frequency victim through the cursor, and
-        // the books stay tight afterwards.
-        assert_eq!(p.victim(), 3, "the one-touch slot dies first");
-        assert!(p.bucket_count() <= 3);
-    }
-
-    #[test]
-    fn lfuda_ages_out_formerly_hot_slots() {
-        let mut p = LfudaPolicy::for_capacity(2);
-        p.on_insert(0);
-        for _ in 0..9 {
-            p.on_hit(0); // freq 10, priority 10
-        }
-        p.on_insert(1); // priority 1
-        assert_eq!(p.victim(), 1, "cold slot dies first");
-        assert_eq!(p.age(), 1, "age rose to the victim's priority");
-        // After the shift, new keys enter at age + 1 and only need to beat
-        // the stale head's fixed priority, not out-hit its history.
-        p.on_insert(2); // priority 2
-        for _ in 0..12 {
-            p.on_hit(2); // priority 1 + 13 = 14 > 10
-        }
-        assert_eq!(p.victim(), 0, "the stale head decayed and died");
-        assert_eq!(p.age(), 10);
-        assert_eq!(p.bucket_count(), 1);
-    }
-
-    #[test]
     fn policy_kind_builds_every_variant() {
         for kind in PolicyKind::ALL {
             let mut policy = kind.build(4);
             assert_eq!(policy.kind(), kind);
-            // Slot 1 is strictly colder than slot 0 by both recency and
-            // frequency, so every policy in the catalog agrees on the victim.
+            // Slot 0 was re-referenced after slot 1 arrived, so both
+            // policies agree that slot 1 is the victim.
             policy.on_insert(0);
             policy.on_insert(1);
             policy.on_hit(0);
@@ -919,54 +497,6 @@ mod tests {
             );
             policy.on_remove(0);
             policy.clear();
-        }
-    }
-
-    #[test]
-    fn peek_victim_predicts_victim_without_touching_the_books() {
-        // Churn every policy like a capacity-4 cache and check, at every
-        // eviction point, that peek_victim names exactly the slot victim()
-        // then returns — and that peeking (even repeatedly) never changes
-        // the outcome. This is the contract the admission filter leans on.
-        for kind in PolicyKind::ALL {
-            let mut policy = kind.build(4);
-            // key → slot map over dense slots 0..4, like the real cache.
-            let mut slot_of = [NIL; 7];
-            let mut free: Vec<u32> = (0..4).rev().collect();
-            for step in 0u32..200 {
-                let key = (step % 7) as usize;
-                if slot_of[key] != NIL {
-                    policy.on_hit(slot_of[key]);
-                } else {
-                    let slot = match free.pop() {
-                        Some(slot) => slot,
-                        None => {
-                            let peeked = policy.peek_victim();
-                            assert_eq!(
-                                policy.peek_victim(),
-                                peeked,
-                                "{}: peeking twice diverged at step {step}",
-                                kind.name()
-                            );
-                            let victim = policy.victim();
-                            assert_eq!(
-                                peeked,
-                                victim,
-                                "{}: peek_victim lied at step {step}",
-                                kind.name()
-                            );
-                            for s in slot_of.iter_mut() {
-                                if *s == victim {
-                                    *s = NIL;
-                                }
-                            }
-                            victim
-                        }
-                    };
-                    policy.on_insert(slot);
-                    slot_of[key] = slot;
-                }
-            }
         }
     }
 }

@@ -28,7 +28,7 @@
 //! Top-k answers are memoised in a capacity-bounded, hash-**sharded**,
 //! policy-**pluggable** cache ([`ShardedCache`]) keyed by the full query
 //! `(relation, entity, direction, k)`; [`CacheConfig`] picks the eviction
-//! policy ([`PolicyKind`]: LRU / SLRU / LFU / LFUDA — see [`crate::policy`]
+//! policy ([`PolicyKind`]: LRU / SLRU — see [`crate::policy`]
 //! for the simulator-driven selection guidance) and the shard count. Every
 //! entry is stamped with the server's *model stamp* — a mix of a load
 //! generation counter and the sum of every `EmbeddingTable::version()` —
@@ -257,13 +257,12 @@ impl Default for CachedScore {
 /// `Default` is the **simulator's pick**: the `cache_sim` bench (section
 /// `cache_sim` of `BENCH_serve.json`) replays Zipf / scan / shifting
 /// -popularity traces through every [`PolicyKind`], and SLRU posts the
-/// highest minimum and mean hit rate across all three shapes — within
-/// ~0.2 pp of the per-trace winner on the stationary-Zipf and scan traces
-/// and ~1 pp on popularity drift, with none of the catastrophic cases
-/// (plain LFU collapses ~13 pp on drift, plain LRU gives up ~4 pp to scan
-/// pollution). The legacy [`KnowledgeServer::new`] constructor instead
-/// pins `{policy: Lru, shards: 1}` — bit-compatible with the pre-policy
-/// serving cache.
+/// highest minimum and mean hit rate across all three shapes — ~1 pp behind
+/// LRU on popularity drift, ~3.5 pp ahead of it under scan pollution (see
+/// [`crate::policy`] for the retired frequency policies' numbers). The
+/// legacy [`KnowledgeServer::new`] constructor instead pins
+/// `{policy: Lru, shards: 1}` — bit-compatible with the pre-policy serving
+/// cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total cached top-k answers across all shards (0 disables caching).
@@ -275,12 +274,6 @@ pub struct CacheConfig {
     /// Capacity of the scalar score cache — positive scores *and* typed
     /// negative entries — for classification-heavy traffic (0 disables it).
     pub score_capacity: usize,
-    /// Put a TinyLFU admission filter in front of every shard's eviction
-    /// policy (see [`crate::admission`]): an insert into a full shard is
-    /// dropped unless the new answer's key has been looked up at least as
-    /// often (within the sketch's decay window) as the eviction victim's.
-    /// Off by default — unfiltered behaviour is preserved bit-for-bit.
-    pub admission: bool,
 }
 
 impl Default for CacheConfig {
@@ -290,7 +283,6 @@ impl Default for CacheConfig {
             policy: PolicyKind::Slru,
             shards: 1,
             score_capacity: 0,
-            admission: false,
         }
     }
 }
@@ -312,7 +304,6 @@ impl CacheConfig {
             policy: PolicyKind::Lru,
             shards: 1,
             score_capacity: 0,
-            admission: false,
         }
     }
 
@@ -331,12 +322,6 @@ impl CacheConfig {
     /// Enable the scalar score cache at `capacity` entries.
     pub fn score_capacity(mut self, capacity: usize) -> Self {
         self.score_capacity = capacity;
-        self
-    }
-
-    /// Enable (or disable) the TinyLFU admission filter.
-    pub fn admission(mut self, admission: bool) -> Self {
-        self.admission = admission;
         self
     }
 }
@@ -383,24 +368,13 @@ impl KnowledgeServer {
     /// — eviction policy, shard count, and optional scalar score cache.
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
-        let scores = (config.score_capacity > 0).then(|| {
-            ShardedCache::with_admission(
-                config.score_capacity,
-                config.policy,
-                config.shards,
-                config.admission,
-            )
-        });
+        let scores = (config.score_capacity > 0)
+            .then(|| ShardedCache::new(config.score_capacity, config.policy, config.shards));
         Self {
             inner: Arc::new(ServerInner {
                 model: RwLock::new(model),
                 candidates: RwLock::new(None),
-                cache: ShardedCache::with_admission(
-                    config.capacity,
-                    config.policy,
-                    config.shards,
-                    config.admission,
-                ),
+                cache: ShardedCache::new(config.capacity, config.policy, config.shards),
                 scores,
                 stamp: AtomicU64::new(stamp),
                 generation: AtomicU64::new(1),

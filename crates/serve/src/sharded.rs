@@ -61,37 +61,12 @@ impl<K: Hash + Eq + Copy, V: Clone> ShardedCache<K, V> {
     /// `policy` (each shard gets `⌈capacity / shards⌉` slots). `shards` is
     /// clamped to at least 1; capacity 0 disables caching entirely.
     pub fn new(capacity: usize, policy: PolicyKind, shards: usize) -> Self {
-        Self::with_admission(capacity, policy, shards, false)
-    }
-
-    /// Like [`new`](Self::new), optionally putting an independent TinyLFU
-    /// admission filter in front of every shard's policy (each filter sized
-    /// to its shard and fed only that shard's traffic — hash routing means a
-    /// key's frequency always accrues in the one sketch that will judge it).
-    pub fn with_admission(
-        capacity: usize,
-        policy: PolicyKind,
-        shards: usize,
-        admission: bool,
-    ) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity.div_ceil(shards);
         let shards = (0..shards)
-            .map(|_| {
-                let shard = PolicyCache::with_policy(per_shard, policy.build(per_shard));
-                Mutex::new(if admission {
-                    shard.with_admission()
-                } else {
-                    shard
-                })
-            })
+            .map(|_| Mutex::new(PolicyCache::with_policy(per_shard, policy.build(per_shard))))
             .collect();
         Self { shards, policy }
-    }
-
-    /// Whether every shard runs a TinyLFU admission filter.
-    pub fn admission_enabled(&self) -> bool {
-        self.lock(0).admission_enabled()
     }
 
     /// Which policy every shard runs.
@@ -190,7 +165,7 @@ mod tests {
     fn shards_split_the_key_space_and_aggregate_stats() {
         // 64 slots per shard: 48 total keys can never overflow any shard,
         // however the hash splits them.
-        let cache: ShardedCache<u32, u64> = ShardedCache::new(256, PolicyKind::Lfu, 4);
+        let cache: ShardedCache<u32, u64> = ShardedCache::new(256, PolicyKind::Lru, 4);
         assert_eq!(cache.shards(), 4);
         assert_eq!(cache.capacity(), 256);
         for key in 0..48u32 {
@@ -224,7 +199,7 @@ mod tests {
     #[test]
     fn concurrent_access_from_clones_is_safe() {
         let cache: std::sync::Arc<ShardedCache<u32, u64>> =
-            std::sync::Arc::new(ShardedCache::new(256, PolicyKind::Lfuda, 8));
+            std::sync::Arc::new(ShardedCache::new(256, PolicyKind::Slru, 8));
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cache = &cache;

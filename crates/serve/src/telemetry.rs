@@ -8,7 +8,7 @@
 //! a meaningful fraction of the ~hundreds-of-nanoseconds hit itself and
 //! would blow the `NSC_OBS_OVERHEAD_MAX` gate. Instead:
 //!
-//! * hit/miss/eviction/rejection **counts** come from the cache's own
+//! * hit/miss/eviction **counts** come from the cache's own
 //!   [`CacheStats`] (which the hot path already maintains) and are bridged
 //!   onto registry counters at scrape time by [`ServeMetrics::bridge`];
 //! * the compute histogram (`nsc_serve_topk_compute_us`) times only the
@@ -39,12 +39,10 @@ pub struct ServeMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
-    cache_rejections: Arc<Counter>,
     /// Scalar score-cache counters (stay 0 when the score cache is off).
     score_hits: Arc<Counter>,
     score_misses: Arc<Counter>,
     score_evictions: Arc<Counter>,
-    score_rejections: Arc<Counter>,
     /// Version-invalidated entries dropped at lookup (never served stale).
     pub(crate) stale_invalidations: Arc<Counter>,
     /// Miss-path top-k compute time (model scan + selection), microseconds.
@@ -71,11 +69,9 @@ impl ServeMetrics {
             cache_hits: cache("nsc_serve_cache_hits_total", "topk"),
             cache_misses: cache("nsc_serve_cache_misses_total", "topk"),
             cache_evictions: cache("nsc_serve_cache_evictions_total", "topk"),
-            cache_rejections: cache("nsc_serve_cache_rejections_total", "topk"),
             score_hits: cache("nsc_serve_cache_hits_total", "score"),
             score_misses: cache("nsc_serve_cache_misses_total", "score"),
             score_evictions: cache("nsc_serve_cache_evictions_total", "score"),
-            score_rejections: cache("nsc_serve_cache_rejections_total", "score"),
             stale_invalidations: registry.counter("nsc_serve_stale_invalidations_total"),
             topk_compute_us: registry.histogram("nsc_serve_topk_compute_us"),
             checkpoint_save_us: registry.histogram("nsc_serve_checkpoint_save_us"),
@@ -91,12 +87,10 @@ impl ServeMetrics {
         self.cache_hits.store(topk.hits);
         self.cache_misses.store(topk.misses);
         self.cache_evictions.store(topk.evictions);
-        self.cache_rejections.store(topk.rejections);
         if let Some(s) = score {
             self.score_hits.store(s.hits);
             self.score_misses.store(s.misses);
             self.score_evictions.store(s.evictions);
-            self.score_rejections.store(s.rejections);
         }
     }
 }
@@ -118,7 +112,6 @@ mod tests {
                 hits: 10,
                 misses: 4,
                 evictions: 2,
-                rejections: 1,
             },
             None,
         );

@@ -1,13 +1,15 @@
 //! Snapshot-format integrity: bitwise round-trips for every model ×
 //! optimizer combination, and typed (never panicking) failures for every
-//! corruption class — truncation, bad magic, bit flips, future versions,
-//! schema drift.
+//! corruption class — truncation, bad magic, hostile length fields, bit
+//! flips, future versions, schema drift — and for paths that are not
+//! regular files.
 
 use nscaching::SamplerConfig;
 use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
+use nscaching_serve::format::{read_frame, FORMAT_VERSION, MAGIC};
 use nscaching_serve::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, ModelSnapshot,
     SnapshotError,
@@ -213,6 +215,71 @@ fn bad_magic_and_future_versions_are_rejected() {
         Err(SnapshotError::UnsupportedVersion { found: 0x2A })
     ));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn hostile_payload_lengths_fail_typed_without_overflow() {
+    // From 2^64 − 28 up, `frame bytes + payload length` overflows a u64.
+    let path = tempfile("hostile-length");
+    for payload_len in [u64::MAX - 27, u64::MAX - 8, u64::MAX] {
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        frame.extend_from_slice(&payload_len.to_le_bytes());
+        frame.extend_from_slice(&[0u8; 16]);
+        std::fs::write(&path, &frame).unwrap();
+        let err = read_frame(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Truncated {
+                    context: "payload",
+                    ..
+                }
+            ),
+            "length {payload_len}: unexpected error {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Whether `err` is the refusal `read_frame` gives a non-regular file.
+fn is_not_a_regular_file(err: &SnapshotError) -> bool {
+    matches!(err, SnapshotError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput)
+}
+
+#[cfg(unix)]
+#[test]
+fn paths_that_are_not_regular_files_are_refused() {
+    // A character device. `/dev/zero` is the dangerous one (reading it never
+    // ends); `/dev/null` is the same kind of file, so a regression shows
+    // here as a wrong error instead of an exhausted host.
+    let err = read_frame(std::path::Path::new("/dev/null")).unwrap_err();
+    assert!(is_not_a_regular_file(&err), "character device: {err}");
+
+    // A directory.
+    let err = read_frame(&std::env::temp_dir()).unwrap_err();
+    assert!(is_not_a_regular_file(&err), "directory: {err}");
+
+    // A FIFO, whose open blocks until a writer appears: read on a helper
+    // thread so a regression fails the test instead of hanging it.
+    let fifo = tempfile("fifo");
+    let status = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(status.success(), "mkfifo failed");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader_path = fifo.clone();
+    let reader = std::thread::spawn(move || {
+        let _ = tx.send(read_frame(&reader_path).map(|_| ()));
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("reading a FIFO must not block");
+    reader.join().expect("reader thread");
+    std::fs::remove_file(&fifo).ok();
+    let err = result.unwrap_err();
+    assert!(is_not_a_regular_file(&err), "FIFO: {err}");
 }
 
 #[test]

@@ -51,49 +51,34 @@ pub struct TrainConfig {
 
 /// Which engine [`Trainer::train_epoch`](crate::Trainer::train_epoch) uses.
 ///
-/// There are two *pipelines* — sequential (master RNG stream, per-positive
-/// sampler feedback: the paper-exact path) and sharded-parallel (per-shard
-/// RNG streams, batch-end feedback merge) — and each produces its own
-/// deterministic trajectory. The runtime selects the engine, and thereby
-/// which pipeline runs at `shards = 1`:
+/// There are two engines, and each runs its own *pipeline* with its own
+/// deterministic trajectory:
 ///
-/// * the **parallel pipeline's** trajectory for a fixed `(seed, shards)` is
-///   engine-independent — the pool executes exactly what the retired
-///   `thread::scope` engine executed (asserted bit-for-bit in
-///   `tests/parallel_equivalence.rs`);
-/// * but [`Pool`](TrainRuntime::Pool) at `shards = 1` runs the *parallel*
-///   pipeline where [`Auto`](TrainRuntime::Auto) would run the *sequential*
-///   one, and those two trajectories differ. Keep `Auto` whenever the
-///   paper-exact path matters.
+/// * the **sequential engine** — master RNG stream, per-positive sampler
+///   feedback, run inline on the calling thread: the paper-exact path of
+///   Algorithms 1 and 2;
+/// * the **pool engine** — the sharded-parallel pipeline (per-shard RNG
+///   streams, batch-end feedback merge) on the trainer's persistent
+///   [`WorkerPool`](crate::WorkerPool). For a fixed `(seed, shards)` it
+///   replays the retired per-batch `thread::scope` engine bit-for-bit
+///   (asserted in `tests/parallel_equivalence.rs`).
+///
+/// [`Auto`](TrainRuntime::Auto) picks by shard count. [`Pool`](TrainRuntime::Pool)
+/// runs the pool engine even at `shards = 1`, where `Auto` would run the
+/// sequential one, and those two trajectories differ. Keep `Auto` whenever
+/// the paper-exact path matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrainRuntime {
     /// `shards = 1` → the inline sequential engine (the paper-exact path);
     /// `shards > 1` → the persistent worker-pool engine. The default.
     Auto,
-    /// Always the inline sequential engine. Requires `shards = 1` (the
-    /// sequential engine cannot honour a sharded configuration).
-    Sequential,
     /// Always the worker-pool engine, even at `shards = 1` — i.e. the
     /// sharded-parallel pipeline with one shard, which draws from the
     /// decorrelated shard streams and therefore trains a *different*
-    /// (equally valid) trajectory than `Auto`/`Sequential` at one shard.
-    /// Used by the `pool_overhead` bench to price the pool runtime against
-    /// the sequential engine on an identically-shaped workload.
+    /// (equally valid) trajectory than `Auto` at one shard. Used by the
+    /// `pool_overhead` and `obs_overhead` benches to price the pool runtime
+    /// against the sequential engine on an identically-shaped workload.
     Pool,
-    /// The double-buffered pipeline engine: workers sample/score batch
-    /// `k + 1` against the pre-step parameter snapshot while the main
-    /// thread merges and applies batch `k` (delayed-gradient semantics with
-    /// staleness 1). Uses the same shard partition and per-shard RNG
-    /// streams as [`Pool`](TrainRuntime::Pool), so it is bit-reproducible
-    /// for a fixed `(seed, shards)` — but it trains a *third* deterministic
-    /// trajectory (batches `k ≥ 1` are scored against parameters one step
-    /// old). Algorithm 2's cache-update-before-step ordering is preserved
-    /// per batch: each batch's sampler cache merge lands before that
-    /// batch's gradients are applied — see the ordering-contract docs on
-    /// `Trainer::train_epoch_pipelined`. Equivalence against the
-    /// non-overlapped staged reference engine is asserted bit-for-bit in
-    /// `tests/pipelined_equivalence.rs`.
-    Pipelined,
 }
 
 /// Default shard count: `NSC_SHARDS` when set (panicking on malformed values

@@ -72,36 +72,26 @@
 //!   the worker, re-thrown on the main thread after the round drains, and
 //!   leaves the pool reusable. See [`pool`] for the full protocol.
 //!
-//! ## The double-buffered pipelined engine
+//! ## Engines
 //!
-//! [`TrainRuntime::Pipelined`] adds a fourth invariant on top of the three
-//! above — **overlap without reordering**. Instead of one synchronous round
-//! per mini-batch, the pool samples/scores batch `k` against a pre-step
-//! *shadow* copy of the model while the main thread merges and applies batch
-//! `k − 1` to the live model (delayed-gradient training with staleness 1),
-//! using [`WorkerPool::overlap_round`] and two alternating sets of shard
-//! output buffers. The ordering contract that keeps this faithful to
-//! Algorithm 2 is: each batch's **sampler cache merge** (step 8) lands when
-//! its round drains — strictly before that batch's **optimizer step**
-//! (step 9), which only runs during the *next* round's overlap. The rows
-//! each step touches are then copied live → shadow before the next round
-//! dispatches, so the shadow is always exactly one step behind. Full phase
-//! ordering on `Trainer::train_epoch_pipelined`; bit-equivalence against a
-//! single-threaded staged reference engine is asserted across the model ×
-//! sampler matrix in `tests/pipelined_equivalence.rs`.
+//! [`TrainRuntime`] chooses between two engines, and each runs one
+//! synchronous round per mini-batch — Algorithm 2's cache refresh (step 8)
+//! always lands before that batch's embedding update (step 9):
 //!
-//! `shards = 1` (the default) is the sequential trainer of the paper: the
-//! single shard runs inline on the master stream with per-positive sampler
-//! feedback, reproducing the pre-sharding trainer's loss trajectory exactly.
-//! `shards > 1` is an equally valid but *different* deterministic trajectory
-//! (per-shard cache ownership, batch-end REINFORCE merge), so the paper's
-//! tables and figures are always produced at `shards = 1`.
-//! [`TrainRuntime`] pins the engine explicitly when needed (e.g. the
-//! `pool_overhead` bench forces the pool at one shard). For a fixed
-//! pipeline the engine is transparent — the pool replays the retired scoped
-//! engine bit-for-bit — but forcing `Pool` at `shards = 1` selects the
-//! *parallel* pipeline (shard RNG streams), not the paper-exact sequential
-//! one; see [`TrainRuntime`] for the exact contract.
+//! | engine | runs when | trajectory |
+//! |--------|-----------|------------|
+//! | sequential | `Auto` at `shards = 1` (the default) | the paper's: one shard inline on the master stream, per-positive sampler feedback |
+//! | pool | `Auto` at `shards > 1`, or `Pool` | per-shard cache ownership and RNG streams, batch-end feedback merge |
+//!
+//! The sequential engine reproduces the pre-sharding trainer's loss
+//! trajectory exactly, so the paper's tables and figures are always
+//! produced at `shards = 1`. `shards > 1` is an equally valid but
+//! *different* deterministic trajectory. For a fixed `(seed, shards)` the
+//! pool engine is transparent — it replays the retired scoped engine
+//! bit-for-bit — but forcing `Pool` at `shards = 1` selects the *parallel*
+//! pipeline (shard RNG streams), not the paper-exact sequential one; the
+//! `pool_overhead` bench does exactly that to price the pool runtime. See
+//! [`TrainRuntime`] for the exact contract.
 
 pub mod batcher;
 pub mod config;

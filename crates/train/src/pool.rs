@@ -109,38 +109,6 @@ impl WorkerPool {
         &mut self,
         jobs: impl IntoIterator<Item = (usize, Box<dyn FnOnce() + Send + 'env>)>,
     ) {
-        self.overlap_round(jobs, || {});
-    }
-
-    /// Run one *overlapped* round: dispatch each `(worker index, job)` pair,
-    /// execute `main_work` on the calling thread **while the workers run**,
-    /// then block until every dispatched job has completed.
-    ///
-    /// This is the double-buffered trainer's primitive: the caller overlaps
-    /// the previous batch's merge/apply (`main_work`) with the next batch's
-    /// sample/score (the jobs). The drain-before-return guarantee is the
-    /// same as [`run_round`](Self::run_round)'s — on the normal path and on
-    /// every unwind path, including a panic *inside `main_work`*, one
-    /// completion message per dispatched job is consumed before control
-    /// leaves this frame, so job-captured borrows can never be outlived.
-    ///
-    /// # Caller contract
-    ///
-    /// `main_work` runs concurrently with the dispatched jobs, so the caller
-    /// must keep the two capture sets disjoint: `main_work` must not touch
-    /// any data the jobs borrow (the trainer upholds this by having jobs
-    /// read the pre-step shadow snapshot while `main_work` mutates the live
-    /// model — see `Trainer::train_epoch_pipelined`). The compiler cannot
-    /// check this across the internal lifetime erasure.
-    ///
-    /// Panics from jobs are re-thrown after the drain; a `main_work` panic
-    /// takes precedence (the round still drains first, via the guard's
-    /// `Drop`).
-    pub fn overlap_round<'env>(
-        &mut self,
-        jobs: impl IntoIterator<Item = (usize, Box<dyn FnOnce() + Send + 'env>)>,
-        main_work: impl FnOnce(),
-    ) {
         let mut drain = Drain {
             rx: &self.done_rx,
             pending: 0,
@@ -167,7 +135,6 @@ impl WorkerPool {
             }
             drain.pending += 1;
         }
-        main_work();
         if let Some(payload) = drain.finish() {
             resume_unwind(payload);
         }
@@ -346,56 +313,5 @@ mod tests {
     fn drop_joins_all_workers() {
         let pool = WorkerPool::new(8);
         drop(pool); // must not hang or leak; Drop joins every thread
-    }
-
-    #[test]
-    fn overlap_round_runs_main_work_and_jobs_to_completion() {
-        let mut pool = WorkerPool::new(2);
-        let mut outputs = [0usize; 2];
-        let mut merged = 0usize;
-        {
-            let jobs = outputs.iter_mut().enumerate().map(|(i, out)| {
-                (
-                    i,
-                    Box::new(move || *out = i + 1) as Box<dyn FnOnce() + Send + '_>,
-                )
-            });
-            pool.overlap_round(jobs, || merged = 42);
-        }
-        assert_eq!(outputs, [1, 2], "all dispatched jobs completed");
-        assert_eq!(merged, 42, "main work ran on the calling thread");
-    }
-
-    #[test]
-    fn overlap_round_main_work_panic_drains_before_unwinding() {
-        let mut pool = WorkerPool::new(2);
-        let hits = AtomicUsize::new(0);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            let jobs = (0..2).map(|i| {
-                let hits = &hits;
-                (
-                    i,
-                    Box::new(move || {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>,
-                )
-            });
-            pool.overlap_round(jobs, || panic!("merge exploded"));
-        }))
-        .expect_err("the main-work panic must surface");
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "merge exploded");
-        // The round drained before unwinding, and the pool still works.
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-        pool.run_round((0..2).map(|i| {
-            let hits = &hits;
-            (
-                i,
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>,
-            )
-        }));
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
     }
 }

@@ -1,16 +1,16 @@
-//! Training-loop telemetry: per-phase batch timers, pipeline overlap,
-//! shard balance, and the [`EpochStats`] bridge onto the metrics registry.
+//! Training-loop telemetry: per-phase batch timers, shard balance, and the
+//! [`EpochStats`] bridge onto the metrics registry.
 //!
 //! # Phase boundaries
 //!
-//! Every engine runs each mini-batch through the staged pipeline of the
+//! Both engines run each mini-batch through the staged pipeline of the
 //! crate docs; the timers cut at the stage boundaries, **once per batch**
 //! (two clock reads per phase per batch — noise next to a batch of model
 //! scores, which is what keeps the `NSC_OBS_OVERHEAD_MAX` gate honest):
 //!
 //! | phase | covers |
 //! |-------|--------|
-//! | `shard` | partitioning the mini-batch by cache key (parallel engines) |
+//! | `shard` | partitioning the mini-batch by cache key (pool engine) |
 //! | `sample_score` | the fused sample → score → gradient stage. Algorithm 2 interleaves sampling and scoring *per positive*, so they are one phase by construction — splitting them would need per-example clocks |
 //! | `merge` | folding shard outputs in ascending shard order |
 //! | `apply` | the optimizer step + constraint projection |
@@ -18,14 +18,10 @@
 //! The sequential engine has no shard/merge stages; it records only
 //! `sample_score` and `apply`.
 //!
-//! # Derived gauges
+//! # Derived gauge
 //!
-//! * `nsc_train_pipeline_overlap_ratio` — fraction of the pipelined
-//!   engine's round time during which the main thread was also doing merge
-//!   / apply work (1.0 = the drain was fully hidden behind the pool). Stays
-//!   0 for the other engines.
-//! * `nsc_train_shard_imbalance` — mean over the epoch's batches of
-//!   `largest shard / mean shard` (1.0 = perfectly balanced partition).
+//! `nsc_train_shard_imbalance` — mean over the epoch's batches of
+//! `largest shard / mean shard` (1.0 = perfectly balanced partition).
 //!
 //! An unattached trainer ([`Trainer::attach_metrics`] never called) takes
 //! **zero** clock reads: every timer site is gated on the `Option`.
@@ -47,9 +43,6 @@ pub struct TrainMetrics {
     pub(crate) phase_merge: Arc<LatencyHistogram>,
     /// Optimizer step + constraints per mini-batch, microseconds.
     pub(crate) phase_apply: Arc<LatencyHistogram>,
-    /// See the module docs; set at every epoch epilogue (nonzero only for
-    /// the pipelined engine).
-    pub(crate) overlap_ratio: Arc<Gauge>,
     /// See the module docs; set at every epoch epilogue (trivially 1.0 for
     /// the sequential engine).
     pub(crate) shard_imbalance: Arc<Gauge>,
@@ -81,7 +74,6 @@ impl TrainMetrics {
             phase_sample_score: phase("sample_score"),
             phase_merge: phase("merge"),
             phase_apply: phase("apply"),
-            overlap_ratio: registry.gauge("nsc_train_pipeline_overlap_ratio"),
             shard_imbalance: registry.gauge("nsc_train_shard_imbalance"),
             epochs: registry.counter("nsc_train_epochs_total"),
             examples: registry.counter("nsc_train_examples_total"),
@@ -109,18 +101,14 @@ impl TrainMetrics {
     }
 }
 
-/// Epoch-local accumulators behind the derived gauges; lives on the
-/// trainer's stack for one epoch, folded into gauges at the epilogue.
+/// Epoch-local accumulator behind the shard-imbalance gauge; lives on the
+/// trainer's stack for one epoch, folded into the gauge at the epilogue.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct EpochPhaseAcc {
     /// Σ per-batch `max shard size` (imbalance numerator).
     pub max_shard: u64,
     /// Σ per-batch `total positives` (imbalance denominator, × shards).
     pub total_positives: u64,
-    /// Σ microseconds the main thread spent draining inside overlap rounds.
-    pub overlap_main_us: u64,
-    /// Σ microseconds of whole overlap rounds.
-    pub overlap_round_us: u64,
 }
 
 impl EpochPhaseAcc {
@@ -131,14 +119,6 @@ impl EpochPhaseAcc {
             return 1.0;
         }
         self.max_shard as f64 * shards as f64 / self.total_positives as f64
-    }
-
-    /// Fraction of round wall-time the main thread was also busy.
-    pub fn overlap(&self) -> f64 {
-        if self.overlap_round_us == 0 {
-            return 0.0;
-        }
-        (self.overlap_main_us as f64 / self.overlap_round_us as f64).min(1.0)
     }
 }
 
@@ -176,27 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_and_overlap_have_sane_edges() {
+    fn imbalance_has_sane_edges() {
         let empty = EpochPhaseAcc::default();
         assert_eq!(empty.imbalance(4), 1.0);
-        assert_eq!(empty.overlap(), 0.0);
 
         // 2 batches of 8 positives on 4 shards, max shard 3 then 5.
         let acc = EpochPhaseAcc {
             max_shard: 8,
             total_positives: 16,
-            overlap_main_us: 30,
-            overlap_round_us: 40,
         };
         assert!((acc.imbalance(4) - 2.0).abs() < 1e-12);
-        assert!((acc.overlap() - 0.75).abs() < 1e-12);
-
-        // Main work can't overlap more than the whole round.
-        let clamped = EpochPhaseAcc {
-            overlap_main_us: 100,
-            overlap_round_us: 40,
-            ..EpochPhaseAcc::default()
-        };
-        assert_eq!(clamped.overlap(), 1.0);
     }
 }

@@ -15,9 +15,7 @@ use nscaching::{NegativeSampler, SampledNegative, SamplerState, ShardSampler};
 use nscaching_eval::{evaluate_link_prediction, EvalProtocol, LinkPredictionReport};
 use nscaching_kg::{FilterIndex, Triple};
 use nscaching_math::{rng_from_state, rng_state, seeded_rng, split_seed};
-use nscaching_models::{
-    default_loss, GradientArena, KgeModel, L2Regularizer, Loss, LossType, TableId,
-};
+use nscaching_models::{default_loss, GradientArena, KgeModel, L2Regularizer, Loss, LossType};
 use nscaching_optim::{build_optimizer, Optimizer, OptimizerState};
 use rand::rngs::StdRng;
 use std::sync::Arc;
@@ -163,11 +161,6 @@ pub struct Trainer {
     grads: GradientArena,
     /// Per-shard worker outputs of the parallel engine, likewise reused.
     shard_outputs: Vec<ShardOutput>,
-    /// The second buffer set of the pipelined engine's double buffer: while
-    /// the pool fills `shard_outputs` with mini-batch `k`, the main thread
-    /// drains mini-batch `k − 1` from these (the two sets swap roles every
-    /// batch). Stays empty unless [`TrainRuntime::Pipelined`] runs.
-    shard_outputs_prev: Vec<ShardOutput>,
     /// Per-shard positive lists of the parallel engine's batch partition.
     shard_tasks: Vec<Vec<Triple>>,
     /// Attached telemetry handles; `None` (the default) means every timer
@@ -222,17 +215,16 @@ impl Trainer {
             pool: None,
             grads: GradientArena::new(),
             shard_outputs: Vec::new(),
-            shard_outputs_prev: Vec::new(),
             shard_tasks: Vec::new(),
             metrics: None,
         }
     }
 
     /// Attach telemetry handles ([`TrainMetrics::register`]): per-phase
-    /// batch timers, the pipeline overlap and shard-imbalance gauges, and
-    /// the per-epoch [`EpochStats`] bridge. Training trajectories are
-    /// bit-identical with and without metrics attached — instrumentation
-    /// only reads clocks and counters.
+    /// batch timers, the shard-imbalance gauge, and the per-epoch
+    /// [`EpochStats`] bridge. Training trajectories are bit-identical with
+    /// and without metrics attached — instrumentation only reads clocks and
+    /// counters.
     pub fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>) {
         self.metrics = Some(metrics);
     }
@@ -326,23 +318,15 @@ impl Trainer {
     /// feedback, which is exactly the sequential trainer of Algorithms 1
     /// and 2 — bit-for-bit, so the paper's tables and figures are unaffected.
     /// With `shards > 1` the shard stage runs on the trainer's persistent
-    /// [`WorkerPool`]. [`TrainRuntime`] can pin either engine explicitly —
-    /// note that `Pool` at `shards = 1` runs the parallel pipeline (shard
-    /// RNG streams), a *different* trajectory than the sequential engine;
-    /// see [`TrainRuntime`] for the contract.
+    /// [`WorkerPool`]. [`TrainRuntime::Pool`] forces the pool engine at
+    /// `shards = 1` too, which runs the parallel pipeline (shard RNG
+    /// streams), a *different* trajectory than the sequential engine; see
+    /// [`TrainRuntime`] for the contract.
     pub fn train_epoch(&mut self) -> EpochStats {
         let shards = self.config.shards.max(1);
         match self.config.runtime {
-            TrainRuntime::Sequential => {
-                assert_eq!(
-                    shards, 1,
-                    "TrainRuntime::Sequential cannot honour a sharded configuration"
-                );
-                self.train_epoch_sequential()
-            }
             TrainRuntime::Auto if shards == 1 => self.train_epoch_sequential(),
             TrainRuntime::Auto | TrainRuntime::Pool => self.train_epoch_parallel(shards),
-            TrainRuntime::Pipelined => self.train_epoch_pipelined(shards),
         }
     }
 
@@ -567,381 +551,8 @@ impl Trainer {
         self.finish_epoch(acc, started, phase_acc, shards)
     }
 
-    /// The double-buffered pipelined engine ([`TrainRuntime::Pipelined`]):
-    /// the pool samples and scores mini-batch `k` against a pre-step
-    /// parameter *shadow* while the main thread merges and applies
-    /// mini-batch `k − 1` to the live model — delayed-gradient training with
-    /// staleness 1.
-    ///
-    /// # Ordering contract
-    ///
-    /// Per mini-batch `k`, the engine runs four strictly ordered phases (the
-    /// first two concurrently with each other, which is the whole point):
-    ///
-    /// 1. **Sample/score `k` against the shadow** (pool workers). The shadow
-    ///    is a deep copy of the model holding the parameters as of the last
-    ///    *synced* step, i.e. `θ_{k−1}`. Workers also buffer their sampler
-    ///    cache updates (Algorithm 2, step 8) against the shadow.
-    /// 2. **Merge/apply `k − 1`** (main thread, overlapped with 1). Folds the
-    ///    *other* buffer set in ascending shard order and takes batch
-    ///    `k − 1`'s optimizer step on the live model: `θ_{k−1} → θ_k`.
-    /// 3. **Sampler cache merge for `k`** (after the round drains). Batch
-    ///    `k`'s buffered cache updates land in the sampler *now* — before
-    ///    batch `k`'s gradients are applied, which only happens in phase 2 of
-    ///    round `k + 1` (or at the epoch tail). This **deferred merge is what
-    ///    preserves Algorithm 2's step-8-before-step-9 order per batch**
-    ///    under the overlap: every batch still refreshes the cache it
-    ///    sampled from before its own embedding update, exactly as the
-    ///    sequential and pooled engines do.
-    /// 4. **Shadow re-sync.** The rows phase 2's step touched are copied
-    ///    live → shadow through [`EmbeddingTable::set_row`], which bumps the
-    ///    shadow tables' versions so any projection panels keyed to the
-    ///    shadow (TransR/TransD) invalidate. The shadow is now `θ_k`, and
-    ///    the buffers swap roles.
-    ///
-    /// # Data races (why the overlap is sound)
-    ///
-    /// Phase 1 and phase 2 run concurrently, so their capture sets must be
-    /// disjoint (the [`WorkerPool::overlap_round`] caller contract): workers
-    /// read the shadow and own their shard's sampler state, RNG stream and
-    /// *current* output buffers; the main thread mutates the live model,
-    /// optimizer, epoch statistics and the *previous* output buffers. The
-    /// shadow is only mutated in phase 4, after the round has drained.
-    ///
-    /// # Determinism
-    ///
-    /// Stream derivation, batch partition and reduction order are identical
-    /// to [`Self::train_epoch_parallel`], so a fixed `(seed, shards)` pair
-    /// replays bit-for-bit — but scoring batches `k ≥ 1` against parameters
-    /// one step old makes this a *third* deterministic trajectory, distinct
-    /// from both the sequential and the pooled one.
-    /// `tests/pipelined_equivalence.rs` asserts it bit-identical to the
-    /// non-overlapped staged reference engine
-    /// ([`Self::train_epoch_pipelined_staged`]) across the full model ×
-    /// stateful-sampler matrix.
-    fn train_epoch_pipelined(&mut self, shards: usize) -> EpochStats {
-        let started = Instant::now();
-        let mut acc = EpochAccumulator::new();
-        let mut grads = std::mem::take(&mut self.grads);
-
-        if self.pool.as_ref().is_none_or(|p| p.workers() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
-        }
-        let pool = self.pool.as_mut().expect("pool just ensured");
-
-        // The pre-step snapshot the workers score against. A fresh deep copy
-        // per epoch: clones get their own projection-cache identity, so
-        // panels warmed for the shadow can never alias the live model's.
-        let mut shadow = self.model.clone_box();
-
-        self.sampler.prepare_shards(shards);
-        self.batcher.shuffle(&mut self.rng);
-        let epoch_seed = split_seed(self.config.seed ^ SHARD_STREAM_TAG, self.epochs_done as u64);
-        let mut shard_rngs: Vec<StdRng> = (0..shards)
-            .map(|s| seeded_rng(split_seed(epoch_seed, s as u64)))
-            .collect();
-        let mut tasks = std::mem::take(&mut self.shard_tasks);
-        tasks.resize_with(shards, Vec::new);
-        let mut outputs = std::mem::take(&mut self.shard_outputs);
-        outputs.resize_with(shards, ShardOutput::default);
-        let mut prev_outputs = std::mem::take(&mut self.shard_outputs_prev);
-        prev_outputs.resize_with(shards, ShardOutput::default);
-        // Rows the overlapped optimizer step touched, carried across the
-        // drain so phase 4 can re-sync exactly those shadow rows.
-        let mut stale_rows: Vec<(TableId, usize)> = Vec::new();
-
-        let metrics = self.metrics.clone();
-        let mut phase_acc = EpochPhaseAcc::default();
-        for batch in 0..self.batcher.batches_per_epoch() {
-            // Partition mini-batch `k` by cache key (same as the pooled
-            // engine; `shard_of` is a pure function of the triple).
-            let shard_started = metrics.as_ref().map(|_| Instant::now());
-            for task in &mut tasks {
-                task.clear();
-            }
-            for index in self.batcher.batch_range(batch) {
-                let positive = self.batcher.get(index);
-                tasks[self.sampler.shard_of(&positive, shards)].push(positive);
-            }
-            let round_started = if let (Some(metrics), Some(started)) = (&metrics, shard_started) {
-                metrics.phase_shard.observe(started.elapsed());
-                phase_acc.max_shard += tasks.iter().map(Vec::len).max().unwrap_or(0) as u64;
-                phase_acc.total_positives += tasks.iter().map(Vec::len).sum::<usize>() as u64;
-                Some(Instant::now())
-            } else {
-                None
-            };
-
-            let shadow_model = shadow.as_ref();
-            let loss = self.loss.as_ref();
-            let regularizer = &self.regularizer;
-            {
-                // Disjoint field borrows: the jobs capture the sampler's
-                // shard workers (plus shadow/loss/regularizer read-only);
-                // the main work captures the live model, optimizer and
-                // epoch-statistics state. Neither set touches the other.
-                let model = &mut self.model;
-                let optimizer = &mut self.optimizer;
-                let repeat_tracker = &mut self.repeat_tracker;
-                let acc = &mut acc;
-                let grads = &mut grads;
-                let stale_rows = &mut stale_rows;
-                let prev = &mut prev_outputs;
-                let metrics_ref = metrics.as_deref();
-                let phase_acc = &mut phase_acc;
-                let mut workers = self.sampler.shard_workers();
-                debug_assert_eq!(workers.len(), shards, "one worker per shard");
-                let jobs = workers
-                    .iter_mut()
-                    .zip(&tasks)
-                    .zip(&mut shard_rngs)
-                    .zip(&mut outputs)
-                    .enumerate()
-                    .filter(|(_, (((_, task), _), _))| !task.is_empty())
-                    .map(|(shard, (((worker, task), rng), out))| {
-                        let job = Box::new(move || {
-                            run_shard_task(
-                                shadow_model,
-                                loss,
-                                regularizer,
-                                worker.as_mut(),
-                                task,
-                                rng,
-                                out,
-                            )
-                        }) as Box<dyn FnOnce() + Send + '_>;
-                        (shard, job)
-                    });
-                // Phases 1 + 2: batch `k` samples against the shadow on the
-                // pool while batch `k − 1` merges and steps on this thread.
-                pool.overlap_round(jobs, || {
-                    let drain_started = metrics_ref.map(|_| Instant::now());
-                    Self::drain_batch(
-                        prev,
-                        grads,
-                        acc,
-                        repeat_tracker,
-                        model.as_mut(),
-                        optimizer.as_mut(),
-                        Some(stale_rows),
-                        metrics_ref,
-                    );
-                    if let Some(started) = drain_started {
-                        phase_acc.overlap_main_us += started.elapsed().as_micros() as u64;
-                    }
-                });
-            }
-            if let (Some(metrics), Some(started)) = (&metrics, round_started) {
-                let elapsed = started.elapsed();
-                metrics.phase_sample_score.observe(elapsed);
-                phase_acc.overlap_round_us += elapsed.as_micros() as u64;
-            }
-            // Phase 3 — Algorithm 2, step 8 for batch `k`: the workers'
-            // buffered cache/feedback updates land before batch `k`'s own
-            // step (which runs in the *next* round's phase 2).
-            self.sampler.merge_batch();
-            // Phase 4 — re-sync the shadow: copy the stepped rows from the
-            // live model. `set_row` bumps the shadow tables' versions, so
-            // stale projection panels keyed to the shadow invalidate.
-            if !stale_rows.is_empty() {
-                let live = self.model.tables();
-                let mut shadow_tables = shadow.tables_mut();
-                for &(table, row) in stale_rows.iter() {
-                    shadow_tables[table].set_row(row, live[table].row(row));
-                }
-                stale_rows.clear();
-            }
-            std::mem::swap(&mut outputs, &mut prev_outputs);
-        }
-
-        // Epoch tail: the final mini-batch's merge and step (its sampler
-        // cache merge already ran inside the loop, so the per-batch ordering
-        // contract holds for it too). No shadow re-sync — the next pipelined
-        // epoch clones a fresh shadow.
-        Self::drain_batch(
-            &mut prev_outputs,
-            &mut grads,
-            &mut acc,
-            &mut self.repeat_tracker,
-            self.model.as_mut(),
-            self.optimizer.as_mut(),
-            None,
-            metrics.as_deref(),
-        );
-
-        grads.clear();
-        self.grads = grads;
-        self.shard_tasks = tasks;
-        self.shard_outputs = outputs;
-        self.shard_outputs_prev = prev_outputs;
-        self.finish_epoch(acc, started, phase_acc, shards)
-    }
-
-    /// The *staged* reference implementation of the pipelined engine: the
-    /// same delayed-gradient trajectory with **no overlap** — batch `k` is
-    /// sampled and scored against the shadow inline in ascending shard
-    /// order, and only then is batch `k − 1` merged and applied. Because the
-    /// overlapped phases touch disjoint state, running them sequentially
-    /// must be bit-identical; `tests/pipelined_equivalence.rs` asserts
-    /// exactly that, which reduces the concurrent engine's correctness to
-    /// this trivially auditable one. Not part of the public API.
-    #[doc(hidden)]
-    pub fn train_epoch_pipelined_staged(&mut self) -> EpochStats {
-        let shards = self.config.shards.max(1);
-        let started = Instant::now();
-        let mut acc = EpochAccumulator::new();
-        let mut grads = std::mem::take(&mut self.grads);
-
-        let mut shadow = self.model.clone_box();
-
-        self.sampler.prepare_shards(shards);
-        self.batcher.shuffle(&mut self.rng);
-        let epoch_seed = split_seed(self.config.seed ^ SHARD_STREAM_TAG, self.epochs_done as u64);
-        let mut shard_rngs: Vec<StdRng> = (0..shards)
-            .map(|s| seeded_rng(split_seed(epoch_seed, s as u64)))
-            .collect();
-        let mut tasks = std::mem::take(&mut self.shard_tasks);
-        tasks.resize_with(shards, Vec::new);
-        let mut outputs = std::mem::take(&mut self.shard_outputs);
-        outputs.resize_with(shards, ShardOutput::default);
-        let mut prev_outputs = std::mem::take(&mut self.shard_outputs_prev);
-        prev_outputs.resize_with(shards, ShardOutput::default);
-        let mut stale_rows: Vec<(TableId, usize)> = Vec::new();
-
-        let metrics = self.metrics.clone();
-        let mut phase_acc = EpochPhaseAcc::default();
-        for batch in 0..self.batcher.batches_per_epoch() {
-            let shard_started = metrics.as_ref().map(|_| Instant::now());
-            for task in &mut tasks {
-                task.clear();
-            }
-            for index in self.batcher.batch_range(batch) {
-                let positive = self.batcher.get(index);
-                tasks[self.sampler.shard_of(&positive, shards)].push(positive);
-            }
-            let score_started = if let (Some(metrics), Some(started)) = (&metrics, shard_started) {
-                metrics.phase_shard.observe(started.elapsed());
-                phase_acc.max_shard += tasks.iter().map(Vec::len).max().unwrap_or(0) as u64;
-                phase_acc.total_positives += tasks.iter().map(Vec::len).sum::<usize>() as u64;
-                Some(Instant::now())
-            } else {
-                None
-            };
-
-            // Phase 1, staged: batch `k` against the shadow, shard by shard.
-            {
-                let mut workers = self.sampler.shard_workers();
-                debug_assert_eq!(workers.len(), shards, "one worker per shard");
-                for (shard, worker) in workers.iter_mut().enumerate() {
-                    if tasks[shard].is_empty() {
-                        continue;
-                    }
-                    run_shard_task(
-                        shadow.as_ref(),
-                        self.loss.as_ref(),
-                        &self.regularizer,
-                        worker.as_mut(),
-                        &tasks[shard],
-                        &mut shard_rngs[shard],
-                        &mut outputs[shard],
-                    );
-                }
-            }
-            if let (Some(metrics), Some(started)) = (&metrics, score_started) {
-                metrics.phase_sample_score.observe(started.elapsed());
-            }
-            // Phase 2, staged: batch `k − 1` merges and steps.
-            Self::drain_batch(
-                &mut prev_outputs,
-                &mut grads,
-                &mut acc,
-                &mut self.repeat_tracker,
-                self.model.as_mut(),
-                self.optimizer.as_mut(),
-                Some(&mut stale_rows),
-                metrics.as_deref(),
-            );
-            // Phases 3 + 4: identical to the overlapped engine.
-            self.sampler.merge_batch();
-            if !stale_rows.is_empty() {
-                let live = self.model.tables();
-                let mut shadow_tables = shadow.tables_mut();
-                for &(table, row) in stale_rows.iter() {
-                    shadow_tables[table].set_row(row, live[table].row(row));
-                }
-                stale_rows.clear();
-            }
-            std::mem::swap(&mut outputs, &mut prev_outputs);
-        }
-
-        Self::drain_batch(
-            &mut prev_outputs,
-            &mut grads,
-            &mut acc,
-            &mut self.repeat_tracker,
-            self.model.as_mut(),
-            self.optimizer.as_mut(),
-            None,
-            metrics.as_deref(),
-        );
-
-        grads.clear();
-        self.grads = grads;
-        self.shard_tasks = tasks;
-        self.shard_outputs = outputs;
-        self.shard_outputs_prev = prev_outputs;
-        self.finish_epoch(acc, started, phase_acc, shards)
-    }
-
-    /// Stages 3 + 4 of the parallel engine (ordered merge + apply), hoisted
-    /// into an associated function over explicit parts so the pipelined
-    /// engine can run it as `overlap_round` main work against a capture set
-    /// disjoint from the pool jobs'. When `stale_rows` is given, the rows
-    /// the step touched are appended for the caller's shadow re-sync.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_batch(
-        outputs: &mut [ShardOutput],
-        grads: &mut GradientArena,
-        acc: &mut EpochAccumulator,
-        repeat_tracker: &mut RepeatTracker,
-        model: &mut dyn KgeModel,
-        optimizer: &mut dyn Optimizer,
-        stale_rows: Option<&mut Vec<(TableId, usize)>>,
-        metrics: Option<&TrainMetrics>,
-    ) {
-        let merge_started = metrics.map(|_| Instant::now());
-        grads.clear();
-        for out in outputs.iter_mut() {
-            for &(example_loss, nonzero) in &out.examples {
-                acc.record_example(example_loss, nonzero);
-            }
-            out.examples.clear();
-            for &negative in &out.negatives {
-                repeat_tracker.record(negative);
-            }
-            out.negatives.clear();
-            grads.merge(&mut out.grads);
-            out.grads.clear();
-        }
-        let apply_started = metrics.map(|_| Instant::now());
-        if !grads.is_empty() {
-            acc.record_batch_gradient(grads.norm());
-            optimizer.step(model, grads);
-            model.apply_constraints(grads.touched());
-            if let Some(stale_rows) = stale_rows {
-                stale_rows.extend_from_slice(grads.touched());
-            }
-        }
-        if let (Some(metrics), Some(merge_started), Some(apply_started)) =
-            (metrics, merge_started, apply_started)
-        {
-            metrics.phase_merge.observe(apply_started - merge_started);
-            metrics.phase_apply.observe(apply_started.elapsed());
-        }
-    }
-
     /// Epoch epilogue shared by both pipelines: close out the statistics,
-    /// fold the phase accumulators into the derived gauges, publish the
+    /// fold the phase accumulator into the shard-imbalance gauge, publish the
     /// epoch onto the metrics registry (when attached) and notify the
     /// sampler.
     fn finish_epoch(
@@ -958,7 +569,6 @@ impl Trainer {
         let stats = acc.finish(self.epochs_done, repeat_ratio, changed, seconds);
         if let Some(metrics) = &self.metrics {
             metrics.shard_imbalance.set(phase.imbalance(shards));
-            metrics.overlap_ratio.set(phase.overlap());
             metrics.publish_epoch(&stats);
         }
 
@@ -1247,77 +857,6 @@ mod tests {
         // not the master stream, so it is a different trajectory from the
         // sequential engine.
         assert_ne!(run(TrainRuntime::Pool, 1), run(TrainRuntime::Auto, 1));
-    }
-
-    #[test]
-    fn pipelined_training_is_deterministic_and_a_distinct_trajectory() {
-        let ds = dataset(14);
-        let run = |runtime: TrainRuntime, shards: usize| {
-            let mut t = trainer(
-                &ds,
-                SamplerConfig::NsCaching(NsCachingConfig::new(8, 8)),
-                ModelKind::TransE,
-                0,
-            );
-            t.config.shards = shards;
-            t.config.runtime = runtime;
-            let losses: Vec<f64> = (0..3).map(|_| t.train_epoch().mean_loss).collect();
-            let mrr = t
-                .evaluate(&EvalProtocol::filtered().with_max_triples(20))
-                .combined
-                .mrr;
-            (losses, mrr)
-        };
-        // Fixed (seed, shards) replays exactly, at one shard and several.
-        assert_eq!(
-            run(TrainRuntime::Pipelined, 1),
-            run(TrainRuntime::Pipelined, 1)
-        );
-        assert_eq!(
-            run(TrainRuntime::Pipelined, 4),
-            run(TrainRuntime::Pipelined, 4)
-        );
-        // Delayed gradients make it a different trajectory than the pooled
-        // engine on the same shard partition and RNG streams.
-        assert_ne!(run(TrainRuntime::Pipelined, 4), run(TrainRuntime::Pool, 4));
-    }
-
-    #[test]
-    fn pipelined_training_reduces_the_loss_for_every_sampler() {
-        let ds = dataset(15);
-        for sampler in [
-            SamplerConfig::Uniform,
-            SamplerConfig::Bernoulli,
-            SamplerConfig::NsCaching(NsCachingConfig::new(8, 8)),
-            SamplerConfig::kbgan_default(),
-        ] {
-            let mut t = trainer(&ds, sampler.clone(), ModelKind::TransE, 0);
-            t.config.shards = 4;
-            t.config.runtime = TrainRuntime::Pipelined;
-            let first = t.train_epoch();
-            for _ in 0..4 {
-                t.train_epoch();
-            }
-            let last = t.history().epochs.last().copied().unwrap();
-            assert!(
-                last.mean_loss < first.mean_loss,
-                "{}: loss should drop under the pipelined engine: {} -> {}",
-                sampler.display_name(),
-                first.mean_loss,
-                last.mean_loss
-            );
-            assert_eq!(last.examples, ds.train.len(), "no positive may be lost");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot honour a sharded configuration")]
-    fn sequential_runtime_rejects_sharded_configs() {
-        let ds = dataset(11);
-        let mut t = trainer(&ds, SamplerConfig::Bernoulli, ModelKind::TransE, 0);
-        t.config.shards = 2;
-        t.config.runtime = TrainRuntime::Sequential;
-        t.train_epoch();
     }
 
     #[test]

@@ -17,7 +17,6 @@ use nscaching_suite::sampling::{build_sampler, NsCachingConfig, SamplerConfig};
 use nscaching_suite::train::{TrainConfig, Trainer};
 
 /// TransE scored with the (squared-free) L2 distance: `f = −‖h + r − t‖₂`.
-#[derive(Clone)]
 struct TransEL2 {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
@@ -90,9 +89,6 @@ impl KgeModel for TransEL2 {
                 self.entities.project_row(row);
             }
         }
-    }
-    fn clone_box(&self) -> Box<dyn KgeModel> {
-        Box::new(self.clone())
     }
 }
 
