@@ -94,14 +94,20 @@
 //!   bit-identically — a bad push can never take the server down;
 //! * concurrent queries never fail because of a reload, good or bad.
 //!
-//! Recovery after a crash: point [`NetServer::bind_snapshot`] (or the
-//! serving engine's loader) at the newest file a
-//! [`nscaching_serve::CheckpointManager`] directory recovers — its
-//! `recover()` walks newest → oldest, quarantines corrupt files aside with
-//! a typed reason suffix (`*.bad-checksum`, …) and returns the last-good
-//! checkpoint. Quarantined files are evidence: inspect, then delete by
-//! hand. See the `nscaching_serve::manager` docs for the full directory
-//! protocol and the kill-anywhere guarantees behind it.
+//! Recovery after a crash takes three calls:
+//!
+//! 1. [`nscaching_serve::CheckpointManager::recover`] walks the checkpoint
+//!    directory newest → oldest, quarantines corrupt files aside with a
+//!    typed reason suffix (`*.bad-checksum`, …) and returns the last-good
+//!    checkpoint and its path;
+//! 2. [`nscaching_serve::KnowledgeServer::load_with_cache`] builds the
+//!    serving engine from that path with the chosen
+//!    [`nscaching_serve::CacheConfig`];
+//! 3. [`NetServer::bind`] puts the engine behind the socket.
+//!
+//! Quarantined files are evidence: inspect, then delete by hand. See the
+//! `nscaching_serve::manager` docs for the full directory protocol and the
+//! kill-anywhere guarantees behind it.
 //!
 //! ## Drain semantics
 //!
@@ -133,5 +139,5 @@ pub mod wire;
 pub use client::{ClientConfig, ClientError, ClientStats, NetClient, Reply};
 pub use fault::{FaultPlan, FaultyStream, Transport};
 pub use metrics::{op_index, NetMetrics, OP_NAMES};
-pub use server::{BindSnapshotError, NetServer, NetServerConfig, NetStatsSnapshot};
+pub use server::{NetServer, NetServerConfig, NetStatsSnapshot};
 pub use wire::{code_of_query_error, Answer, ErrorCode, Request, Response};

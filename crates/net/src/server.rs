@@ -35,11 +35,10 @@
 //! The ladder degrades *before* it sheds: clamping bounds per-request work,
 //! cache-only keeps absorbing the hot head of a skewed stream at near-zero
 //! cost, and only what is left over is rejected. The result cache behind
-//! `top_k_cached` is the serving engine's sharded, policy-pluggable cache
-//! (`nscaching_serve::CacheConfig`): sharding widens the cache-only path's
-//! concurrency under fan-out, the eviction policy shapes *which* hot head
-//! survives to be servable at level 2, and version-stamp invalidation means
-//! a stale entry is dropped — never served — even mid-incident.
+//! `top_k_cached` is the serving engine's one policy-pluggable cache
+//! (`nscaching_serve::CacheConfig`): the eviction policy shapes *which* hot
+//! head survives to be servable at level 2, and version-stamp invalidation
+//! means a stale entry is dropped — never served — even mid-incident.
 //!
 //! # Deadlines
 //!
@@ -72,7 +71,7 @@ use crate::wire::{
 };
 use nscaching_kg::Triple;
 use nscaching_obs::{Counter, MetricsRegistry};
-use nscaching_serve::{CacheConfig, KnowledgeServer, QueryScratch, SnapshotError, TopKQuery};
+use nscaching_serve::{KnowledgeServer, QueryScratch, TopKQuery};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -120,11 +119,6 @@ pub struct NetServerConfig {
     pub clamp_threshold: f64,
     /// Queue occupancy at which level 2 (cache-only) engages.
     pub cache_only_threshold: f64,
-    /// Result-cache configuration (eviction policy, shard count, optional
-    /// score cache) used when the server builds its own engine from a
-    /// snapshot path ([`NetServer::bind_snapshot`]). Ignored by the
-    /// pre-built-engine constructors, which carry their own cache.
-    pub cache: CacheConfig,
 }
 
 impl Default for NetServerConfig {
@@ -147,30 +141,9 @@ impl Default for NetServerConfig {
             degraded_k_clamp: 16,
             clamp_threshold: 0.5,
             cache_only_threshold: 0.8,
-            cache: CacheConfig::default(),
         }
     }
 }
-
-/// Why [`NetServer::bind_snapshot`] failed: the snapshot or the socket.
-#[derive(Debug)]
-pub enum BindSnapshotError {
-    /// The snapshot failed to load or validate (typed, never a panic).
-    Load(SnapshotError),
-    /// The listening socket could not be bound.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for BindSnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BindSnapshotError::Load(e) => write!(f, "snapshot load failed: {e}"),
-            BindSnapshotError::Io(e) => write!(f, "bind failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BindSnapshotError {}
 
 /// Monotonic counters of everything the server did. All counters are
 /// cumulative since bind and live on the server's [`MetricsRegistry`] —
@@ -414,21 +387,6 @@ impl NetServer {
         config: NetServerConfig,
     ) -> io::Result<Self> {
         Self::bind_with_faults(addr, engine, config, None)
-    }
-
-    /// Bind on `addr` serving the snapshot (or checkpoint) at `path`,
-    /// building the engine with the result-cache configuration carried in
-    /// `config.cache` — the one-call production entry point that wires
-    /// eviction policy, cache shards and the optional score cache through
-    /// from the front-door configuration.
-    pub fn bind_snapshot(
-        addr: impl ToSocketAddrs,
-        path: &Path,
-        config: NetServerConfig,
-    ) -> Result<Self, BindSnapshotError> {
-        let engine = KnowledgeServer::load_with_cache(path, config.cache)
-            .map_err(BindSnapshotError::Load)?;
-        Self::bind(addr, engine, config).map_err(BindSnapshotError::Io)
     }
 
     /// [`bind`](Self::bind), with a [`FaultPlan`] layered between the server

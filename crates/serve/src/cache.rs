@@ -1,25 +1,22 @@
-//! Capacity-bounded slot-arena cache, generic over its eviction policy.
+//! Capacity-bounded slot-arena cache with a pluggable eviction policy.
 //!
 //! [`PolicyCache`] is the storage half of the serving cache (the `cache-rs`
 //! family of eviction libraries is the reference point): a `HashMap` from
 //! key to slot index plus a `Vec` slot arena of keys and values. All
 //! *ordering* decisions — who is promoted on a hit, who dies when the cache
-//! is full — are delegated to an [`EvictionPolicy`]
-//! (see [`crate::policy`] for the catalog and the plug-in recipe).
+//! is full — are delegated to the [`EvictionPolicy`] its [`PolicyKind`]
+//! builds (see [`crate::policy`] for the catalog and the plug-in recipe).
 //! Everything is pre-allocated to `capacity` up front, and an eviction
 //! recycles its slot in place, so the **steady state — hits, and misses that
 //! evict — performs no heap allocation**; that property is what lets the
 //! serving engine's warm-cache path stay allocation-free (asserted by the
 //! `serve_throughput` bench).
 //!
-//! [`LruCache`] is the backwards-compatible alias (`PolicyCache` over
-//! [`LruPolicy`], statically dispatched): same API, same eviction decisions,
-//! bit-for-bit, as the pre-policy-trait serving cache — the `lru_invariants`
-//! proptest suite pins it against a brute-force reference model. Runtime
-//! policy selection (the sharded cache, the simulator) goes through
-//! `PolicyCache<K, V, Box<dyn EvictionPolicy + Send>>` instead.
+//! Under [`PolicyKind::Lru`] the eviction decisions are the original serving
+//! cache's, bit for bit: the `lru_invariants` proptest suite pins them
+//! against a brute-force reference model.
 
-use crate::policy::{EvictionPolicy, LruPolicy, PolicyInit, PolicyKind};
+use crate::policy::{EvictionPolicy, PolicyKind};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -53,22 +50,7 @@ impl CacheStats {
             self.hits as f64 / lookups as f64
         }
     }
-
-    /// Counter-wise sum (shard aggregation).
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
 }
-
-/// The original fixed-capacity least-recently-used map: [`PolicyCache`]
-/// statically dispatched over [`LruPolicy`]. `get` promotes the entry to
-/// most-recently-used; `insert` into a full cache evicts the
-/// least-recently-used entry.
-pub type LruCache<K, V> = PolicyCache<K, V, LruPolicy>;
 
 /// A fixed-capacity map whose eviction order is decided by a pluggable
 /// [`EvictionPolicy`].
@@ -77,28 +59,20 @@ pub type LruCache<K, V> = PolicyCache<K, V, LruPolicy>;
 /// `insert` into a full cache evicts the policy's chosen victim. Capacity 0
 /// is allowed and turns the cache into a no-op (every `insert` is dropped).
 #[derive(Debug)]
-pub struct PolicyCache<K, V, P: EvictionPolicy = LruPolicy> {
+pub struct PolicyCache<K, V> {
     map: HashMap<K, u32>,
     slots: Vec<Slot<K, V>>,
     free: Vec<u32>,
     capacity: usize,
     stats: CacheStats,
-    policy: P,
+    policy: Box<dyn EvictionPolicy + Send>,
 }
 
-impl<K: Hash + Eq + Copy, V, P: EvictionPolicy + PolicyInit> PolicyCache<K, V, P> {
-    /// An empty cache holding at most `capacity` entries, its policy built
-    /// fresh via [`PolicyInit`], with every internal structure pre-sized so
-    /// steady-state operation never allocates.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, P::for_capacity(capacity))
-    }
-}
-
-impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
-    /// An empty cache holding at most `capacity` entries, ordered by
-    /// `policy` (which must have been sized for at least `capacity` slots).
-    pub fn with_policy(capacity: usize, policy: P) -> Self {
+impl<K: Hash + Eq + Copy, V> PolicyCache<K, V> {
+    /// An empty cache holding at most `capacity` entries, ordered by a fresh
+    /// `policy`, with every internal structure pre-sized so steady-state
+    /// operation never allocates.
+    pub fn new(capacity: usize, policy: PolicyKind) -> Self {
         assert!(
             capacity < NIL as usize,
             "capacity must fit the u32 slot index"
@@ -109,7 +83,7 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
             free: Vec::with_capacity(capacity),
             capacity,
             stats: CacheStats::default(),
-            policy,
+            policy: policy.build(capacity),
         }
     }
 
@@ -218,11 +192,10 @@ impl<K: Hash + Eq + Copy, V, P: EvictionPolicy> PolicyCache<K, V, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SlruPolicy;
 
     #[test]
     fn inserts_and_hits() {
-        let mut c: LruCache<u32, &str> = LruCache::new(4);
+        let mut c: PolicyCache<u32, &str> = PolicyCache::new(4, PolicyKind::Lru);
         c.insert(1, "one");
         c.insert(2, "two");
         assert_eq!(c.get(&1), Some(&"one"));
@@ -234,7 +207,7 @@ mod tests {
 
     #[test]
     fn eviction_drops_the_least_recently_used() {
-        let mut c: LruCache<u32, u32> = LruCache::new(3);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(3, PolicyKind::Lru);
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(3, 30);
@@ -251,7 +224,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_and_promotes() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(2, PolicyKind::Lru);
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(1, 11);
@@ -263,7 +236,7 @@ mod tests {
 
     #[test]
     fn eviction_order_is_exact_under_churn() {
-        let mut c: LruCache<u32, u32> = LruCache::new(8);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(8, PolicyKind::Lru);
         for i in 0..64 {
             c.insert(i, i);
             // The live window is always the last 8 keys.
@@ -278,7 +251,7 @@ mod tests {
 
     #[test]
     fn remove_frees_the_slot_for_reuse() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(2, PolicyKind::Lru);
         c.insert(1, 10);
         c.insert(2, 20);
         assert_eq!(c.remove(&1), Some(10));
@@ -291,7 +264,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_a_noop_cache() {
-        let mut c: LruCache<u32, u32> = LruCache::new(0);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(0, PolicyKind::Lru);
         c.insert(1, 10);
         assert_eq!(c.get(&1), None);
         assert_eq!(c.len(), 0);
@@ -299,7 +272,7 @@ mod tests {
 
     #[test]
     fn clear_resets_entries_and_stats() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
+        let mut c: PolicyCache<u32, u32> = PolicyCache::new(4, PolicyKind::Lru);
         c.insert(1, 10);
         let _ = c.get(&1);
         c.clear();
@@ -313,8 +286,8 @@ mod tests {
     /// produces policy-specific survivor sets.
     #[test]
     fn policies_shape_the_survivor_set() {
-        fn survivors<P: EvictionPolicy + PolicyInit>() -> Vec<u32> {
-            let mut c: PolicyCache<u32, u32, P> = PolicyCache::new(3);
+        fn survivors(policy: PolicyKind) -> Vec<u32> {
+            let mut c: PolicyCache<u32, u32> = PolicyCache::new(3, policy);
             for key in [1, 2, 3] {
                 c.insert(key, key);
             }
@@ -327,12 +300,12 @@ mod tests {
             live.sort_unstable();
             live
         }
-        assert_eq!(survivors::<LruPolicy>(), vec![1, 2, 4], "LRU drops 3");
-        assert_eq!(survivors::<SlruPolicy>(), vec![1, 2, 4], "SLRU drops 3");
+        assert_eq!(survivors(PolicyKind::Lru), vec![1, 2, 4], "LRU drops 3");
+        assert_eq!(survivors(PolicyKind::Slru), vec![1, 2, 4], "SLRU drops 3");
         // Scan resistance separates the policies: after warming a working
         // set, stream one-touch keys through.
-        fn scan_survivor_count<P: EvictionPolicy + PolicyInit>() -> usize {
-            let mut c: PolicyCache<u32, u32, P> = PolicyCache::new(4);
+        fn scan_survivor_count(policy: PolicyKind) -> usize {
+            let mut c: PolicyCache<u32, u32> = PolicyCache::new(4, policy);
             for key in [1, 2, 3, 4] {
                 c.insert(key, key);
             }
@@ -347,7 +320,7 @@ mod tests {
             (1..=4u32).filter(|k| c.contains(k)).count()
         }
         assert_eq!(
-            scan_survivor_count::<LruPolicy>(),
+            scan_survivor_count(PolicyKind::Lru),
             0,
             "LRU loses everything"
         );
@@ -355,25 +328,9 @@ mod tests {
         // one-touch key displaces the previous one-touch key, never the
         // protected set.
         assert_eq!(
-            scan_survivor_count::<SlruPolicy>(),
+            scan_survivor_count(PolicyKind::Slru),
             3,
             "SLRU protects the re-referenced set"
         );
-    }
-
-    #[test]
-    fn boxed_policy_dispatch_matches_static_dispatch() {
-        let mut boxed: PolicyCache<u32, u32, Box<dyn EvictionPolicy + Send>> =
-            PolicyCache::with_policy(3, PolicyKind::Lru.build(3));
-        let mut fixed: LruCache<u32, u32> = LruCache::new(3);
-        assert_eq!(boxed.policy_kind(), PolicyKind::Lru);
-        for (key, value) in [(1, 1), (2, 2), (3, 3), (1, 10), (4, 4), (5, 5)] {
-            boxed.insert(key, value);
-            fixed.insert(key, value);
-        }
-        for key in 0..6 {
-            assert_eq!(boxed.contains(&key), fixed.contains(&key), "key {key}");
-        }
-        assert_eq!(boxed.stats(), fixed.stats());
     }
 }

@@ -154,7 +154,9 @@ fn staging_path(path: &Path) -> std::path::PathBuf {
 ///    cut (a directory entry is data too, and it lives in the directory).
 ///
 /// A writer killed at any point leaves either the previous snapshot intact
-/// or a stale temp file next to it; [`read_frame`] sweeps such leftovers.
+/// or a stale temp file next to it. Readers never look at the temp, and the
+/// next save of the same path truncates it (`File::create`) and renames it
+/// away, so leftovers do not pile up.
 pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     use std::io::Write as _;
 
@@ -169,7 +171,7 @@ pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     crate::crash::crash_point("write_frame: before temp create");
     let mut file = std::fs::File::create(&tmp)?;
     // Two-part write so the mid-write crash point can leave a *torn* temp
-    // file on disk — the state read_frame's sweep exists for.
+    // file on disk, which readers must ignore.
     let half = frame.len() / 2;
     file.write_all(&frame[..half])?;
     crate::crash::crash_point("write_frame: mid temp write");
@@ -193,19 +195,14 @@ pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
 /// Read, validate and unwrap the frame at `path`, returning the verified
 /// payload bytes.
 ///
-/// As a side effect this sweeps a stale staging file (`*.tmp-snapshot`) left
-/// by a writer that died before its atomic rename: the torn temp is ignored
-/// for reading (the final name always holds a complete frame or nothing) and
-/// deleted so it cannot accumulate.
+/// Reading never modifies the filesystem. A staging file (`*.tmp-snapshot`)
+/// next to `path` is ignored: the final name always holds a complete frame
+/// or nothing, and the temp may belong to a writer that is still running.
 ///
 /// Anything but a regular file is refused before it is opened, as an
 /// [`io::ErrorKind::InvalidInput`] error: reading a character device such as
 /// `/dev/zero` never ends, and opening a FIFO blocks until a writer appears.
 pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
-    let tmp = staging_path(path);
-    if tmp.exists() {
-        let _ = std::fs::remove_file(&tmp);
-    }
     if !std::fs::metadata(path)?.is_file() {
         return Err(SnapshotError::Io(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -546,32 +543,51 @@ mod tests {
     }
 
     #[test]
-    fn torn_temp_file_from_a_killed_writer_is_ignored_and_swept() {
+    fn torn_temp_file_from_a_killed_writer_is_ignored_and_left_alone() {
         // Crash simulation: a writer died after staging half a frame but
         // before the atomic rename. The final name still holds the previous
-        // good snapshot; loading must succeed from it and sweep the corpse.
+        // good snapshot; loading must succeed from it without touching the
+        // temp, which may as well belong to a writer that is still running.
         let path = tempfile("torn.snap");
         write_frame(&path, b"good snapshot").unwrap();
         let tmp = staging_path(&path);
         let good = std::fs::read(&path).unwrap();
-        std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
+        let torn = &good[..good.len() / 2];
+        std::fs::write(&tmp, torn).unwrap();
 
         assert_eq!(read_frame(&path).unwrap(), b"good snapshot");
-        assert!(!tmp.exists(), "stale staging file must be swept on load");
+        assert!(
+            tmp.exists(),
+            "read_frame must leave the staging file in place"
+        );
+        assert_eq!(std::fs::read(&tmp).unwrap(), torn, "or modify it");
+
+        // The next save of the same path reuses the temp and renames it
+        // away: nothing piles up.
+        write_frame(&path, b"next snapshot").unwrap();
+        assert!(!tmp.exists(), "a save leaves no staging file behind");
+        assert_eq!(read_frame(&path).unwrap(), b"next snapshot");
     }
 
     #[test]
     fn torn_temp_without_a_final_snapshot_is_not_promoted() {
         // Crash simulation: the very first checkpoint died mid-stage. There
         // is nothing valid to load — the torn temp must never be read as a
-        // snapshot, and it must still be cleaned up.
+        // snapshot, nor deleted by the read.
         let path = tempfile("firstcrash.snap");
         let _ = std::fs::remove_file(&path);
         let tmp = staging_path(&path);
         std::fs::write(&tmp, &MAGIC[..4]).unwrap();
 
         assert!(matches!(read_frame(&path), Err(SnapshotError::Io(_))));
-        assert!(!tmp.exists(), "torn first-checkpoint temp must be swept");
+        assert!(
+            tmp.exists(),
+            "read_frame must leave the staging file in place"
+        );
+
+        write_frame(&path, b"first snapshot").unwrap();
+        assert!(!tmp.exists(), "a save leaves no staging file behind");
+        assert_eq!(read_frame(&path).unwrap(), b"first snapshot");
     }
 
     #[test]

@@ -11,18 +11,16 @@
 //! 2. a **query engine** — [`KnowledgeServer`], which loads a snapshot behind
 //!    an `Arc` and answers top-k link-prediction, rank and
 //!    triplet-classification queries through the workspace's batched scoring
-//!    fast paths, fronted by a version-invalidated, hash-**sharded** result
-//!    cache with a pluggable eviction policy ([`PolicyKind`]: LRU or SLRU,
-//!    selected from trace-driven simulation, see [`policy`]), and fanned
-//!    out over the existing worker pool for batch traffic. The cache-miss
-//!    path selects its top-k via an O(|E| + k log k) partial selection kernel
-//!    (`nscaching_math::top_k_indices_into`) instead of a full sort, and
-//!    with a bound per-relation [`CandidateIndex`] scores only the query
-//!    relation's observed candidate set instead of the full vocabulary
-//!    (see [`candidates`] for the answer semantics); an optional score
-//!    cache memoises scalar triple scores, **including typed negative
-//!    answers**, for classification-heavy traffic
-//!    ([`CacheConfig::score_capacity`]).
+//!    fast paths, fronted by one version-invalidated top-k result cache
+//!    behind one lock, with a pluggable eviction policy ([`PolicyKind`]: LRU
+//!    or SLRU, selected from trace-driven simulation, see [`policy`]), and
+//!    fanned out over the existing worker pool for batch traffic. The
+//!    cache-miss path selects its top-k via an O(|E| + k log k) partial
+//!    selection kernel (`nscaching_math::top_k_indices_into`) instead of a
+//!    full sort, and with a bound per-relation [`CandidateIndex`] scores only
+//!    the query relation's observed candidate set instead of the full
+//!    vocabulary (see [`candidates`] for the answer semantics). Score, rank
+//!    and classification queries are not cached.
 //!
 //! # On-disk format
 //!
@@ -86,18 +84,17 @@
 //!
 //! # Query-cache contract
 //!
-//! The serving cache is keyed by the full query `(relation, entity,
-//! direction, k)` and every entry carries the server's *model stamp* — load
-//! generation mixed with the sum of all `EmbeddingTable::version()` counters,
-//! captured under the same lock the answer was computed under. Any model
-//! mutation bumps at least one table version, any reload bumps the
-//! generation; a lookup whose entry stamp mismatches drops the entry and
-//! recomputes. The stamp lives in the cached *values*, so neither the
-//! eviction policy nor the shard count can affect the staleness guarantee —
-//! `tests/policy_invariants.rs` re-proves it for every [`PolicyKind`] at
-//! 1 and 4 shards, score cache included. See [`server`] for the full
-//! reasoning and [`sharded`] for what hash-splitting does (and provably
-//! does not) change.
+//! The serving cache is one [`PolicyCache`] behind one mutex, keyed by the
+//! full query `(relation, entity, direction, k)`. Every entry carries the
+//! server's *model stamp* — load generation mixed with the sum of all
+//! `EmbeddingTable::version()` counters, captured under the same model lock
+//! the answer was computed under. Any model mutation bumps at least one table
+//! version, any reload bumps the generation; a lookup whose entry stamp
+//! mismatches drops the entry and recomputes. The stamp lives in the cached
+//! *values*, so the eviction policy cannot affect the staleness guarantee —
+//! `tests/policy_invariants.rs` re-proves it for every [`PolicyKind`], both
+//! single-threaded and with concurrent readers racing model updates. See
+//! [`server`] for the full reasoning.
 
 pub mod cache;
 pub mod candidates;
@@ -107,19 +104,17 @@ pub mod format;
 pub mod manager;
 pub mod policy;
 pub mod server;
-pub mod sharded;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use cache::{CacheStats, LruCache, PolicyCache};
+pub use cache::{CacheStats, PolicyCache};
 pub use candidates::CandidateIndex;
 pub use error::SnapshotError;
 pub use manager::{CheckpointEntry, CheckpointManager, Recovery, VerifiedEntry};
-pub use policy::{EvictionPolicy, LruPolicy, PolicyInit, PolicyKind, SlruPolicy};
+pub use policy::{EvictionPolicy, LruPolicy, PolicyKind, SlruPolicy};
 pub use server::{
     BatchScratch, CacheConfig, KnowledgeServer, QueryError, QueryScratch, RankedEntity, TopKQuery,
 };
-pub use sharded::ShardedCache;
 pub use snapshot::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, Checkpoint,
     CheckpointMeta, ModelSnapshot, TableData,

@@ -22,13 +22,15 @@
 //! <dir>/ckpt-0000000007.ckpt                    active checkpoint
 //! <dir>/ckpt-0000000006.ckpt                    older retained checkpoint
 //! <dir>/ckpt-0000000005.ckpt.bad-checksum       quarantined (bit rot)
-//! <dir>/ckpt-0000000008.ckpt.tmp-snapshot       torn temp from a dead writer
+//! <dir>/ckpt-0000000008.tmp-snapshot            torn temp from a dead writer
 //! ```
 //!
 //! Only names matching `ckpt-<seq>.ckpt` exactly are live checkpoints;
 //! quarantined files and staging temps have different suffixes and are
-//! invisible to retention and recovery (temps are swept by
-//! [`read_frame`](crate::format::read_frame) on the next read of that path).
+//! invisible to retention and recovery. A torn temp is not swept: the
+//! sequence number is derived from live and quarantined files only, so the
+//! next save reuses the torn save's number, truncates its temp and renames
+//! it into place.
 //!
 //! Crash-consistency argument, step by step: the save itself is atomic (frame
 //! rename), the sequence number is derived from the directory listing (max
@@ -319,7 +321,7 @@ mod tests {
         assert_eq!(parse_seq("ckpt-0.ckpt"), Some(0));
         assert_eq!(parse_seq("ckpt-.ckpt"), None);
         assert_eq!(parse_seq("ckpt-7.ckpt.bad-checksum"), None);
-        assert_eq!(parse_seq("ckpt-7.ckpt.tmp-snapshot"), None);
+        assert_eq!(parse_seq("ckpt-7.tmp-snapshot"), None);
         assert_eq!(parse_seq("model-7.ckpt"), None);
         assert_eq!(parse_seq("ckpt-x7.ckpt"), None);
     }

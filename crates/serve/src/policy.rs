@@ -15,20 +15,19 @@
 //! | [`on_remove`](EvictionPolicy::on_remove) | `slot` was explicitly removed | forget `slot` |
 //! | [`victim`](EvictionPolicy::victim) | the cache is full and needs room | pick a tracked slot, forget it, return it |
 //!
-//! Slots are dense `u32` indices below the capacity the policy was built for
-//! ([`PolicyInit::for_capacity`]), so implementations keep all their books
-//! in pre-sized, slot-indexed vectors — both policies here are
-//! allocation-free in the steady state. To plug in a new policy: implement
-//! the trait + [`PolicyInit`], add a [`PolicyKind`] variant, and the
-//! simulator (`cache_sim` bench), the sharded cache and the server pick it
-//! up from the enum.
+//! Slots are dense `u32` indices below the capacity the policy was built
+//! for, so implementations keep all their books in pre-sized, slot-indexed
+//! vectors — both policies here are allocation-free in the steady state. To
+//! plug in a new policy: implement the trait, add a [`PolicyKind`] variant
+//! and its arm in [`PolicyKind::build`]; `PolicyCache::new`, the simulator
+//! (`cache_sim` bench) and the server pick it up from the enum.
 //!
 //! # The catalog
 //!
-//! * [`LruPolicy`] — classic recency list. The refactor of the original
-//!   serving cache: one intrusive doubly-linked list, hit promotes to head,
-//!   victim is the tail. Eviction decisions are **bit-compatible** with the
-//!   pre-trait `LruCache` (same list ops in the same order).
+//! * [`LruPolicy`] — classic recency list: one intrusive doubly-linked
+//!   list, hit promotes to head, victim is the tail. Its eviction decisions
+//!   are the original serving cache's, pinned against a brute-force
+//!   reference by the `lru_invariants` suite.
 //! * [`SlruPolicy`] — segmented LRU: new keys enter a *probationary*
 //!   segment; a hit promotes to a *protected* segment (capped at 4/5 of
 //!   capacity, its overflow demoted back to probation's head). One-touch
@@ -40,9 +39,10 @@
 //! replays synthetic Zipf / scan / shifting-popularity traces through both
 //! and records the hit-rate table into `BENCH_serve.json` (section
 //! `cache_sim`). SLRU beats LRU by about 1 pp on Zipf and 3.5 pp on scan and
-//! gives up about 1 pp on the shift trace, which is why
+//! gives up about 1 pp on the shift trace, so it has the higher minimum hit
+//! rate over the three traces (the bench asserts this), which is why
 //! [`CacheConfig`](crate::server::CacheConfig) defaults to it while the
-//! legacy `KnowledgeServer::new` constructor stays on bit-compatible LRU.
+//! legacy `KnowledgeServer::new` constructor stays on LRU.
 //!
 //! The frequency family was measured on the same traces and retired. LFU
 //! came within 0.14 pp of SLRU on Zipf (92.60% vs 92.46%) and 0.22 pp on
@@ -51,17 +51,15 @@
 //! front of SLRU moved its hit rate by at most 0.03 pp. None of them paid
 //! for its code on this traffic.
 //!
-//! # Sharding and invalidation
+//! # Concurrency and invalidation
 //!
-//! Policies are single-threaded by design; concurrency comes from the layer
-//! above ([`ShardedCache`](crate::sharded::ShardedCache)), which hash-splits
-//! the key space over N independent `PolicyCache` instances behind per-shard
-//! locks. Staleness protection lives *above both*: the server stamps every
-//! cached value with the model generation ⊕ table-version sum and verifies
-//! the stamp on every lookup, so neither the policy choice nor the shard
-//! count can make a stale answer servable — see the staleness proptests in
+//! Policies are single-threaded by design; the server keeps its one
+//! `PolicyCache` behind one mutex. Staleness protection lives *above* the
+//! policy: the server stamps every cached value with the model generation ⊕
+//! table-version sum and verifies the stamp on every lookup, so no policy
+//! choice can make a stale answer servable — see the staleness tests in
 //! `tests/policy_invariants.rs`, which re-prove the invariant for every
-//! policy at 1 and 4 shards.
+//! policy, single-threaded and under concurrent queries and updates.
 
 /// Niche slot index marking "none".
 const NIL: u32 = u32::MAX;
@@ -120,33 +118,6 @@ pub trait EvictionPolicy: std::fmt::Debug {
 
     /// Forget every slot (cache clear). Keeps allocations.
     fn clear(&mut self);
-}
-
-impl EvictionPolicy for Box<dyn EvictionPolicy + Send> {
-    fn kind(&self) -> PolicyKind {
-        (**self).kind()
-    }
-    fn on_insert(&mut self, slot: u32) {
-        (**self).on_insert(slot)
-    }
-    fn on_hit(&mut self, slot: u32) {
-        (**self).on_hit(slot)
-    }
-    fn on_remove(&mut self, slot: u32) {
-        (**self).on_remove(slot)
-    }
-    fn victim(&mut self) -> u32 {
-        (**self).victim()
-    }
-    fn clear(&mut self) {
-        (**self).clear()
-    }
-}
-
-/// Construction: size a policy's books for a fixed slot capacity.
-pub trait PolicyInit: EvictionPolicy + Sized {
-    /// A policy instance pre-sized for slots `0..capacity`.
-    fn for_capacity(capacity: usize) -> Self;
 }
 
 /// Slot-indexed intrusive doubly-linked-list links shared by every policy:
@@ -241,16 +212,17 @@ impl Links {
 
 /// Classic least-recently-used: one recency list, hit promotes to head,
 /// victim is the tail. This is the original serving cache's list code moved
-/// behind the trait; its eviction decisions are bit-compatible with the
-/// pre-trait `LruCache` (proven by the unmodified `lru_invariants` suite).
+/// behind the trait; the `lru_invariants` suite pins its eviction decisions
+/// against a brute-force reference model.
 #[derive(Debug)]
 pub struct LruPolicy {
     links: Links,
     list: ListHead,
 }
 
-impl PolicyInit for LruPolicy {
-    fn for_capacity(capacity: usize) -> Self {
+impl LruPolicy {
+    /// A policy pre-sized for slots `0..capacity`.
+    pub(crate) fn for_capacity(capacity: usize) -> Self {
         Self {
             links: Links::with_capacity(capacity),
             list: ListHead::EMPTY,
@@ -323,8 +295,9 @@ pub struct SlruPolicy {
     protected_capacity: usize,
 }
 
-impl PolicyInit for SlruPolicy {
-    fn for_capacity(capacity: usize) -> Self {
+impl SlruPolicy {
+    /// A policy pre-sized for slots `0..capacity`.
+    pub(crate) fn for_capacity(capacity: usize) -> Self {
         Self {
             links: Links::with_capacity(capacity),
             probation: ListHead::EMPTY,
@@ -333,9 +306,7 @@ impl PolicyInit for SlruPolicy {
             protected_capacity: capacity * 4 / 5,
         }
     }
-}
 
-impl SlruPolicy {
     fn set_segment(&mut self, slot: u32, segment: Segment) {
         let need = slot as usize + 1;
         if self.segment.len() < need {

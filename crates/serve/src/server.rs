@@ -1,5 +1,5 @@
-//! The online query engine: a read-mostly model behind an `Arc`, a bounded
-//! LRU result cache in front of it, and batched fan-out over a worker pool.
+//! The online query engine: a read-mostly model behind an `Arc`, one bounded
+//! top-k result cache in front of it, and batched fan-out over a worker pool.
 //!
 //! # Query model
 //!
@@ -25,11 +25,10 @@
 //!
 //! # Cache contract
 //!
-//! Top-k answers are memoised in a capacity-bounded, hash-**sharded**,
-//! policy-**pluggable** cache ([`ShardedCache`]) keyed by the full query
-//! `(relation, entity, direction, k)`; [`CacheConfig`] picks the eviction
-//! policy ([`PolicyKind`]: LRU / SLRU — see [`crate::policy`]
-//! for the simulator-driven selection guidance) and the shard count. Every
+//! Top-k answers are memoised in one capacity-bounded [`PolicyCache`] keyed
+//! by the full query `(relation, entity, direction, k)`; [`CacheConfig`]
+//! picks its capacity and eviction policy ([`PolicyKind`]: LRU / SLRU — see
+//! [`crate::policy`] for the simulator-driven selection guidance). Every
 //! entry is stamped with the server's *model stamp* — a mix of a load
 //! generation counter and the sum of every `EmbeddingTable::version()` —
 //! captured **under the same model lock the answer was computed under**.
@@ -37,35 +36,30 @@
 //! [`KnowledgeServer::reload`], which hold the write lock while they bump
 //! table versions and refresh the stamp; a later lookup whose entry stamp no
 //! longer matches treats the entry as dead, drops it, and recomputes. A
-//! stale answer can therefore never be served, **whatever the policy or
-//! shard count**: the stamp lives in the entry, not in the cache structure,
-//! so neither the eviction order nor the shard split can detach an answer
-//! from the tables it was computed from (re-proven for every policy × shard
-//! combination in `tests/policy_invariants.rs`).
+//! stale answer can therefore never be served, **whatever the policy**: the
+//! stamp lives in the entry, not in the cache structure, so the eviction
+//! order cannot detach an answer from the tables it was computed from
+//! (re-proven for every policy in `tests/policy_invariants.rs`).
 //!
-//! Classification-heavy traffic gets the same treatment through an optional
-//! **score cache** ([`CacheConfig::score_capacity`]): scalar triple scores
-//! are memoised under the same stamp scheme, *including typed
-//! [`QueryError`]s* — negative caching, so a hot malformed triple (a bad id
-//! replayed by a buggy client across a batch) is answered from the cache
-//! instead of re-validating against the model on every slot.
+//! Score, rank and classification queries are not cached; every call
+//! computes its answer from the model.
 //!
 //! # Threading
 //!
 //! The server is `Sync` and cheap to clone (`Arc` inside); concurrent
-//! callers share the model under a read lock and the caches under per-shard
-//! mutexes — with `shards > 1`, queries for different keys no longer
-//! serialise on one cache lock.
+//! callers share the model under a read lock and the cache under one mutex.
+//! The mutex is held only for a lookup or an insert, never across the model
+//! scan of a miss, so a miss does not block other callers' hits. Lock order
+//! is always model → cache.
 //! [`KnowledgeServer::top_k_batch`] / [`KnowledgeServer::score_batch`] fan a
 //! query set out across an existing [`WorkerPool`] in contiguous chunks, one
 //! per worker, each worker reusing its own scratch from the caller's
 //! [`BatchScratch`].
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, PolicyCache};
 use crate::candidates::CandidateIndex;
 use crate::error::SnapshotError;
 use crate::policy::PolicyKind;
-use crate::sharded::ShardedCache;
 use crate::snapshot::load_model;
 use crate::telemetry::ServeMetrics;
 use nscaching_kg::{CorruptionSide, EntityId, RelationId, Triple};
@@ -74,7 +68,7 @@ use nscaching_models::{KgeModel, ModelKind};
 use nscaching_train::WorkerPool;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 /// One top-k link-prediction query: the `k` best candidates for the open
@@ -233,26 +227,8 @@ struct CachedAnswer {
     answer: Arc<[RankedEntity]>,
 }
 
-/// A cached scalar score — positive (`Ok`) or **negative** (`Err`, a typed
-/// rejection) — plus the model stamp it was computed under.
-#[derive(Debug, Clone)]
-struct CachedScore {
-    stamp: u64,
-    result: Result<f64, QueryError>,
-}
-
-impl Default for CachedScore {
-    fn default() -> Self {
-        Self {
-            stamp: 0,
-            result: Ok(0.0),
-        }
-    }
-}
-
-/// Serving-cache configuration: how many answers to hold, under which
-/// eviction policy, split over how many shards, and whether to memoise
-/// scalar scores too.
+/// Serving-cache configuration: how many top-k answers to hold, under
+/// which eviction policy.
 ///
 /// `Default` is the **simulator's pick**: the `cache_sim` bench (section
 /// `cache_sim` of `BENCH_serve.json`) replays Zipf / scan / shifting
@@ -260,20 +236,14 @@ impl Default for CachedScore {
 /// highest minimum and mean hit rate across all three shapes — ~1 pp behind
 /// LRU on popularity drift, ~3.5 pp ahead of it under scan pollution (see
 /// [`crate::policy`] for the retired frequency policies' numbers). The
-/// legacy [`KnowledgeServer::new`] constructor instead pins
-/// `{policy: Lru, shards: 1}` — bit-compatible with the pre-policy serving
-/// cache.
+/// legacy [`KnowledgeServer::new`] constructor instead pins LRU, the
+/// original serving cache's policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total cached top-k answers across all shards (0 disables caching).
+    /// Cached top-k answers (0 disables caching).
     pub capacity: usize,
-    /// Eviction policy every shard runs.
+    /// Eviction policy of the cache.
     pub policy: PolicyKind,
-    /// Independent policy instances behind per-shard locks (clamped ≥ 1).
-    pub shards: usize,
-    /// Capacity of the scalar score cache — positive scores *and* typed
-    /// negative entries — for classification-heavy traffic (0 disables it).
-    pub score_capacity: usize,
 }
 
 impl Default for CacheConfig {
@@ -281,8 +251,6 @@ impl Default for CacheConfig {
         Self {
             capacity: 256,
             policy: PolicyKind::Slru,
-            shards: 1,
-            score_capacity: 0,
         }
     }
 }
@@ -296,14 +264,12 @@ impl CacheConfig {
         }
     }
 
-    /// The pre-policy-trait cache, bit-for-bit: one LRU shard, no score
-    /// cache (what [`KnowledgeServer::new`] uses).
+    /// The original serving cache: LRU at `capacity` answers (what
+    /// [`KnowledgeServer::new`] uses).
     pub fn legacy_lru(capacity: usize) -> Self {
         Self {
             capacity,
             policy: PolicyKind::Lru,
-            shards: 1,
-            score_capacity: 0,
         }
     }
 
@@ -312,31 +278,16 @@ impl CacheConfig {
         self.policy = policy;
         self
     }
-
-    /// Set the shard count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Enable the scalar score cache at `capacity` entries.
-    pub fn score_capacity(mut self, capacity: usize) -> Self {
-        self.score_capacity = capacity;
-        self
-    }
 }
 
 struct ServerInner {
     model: RwLock<Box<dyn KgeModel>>,
     /// Optional per-relation candidate index for the top-k miss path; see
     /// [`CandidateIndex`] for the answer semantics. Written only under the
-    /// model write lock (lock order: model → candidates → cache shard).
+    /// model write lock (lock order: model → candidates → cache).
     candidates: RwLock<Option<Arc<CandidateIndex>>>,
-    cache: ShardedCache<TopKQuery, CachedAnswer>,
-    /// Scalar score memoisation incl. negative (typed-error) entries;
-    /// `None` when `score_capacity` is 0 so the disabled configuration adds
-    /// zero overhead to the scoring path.
-    scores: Option<ShardedCache<Triple, CachedScore>>,
+    /// The top-k result cache. Locked only around a lookup or an insert.
+    cache: Mutex<PolicyCache<TopKQuery, CachedAnswer>>,
     /// Current model stamp; see the module docs for the invalidation
     /// contract. Written only under the model write lock.
     stamp: AtomicU64,
@@ -357,25 +308,21 @@ pub struct KnowledgeServer {
 
 impl KnowledgeServer {
     /// Serve an already-built model with an LRU result cache of
-    /// `cache_capacity` entries (0 disables caching). Bit-compatible with
-    /// the pre-policy-trait server: [`CacheConfig::legacy_lru`], i.e. one
-    /// LRU shard and no score cache.
+    /// `cache_capacity` entries (0 disables caching):
+    /// [`CacheConfig::legacy_lru`], the original serving cache.
     pub fn new(model: Box<dyn KgeModel>, cache_capacity: usize) -> Self {
         Self::with_cache(model, CacheConfig::legacy_lru(cache_capacity))
     }
 
     /// Serve an already-built model with a fully specified [`CacheConfig`]
-    /// — eviction policy, shard count, and optional scalar score cache.
+    /// — capacity and eviction policy.
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
-        let scores = (config.score_capacity > 0)
-            .then(|| ShardedCache::new(config.score_capacity, config.policy, config.shards));
         Self {
             inner: Arc::new(ServerInner {
                 model: RwLock::new(model),
                 candidates: RwLock::new(None),
-                cache: ShardedCache::new(config.capacity, config.policy, config.shards),
-                scores,
+                cache: Mutex::new(PolicyCache::new(config.capacity, config.policy)),
                 stamp: AtomicU64::new(stamp),
                 generation: AtomicU64::new(1),
                 metrics: OnceLock::new(),
@@ -399,7 +346,7 @@ impl KnowledgeServer {
     /// (scrape-time; a no-op when no metrics are attached).
     pub fn publish_metrics(&self) {
         if let Some(metrics) = self.inner.metrics.get() {
-            metrics.bridge(&self.cache_stats(), self.score_cache_stats().as_ref());
+            metrics.bridge(&self.cache_stats());
         }
     }
 
@@ -415,8 +362,9 @@ impl KnowledgeServer {
     }
 
     /// Swap in a model from a snapshot file. Existing cache entries become
-    /// unreachable (their stamps can no longer match) and are recycled lazily
-    /// by the LRU as fresh answers displace them.
+    /// unreachable (their stamps can no longer match): a lookup that meets
+    /// one drops it, and the eviction policy recycles the rest as fresh
+    /// answers displace them.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
         let model = load_model(path)?.into_model()?;
         let mut guard = self.inner.model.write().expect("model lock");
@@ -501,25 +449,40 @@ impl KnowledgeServer {
         self.inner.stamp.load(Ordering::Acquire)
     }
 
-    /// Result-cache hit/miss/eviction counters, aggregated across shards.
+    /// Result-cache hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        self.cache().stats()
     }
 
-    /// Current number of cached answers across shards.
+    /// Current number of cached answers.
     pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
+        self.cache().len()
     }
 
-    /// Score-cache counters, aggregated across shards; `None` when the score
-    /// cache is disabled (`score_capacity` 0).
-    pub fn score_cache_stats(&self) -> Option<CacheStats> {
-        self.inner.scores.as_ref().map(ShardedCache::stats)
-    }
-
-    /// The eviction policy every cache shard runs.
+    /// The eviction policy of the result cache.
     pub fn cache_policy(&self) -> PolicyKind {
-        self.inner.cache.policy_kind()
+        self.cache().policy_kind()
+    }
+
+    fn cache(&self) -> MutexGuard<'_, PolicyCache<TopKQuery, CachedAnswer>> {
+        self.inner.cache.lock().expect("cache lock")
+    }
+
+    /// The live cached answer to `query`, if any. A version-invalidated
+    /// entry is dropped (and counted) instead, so it can never be served or
+    /// promoted over live entries. Must be called under the model read lock,
+    /// so `stamp` cannot move between this lookup and a following insert.
+    fn cached_answer(&self, query: &TopKQuery, stamp: u64) -> Option<Arc<[RankedEntity]>> {
+        let mut cache = self.cache();
+        let entry = cache.get(query)?;
+        if entry.stamp == stamp {
+            return Some(Arc::clone(&entry.answer));
+        }
+        cache.remove(query);
+        if let Some(metrics) = self.inner.metrics.get() {
+            metrics.stale_invalidations.inc();
+        }
+        None
     }
 
     /// Answer a top-k query without touching the cache, writing the ranked
@@ -555,20 +518,12 @@ impl KnowledgeServer {
         // Hold the model read lock across lookup, compute and insert: the
         // stamp cannot move while we hold it (writers take the write lock),
         // so the entry we insert is provably stamped with the tables it was
-        // computed from. Lock order is always model → shard.
+        // computed from. Lock order is always model → cache.
         let model = self.inner.model.read().expect("model lock");
         validate_ids(model.as_ref(), query.entity, query.relation)?;
         let stamp = self.inner.stamp.load(Ordering::Acquire);
-        if let Some(entry) = self.inner.cache.get(query) {
-            if entry.stamp == stamp {
-                return Ok(entry.answer);
-            }
-            // Version-invalidated: drop the corpse so it cannot be
-            // promoted over live entries, then recompute.
-            self.inner.cache.remove(query);
-            if let Some(metrics) = self.inner.metrics.get() {
-                metrics.stale_invalidations.inc();
-            }
+        if let Some(answer) = self.cached_answer(query, stamp) {
+            return Ok(answer);
         }
         // Miss path: the model scan dwarfs the clock reads, so this is the
         // one serve path that gets timed per call (the hit path above stays
@@ -580,7 +535,7 @@ impl KnowledgeServer {
             metrics.topk_compute_us.observe(started.elapsed());
         }
         let answer: Arc<[RankedEntity]> = ranked.into();
-        self.inner.cache.insert(
+        self.cache().insert(
             *query,
             CachedAnswer {
                 stamp,
@@ -606,16 +561,7 @@ impl KnowledgeServer {
         let model = self.inner.model.read().expect("model lock");
         validate_ids(model.as_ref(), query.entity, query.relation)?;
         let stamp = self.inner.stamp.load(Ordering::Acquire);
-        if let Some(entry) = self.inner.cache.get(query) {
-            if entry.stamp == stamp {
-                return Ok(Some(entry.answer));
-            }
-            self.inner.cache.remove(query);
-            if let Some(metrics) = self.inner.metrics.get() {
-                metrics.stale_invalidations.inc();
-            }
-        }
-        Ok(None)
+        Ok(self.cached_answer(query, stamp))
     }
 
     fn top_k_with_model(
@@ -656,38 +602,10 @@ impl KnowledgeServer {
         }));
     }
 
-    /// The model score of one triple (larger = more plausible). With a score
-    /// cache configured ([`CacheConfig::score_capacity`]), both outcomes are
-    /// memoised under the current model stamp — including the **negative**
-    /// one: a malformed triple's typed [`QueryError`] is served from cache on
-    /// repeat, so classification-heavy traffic that replays bad ids never
-    /// re-validates them.
+    /// The model score of one triple (larger = more plausible).
     pub fn score(&self, triple: &Triple) -> Result<f64, QueryError> {
         let model = self.inner.model.read().expect("model lock");
-        self.score_with_model(model.as_ref(), triple)
-    }
-
-    /// Scoring body shared by [`Self::score`] and [`Self::score_batch`]:
-    /// must be called under the model read lock (so the stamp cannot move
-    /// between lookup, compute and insert).
-    fn score_with_model(&self, model: &dyn KgeModel, triple: &Triple) -> Result<f64, QueryError> {
-        let Some(scores) = &self.inner.scores else {
-            validate_triple(model, triple)?;
-            return Ok(model.score(triple));
-        };
-        let stamp = self.inner.stamp.load(Ordering::Acquire);
-        if let Some(entry) = scores.get(triple) {
-            if entry.stamp == stamp {
-                return entry.result;
-            }
-            scores.remove(triple);
-            if let Some(metrics) = self.inner.metrics.get() {
-                metrics.stale_invalidations.inc();
-            }
-        }
-        let result = validate_triple(model, triple).map(|()| model.score(triple));
-        scores.insert(*triple, CachedScore { stamp, result });
-        result
+        score_triple(model.as_ref(), triple)
     }
 
     /// Triplet classification against a caller-tuned threshold.
@@ -717,7 +635,7 @@ impl KnowledgeServer {
     }
 
     /// Answer a batch of top-k queries across `pool`, one contiguous chunk
-    /// per worker, through the shared LRU cache. `out[i]` receives the answer
+    /// per worker, through the shared result cache. `out[i]` receives the answer
     /// to `queries[i]` — per-query, so one malformed query in a batch yields
     /// one `Err` slot and every other answer still lands.
     pub fn top_k_batch(
@@ -772,13 +690,19 @@ impl KnowledgeServer {
                 let job = Box::new(move || {
                     let model = server.inner.model.read().expect("model lock");
                     for (triple, slot) in triples.iter().zip(slots) {
-                        *slot = server.score_with_model(model.as_ref(), triple);
+                        *slot = score_triple(model.as_ref(), triple);
                     }
                 }) as Box<dyn FnOnce() + Send + '_>;
                 (worker, job)
             });
         pool.run_round(jobs);
     }
+}
+
+/// Score one triple after validating its ids against the model.
+fn score_triple(model: &dyn KgeModel, triple: &Triple) -> Result<f64, QueryError> {
+    validate_triple(model, triple)?;
+    Ok(model.score(triple))
 }
 
 /// The model stamp: load generation mixed with the sum of all table
@@ -1194,70 +1118,25 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_and_shard_count_answers_identically() {
+    fn every_policy_answers_identically() {
         let mut scratch = QueryScratch::default();
         let mut oracle = Vec::new();
         let baseline = server(ModelKind::DistMult, 0);
         for policy in PolicyKind::ALL {
-            for shards in [1, 4] {
-                let server = server_with_cache(
-                    ModelKind::DistMult,
-                    CacheConfig::with_capacity(32).policy(policy).shards(shards),
-                );
-                assert_eq!(server.cache_policy(), policy);
-                for query in [TopKQuery::tails(2, 3, 5), TopKQuery::heads(9, 1, 4)] {
-                    baseline
-                        .top_k_into(&query, &mut scratch, &mut oracle)
-                        .unwrap();
-                    let cold = server.top_k(&query, &mut scratch).unwrap();
-                    let warm = server.top_k(&query, &mut scratch).unwrap();
-                    assert_eq!(&*cold, oracle.as_slice(), "{policy:?}/{shards}");
-                    assert!(Arc::ptr_eq(&cold, &warm), "{policy:?}/{shards} warm hit");
-                }
+            let server = server_with_cache(
+                ModelKind::DistMult,
+                CacheConfig::with_capacity(32).policy(policy),
+            );
+            assert_eq!(server.cache_policy(), policy);
+            for query in [TopKQuery::tails(2, 3, 5), TopKQuery::heads(9, 1, 4)] {
+                baseline
+                    .top_k_into(&query, &mut scratch, &mut oracle)
+                    .unwrap();
+                let cold = server.top_k(&query, &mut scratch).unwrap();
+                let warm = server.top_k(&query, &mut scratch).unwrap();
+                assert_eq!(&*cold, oracle.as_slice(), "{policy:?}");
+                assert!(Arc::ptr_eq(&cold, &warm), "{policy:?} warm hit");
             }
         }
-    }
-
-    #[test]
-    fn score_cache_memoises_positive_and_negative_answers() {
-        let server = server_with_cache(
-            ModelKind::TransE,
-            CacheConfig::with_capacity(16).score_capacity(64),
-        );
-        let good = Triple::new(1, 2, 3);
-        let bad = Triple::new(1, 2, server.num_entities() as u32);
-        let first = server.score(&good).unwrap();
-        assert_eq!(server.score(&good).unwrap(), first);
-        let rejection = server.score(&bad).unwrap_err();
-        assert_eq!(
-            server.score(&bad).unwrap_err(),
-            rejection,
-            "the typed rejection is replayed from the negative cache"
-        );
-        let stats = server.score_cache_stats().expect("score cache enabled");
-        assert_eq!(stats.hits, 2, "one warm positive + one warm negative");
-        assert_eq!(stats.misses, 2);
-
-        // Disabled configuration exposes no stats and still answers.
-        let plain = server_with_cache(ModelKind::TransE, CacheConfig::legacy_lru(16));
-        assert!(plain.score_cache_stats().is_none());
-        assert_eq!(plain.score(&good).unwrap(), first);
-    }
-
-    #[test]
-    fn score_cache_entries_die_with_the_model_stamp() {
-        let server = server_with_cache(
-            ModelKind::DistMult,
-            CacheConfig::with_capacity(16).score_capacity(64),
-        );
-        let triple = Triple::new(4, 1, 7);
-        let before = server.score(&triple).unwrap();
-        assert_eq!(server.score(&triple).unwrap(), before, "warm hit");
-        server.update_model(|model| {
-            model.tables_mut()[0].row_mut(4)[0] += 2.0;
-        });
-        let after = server.score(&triple).unwrap();
-        assert_ne!(before, after, "stale score must be recomputed, not served");
-        assert_eq!(server.score(&triple).unwrap(), after);
     }
 }

@@ -1,4 +1,4 @@
-//! Serving-layer telemetry: cache counters bridged onto the metrics
+//! Serving-layer telemetry: top-k cache counters bridged onto the metrics
 //! registry, miss-path compute latency, and checkpoint lifecycle timings.
 //!
 //! # Overhead contract
@@ -8,9 +8,10 @@
 //! a meaningful fraction of the ~hundreds-of-nanoseconds hit itself and
 //! would blow the `NSC_OBS_OVERHEAD_MAX` gate. Instead:
 //!
-//! * hit/miss/eviction **counts** come from the cache's own
+//! * hit/miss/eviction **counts** come from the top-k cache's own
 //!   [`CacheStats`] (which the hot path already maintains) and are bridged
-//!   onto registry counters at scrape time by [`ServeMetrics::bridge`];
+//!   onto the `nsc_serve_cache_*_total{cache="topk"}` counters at scrape
+//!   time by [`ServeMetrics::bridge`];
 //! * the compute histogram (`nsc_serve_topk_compute_us`) times only the
 //!   **miss path**, where a model scan dwarfs the clock reads;
 //! * stale-entry invalidations are counted at the drop site (a cache-miss
@@ -39,10 +40,6 @@ pub struct ServeMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
-    /// Scalar score-cache counters (stay 0 when the score cache is off).
-    score_hits: Arc<Counter>,
-    score_misses: Arc<Counter>,
-    score_evictions: Arc<Counter>,
     /// Version-invalidated entries dropped at lookup (never served stale).
     pub(crate) stale_invalidations: Arc<Counter>,
     /// Miss-path top-k compute time (model scan + selection), microseconds.
@@ -69,9 +66,6 @@ impl ServeMetrics {
             cache_hits: cache("nsc_serve_cache_hits_total", "topk"),
             cache_misses: cache("nsc_serve_cache_misses_total", "topk"),
             cache_evictions: cache("nsc_serve_cache_evictions_total", "topk"),
-            score_hits: cache("nsc_serve_cache_hits_total", "score"),
-            score_misses: cache("nsc_serve_cache_misses_total", "score"),
-            score_evictions: cache("nsc_serve_cache_evictions_total", "score"),
             stale_invalidations: registry.counter("nsc_serve_stale_invalidations_total"),
             topk_compute_us: registry.histogram("nsc_serve_topk_compute_us"),
             checkpoint_save_us: registry.histogram("nsc_serve_checkpoint_save_us"),
@@ -83,15 +77,10 @@ impl ServeMetrics {
 
     /// Bridge the engine's cumulative cache counters onto the registry
     /// (scrape-time only — the hot path never calls this).
-    pub fn bridge(&self, topk: &CacheStats, score: Option<&CacheStats>) {
+    pub fn bridge(&self, topk: &CacheStats) {
         self.cache_hits.store(topk.hits);
         self.cache_misses.store(topk.misses);
         self.cache_evictions.store(topk.evictions);
-        if let Some(s) = score {
-            self.score_hits.store(s.hits);
-            self.score_misses.store(s.misses);
-            self.score_evictions.store(s.evictions);
-        }
     }
 }
 
@@ -107,22 +96,14 @@ mod tests {
         a.stale_invalidations.inc();
         assert_eq!(b.stale_invalidations.get(), 1, "same underlying counters");
 
-        a.bridge(
-            &CacheStats {
-                hits: 10,
-                misses: 4,
-                evictions: 2,
-            },
-            None,
-        );
+        a.bridge(&CacheStats {
+            hits: 10,
+            misses: 4,
+            evictions: 2,
+        });
         assert_eq!(
             registry.counter_value("nsc_serve_cache_hits_total", &[("cache", "topk")]),
             Some(10)
-        );
-        assert_eq!(
-            registry.counter_value("nsc_serve_cache_hits_total", &[("cache", "score")]),
-            Some(0),
-            "score cache counters exist (and stay 0) even when disabled"
         );
     }
 }

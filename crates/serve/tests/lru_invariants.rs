@@ -2,17 +2,18 @@
 //!
 //! Two layers of invariants:
 //!
-//! 1. [`nscaching_serve::LruCache`] against a brute-force reference model
-//!    under random insert/get/remove churn: capacity is never exceeded, the
-//!    recency order matches exactly (so evicted keys are *really* gone and
-//!    live keys are *really* live), and lookups agree value-for-value.
+//! 1. [`nscaching_serve::PolicyCache`] under [`PolicyKind::Lru`] against a
+//!    brute-force reference model under random insert/get/remove churn:
+//!    capacity is never exceeded, the recency order matches exactly (so
+//!    evicted keys are *really* gone and live keys are *really* live), and
+//!    lookups agree value-for-value.
 //! 2. [`nscaching_serve::KnowledgeServer`] under interleaved queries and
 //!    model updates: a cached answer is never served stale across
 //!    `update_model` — every answer equals a fresh computation against the
 //!    model tables as they are *now*, bit-for-bit.
 
 use nscaching_models::{build_model, ModelConfig, ModelKind};
-use nscaching_serve::{KnowledgeServer, LruCache, QueryScratch, TopKQuery};
+use nscaching_serve::{KnowledgeServer, PolicyCache, PolicyKind, QueryScratch, TopKQuery};
 use proptest::prelude::*;
 
 /// Brute-force reference LRU: a vector ordered most-recently-used first.
@@ -62,7 +63,7 @@ proptest! {
         capacity in 0usize..10,
         ops in prop::collection::vec((0u32..4, 0u32..24, 0u64..1000), 1..200),
     ) {
-        let mut real: LruCache<u32, u64> = LruCache::new(capacity);
+        let mut real: PolicyCache<u32, u64> = PolicyCache::new(capacity, PolicyKind::Lru);
         let mut model = ModelLru::new(capacity);
         for (op, key, value) in ops {
             match op {
@@ -98,7 +99,7 @@ proptest! {
     ) {
         // Insert-only churn with distinct-key tracking: evictions must equal
         // inserts-of-new-keys minus the live population at the end.
-        let mut cache: LruCache<u32, u32> = LruCache::new(capacity);
+        let mut cache: PolicyCache<u32, u32> = PolicyCache::new(capacity, PolicyKind::Lru);
         let mut fresh_inserts = 0u64;
         let mut live: Vec<u32> = Vec::new();
         for key in keys {

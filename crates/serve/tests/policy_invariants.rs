@@ -10,21 +10,23 @@
 //!    divergence means the intrusive-list implementation broke the spec, not
 //!    that two copies of the same code agree with each other.
 //! 2. [`KnowledgeServer`] staleness under interleaved queries, scores and
-//!    model updates, for **every policy at 1 and 4 shards**: no combination
-//!    of eviction policy and shard count may ever serve an answer computed
-//!    against retired model tables. A cacheless twin server receiving the
-//!    identical update stream provides the ground truth for the score cache
-//!    (including its negative entries).
+//!    model updates, for **every policy**: no eviction policy may ever serve
+//!    an answer computed against retired model tables. A cacheless twin
+//!    server receiving the identical update stream provides the ground
+//!    truth. The same invariant is then checked with four threads querying
+//!    one shared server while a fifth applies model updates.
 
 // The vendored proptest macro is expansion-hungry at this op-tuple width.
 #![recursion_limit = "512"]
 
 use nscaching_kg::Triple;
-use nscaching_models::{build_model, ModelConfig, ModelKind};
+use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_serve::{
-    CacheConfig, EvictionPolicy, KnowledgeServer, PolicyCache, PolicyKind, QueryScratch, TopKQuery,
+    CacheConfig, KnowledgeServer, PolicyCache, PolicyKind, QueryScratch, RankedEntity, TopKQuery,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Brute-force reference models
@@ -159,13 +161,6 @@ impl RefCache {
     }
 }
 
-fn policy_cache(
-    kind: PolicyKind,
-    capacity: usize,
-) -> PolicyCache<u32, u64, Box<dyn EvictionPolicy + Send>> {
-    PolicyCache::with_policy(capacity, kind.build(capacity))
-}
-
 /// Body of the churn proptest (a plain fn keeps the macro expansion small —
 /// the vendored `proptest!` tt-munches its body and hits the recursion limit
 /// on large ones).
@@ -174,7 +169,7 @@ fn churn_case(
     capacity: usize,
     ops: Vec<(u32, u32, u64)>,
 ) -> Result<(), TestCaseError> {
-    let mut real = policy_cache(kind, capacity);
+    let mut real: PolicyCache<u32, u64> = PolicyCache::new(capacity, kind);
     let mut model = RefCache::new(kind, capacity);
     for (op, key, value) in ops {
         match op {
@@ -223,7 +218,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Serving staleness across every policy × shard count
+// Serving staleness across every policy
 // ---------------------------------------------------------------------------
 
 fn serving_engine(config: CacheConfig) -> KnowledgeServer {
@@ -237,26 +232,25 @@ fn serving_engine(config: CacheConfig) -> KnowledgeServer {
     KnowledgeServer::with_cache(model, config)
 }
 
-/// Body of the staleness proptest: a cached server (the given policy and
-/// shard count, score cache on) against a cacheless twin fed the identical
-/// update stream — the twin's answers are the ground truth the cached server
-/// must match bit-for-bit at every step.
-fn staleness_case(
-    policy: PolicyKind,
-    shards: usize,
-    ops: Vec<(u32, u32, u32, u32)>,
-) -> Result<(), TestCaseError> {
-    let server = serving_engine(
-        CacheConfig::with_capacity(16)
-            .policy(policy)
-            .shards(shards)
-            .score_capacity(32),
-    );
-    let plain = serving_engine(CacheConfig {
-        capacity: 0,
-        score_capacity: 0,
-        ..CacheConfig::default()
-    });
+/// The `update`-th model update of the staleness tests: bump one row of
+/// every table (rows 0..4 exist in both the entity and relation tables).
+fn bump_row(model: &mut dyn KgeModel, update: u64) {
+    let row = (update % 4) as usize;
+    let bump = 0.25 + update as f64 * 1e-3;
+    for table in model.tables_mut() {
+        for v in table.row_mut(row) {
+            *v += bump;
+        }
+    }
+}
+
+/// Body of the staleness proptest: a cached server (the given policy)
+/// against a cacheless twin fed the identical update stream — the twin's
+/// answers are the ground truth the cached server must match bit-for-bit at
+/// every step.
+fn staleness_case(policy: PolicyKind, ops: Vec<(u32, u32, u32, u32)>) -> Result<(), TestCaseError> {
+    let server = serving_engine(CacheConfig::with_capacity(16).policy(policy));
+    let plain = serving_engine(CacheConfig::with_capacity(0));
     let mut scratch = QueryScratch::default();
     let mut fresh = Vec::new();
     let mut update_seed = 0u64;
@@ -264,24 +258,15 @@ fn staleness_case(
         match op {
             0 => {
                 // Mutate one embedding row on both servers; the stamp
-                // bump must retire every cached answer and score.
+                // bump must retire every cached answer.
                 update_seed += 1;
-                let row = (update_seed % 4) as usize;
-                let bump = 0.25 + update_seed as f64 * 1e-3;
                 for engine in [&server, &plain] {
-                    engine.update_model(|model| {
-                        for table in model.tables_mut() {
-                            for v in table.row_mut(row) {
-                                *v += bump;
-                            }
-                        }
-                    });
+                    engine.update_model(|model| bump_row(model, update_seed));
                 }
             }
             1 => {
-                // Score probe, including out-of-range tails so the
-                // negative cache is exercised: a memoised rejection must
-                // also die with the stamp.
+                // Score probe, including out-of-range tails, which must
+                // come back as the same typed rejection.
                 let tail = entity * 2 % 26; // 24, 25 are out of range
                 let triple = Triple::new(entity, relation, tail);
                 let cached = server.score(&triple);
@@ -325,9 +310,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn no_policy_or_shard_count_ever_serves_a_stale_answer(
+    fn no_policy_ever_serves_a_stale_answer(
         policy_index in 0usize..2,
-        four_shards in any::<bool>(),
         ops in prop::collection::vec(
             // op 0 = model update, op 1 = score probe; otherwise a top-k
             // query whose parity picks the corruption side (the vendored
@@ -336,7 +320,147 @@ proptest! {
             1..50,
         ),
     ) {
-        let shards = if four_shards { 4 } else { 1 };
-        staleness_case(PolicyKind::ALL[policy_index], shards, ops)?;
+        staleness_case(PolicyKind::ALL[policy_index], ops)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Serving staleness under concurrent readers and updates
+// ---------------------------------------------------------------------------
+
+/// Model updates the writer thread applies.
+const UPDATES: u64 = 20;
+/// Querying threads sharing the one server.
+const READERS: usize = 4;
+/// Reader calls the writer waits for before each update, and each reader
+/// makes after the last one.
+const CALLS_PER_VERSION: usize = 32;
+
+/// One answer a reader saw, with the update counter read before and after
+/// the call: the answer was computed against some model version inside
+/// that window.
+struct Observation {
+    query: usize,
+    before: u64,
+    after: u64,
+    answer: Arc<[RankedEntity]>,
+}
+
+fn same_answer(a: &[RankedEntity], b: &[RankedEntity]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.entity == y.entity && x.score.to_bits() == y.score.to_bits())
+}
+
+/// Four threads call `top_k` on one shared server over a small hot key set
+/// while a fifth applies [`UPDATES`] model updates. The counter is bumped
+/// inside `update_model`, under the model write lock, so a reader's
+/// before/after reads bracket the model version its answer came from. Every
+/// answer must equal the uncached answer of some model version in its
+/// window; a served stale entry would match only an older one. The writer
+/// waits for [`CALLS_PER_VERSION`] reader calls before each update, so
+/// queries interleave with every update however the threads are scheduled.
+fn concurrent_staleness_case(policy: PolicyKind) {
+    let server = serving_engine(CacheConfig::with_capacity(16).policy(policy));
+    let hot: Vec<TopKQuery> = (0..8u32)
+        .map(|i| {
+            if i % 2 == 0 {
+                TopKQuery::tails(i, i % 4, 5)
+            } else {
+                TopKQuery::heads(i, i % 4, 5)
+            }
+        })
+        .collect();
+    let version = AtomicU64::new(0);
+    let calls = AtomicUsize::new(0);
+
+    let observations: Vec<Observation> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|t| {
+                let (server, hot, version, calls) = (server.clone(), &hot, &version, &calls);
+                scope.spawn(move || {
+                    let mut scratch = QueryScratch::default();
+                    let mut seen = Vec::new();
+                    let mut at_last_version = 0;
+                    let mut i = t;
+                    while at_last_version < CALLS_PER_VERSION {
+                        let query = i % hot.len();
+                        let before = version.load(Ordering::SeqCst);
+                        let answer = server.top_k(&hot[query], &mut scratch).unwrap();
+                        let after = version.load(Ordering::SeqCst);
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        if before == UPDATES {
+                            at_last_version += 1;
+                        }
+                        seen.push(Observation {
+                            query,
+                            before,
+                            after,
+                            answer,
+                        });
+                        i += 1;
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut calls_at_update = 0;
+        for update in 1..=UPDATES {
+            while calls.load(Ordering::SeqCst) < calls_at_update + CALLS_PER_VERSION {
+                std::thread::yield_now();
+            }
+            server.update_model(|model| {
+                bump_row(model, update);
+                version.store(update, Ordering::SeqCst);
+            });
+            calls_at_update = calls.load(Ordering::SeqCst);
+        }
+        readers
+            .into_iter()
+            .flat_map(|r| r.join().expect("reader thread"))
+            .collect()
+    });
+
+    // Ground truth: the uncached answer of every hot query at every model
+    // version, from a cacheless twin replaying the same updates.
+    let twin = serving_engine(CacheConfig::with_capacity(0));
+    let mut scratch = QueryScratch::default();
+    let mut truth: Vec<Vec<Vec<RankedEntity>>> = Vec::new();
+    for update in 0..=UPDATES {
+        if update > 0 {
+            twin.update_model(|model| bump_row(model, update));
+        }
+        let answers = hot
+            .iter()
+            .map(|query| {
+                let mut out = Vec::new();
+                twin.top_k_into(query, &mut scratch, &mut out).unwrap();
+                out
+            })
+            .collect();
+        truth.push(answers);
+    }
+
+    for seen in &observations {
+        assert!(
+            (seen.before..=seen.after)
+                .any(|v| same_answer(&seen.answer, &truth[v as usize][seen.query])),
+            "{policy:?}: query {} answered outside model versions {}..={}",
+            seen.query,
+            seen.before,
+            seen.after
+        );
+    }
+    assert!(
+        server.cache_stats().hits > 0,
+        "{policy:?}: the hot set must be served from cache"
+    );
+}
+
+#[test]
+fn concurrent_readers_never_see_a_stale_answer_across_updates() {
+    for policy in PolicyKind::ALL {
+        concurrent_staleness_case(policy);
     }
 }
