@@ -88,7 +88,8 @@ impl KbGanSampler {
     /// * `generator` — the generator embedding model (the paper uses the
     ///   simplest model, TransE, as the generator);
     /// * `candidate_size` — size of the uniformly-drawn candidate set `Neg`
-    ///   (matched to NSCaching's `N1` for fairness, as in the paper);
+    ///   (matched to NSCaching's `N1` for fairness, as in the paper), clamped
+    ///   to the `|E| − 1` entities other than the positive's own;
     /// * `generator_lr` — Adam learning rate for the generator.
     pub fn new(
         generator: Box<dyn KgeModel>,
@@ -98,6 +99,10 @@ impl KbGanSampler {
     ) -> Self {
         assert!(candidate_size > 0, "candidate set must be non-empty");
         let num_entities = generator.num_entities();
+        assert!(
+            num_entities >= 2,
+            "negative sampling needs at least two entities"
+        );
         let mut optimizer = build_optimizer(&OptimizerConfig::adam(generator_lr));
         // Pre-size the generator optimizer's state slabs: REINFORCE steps
         // then never allocate optimizer state mid-epoch.
@@ -105,7 +110,8 @@ impl KbGanSampler {
         Self {
             generator,
             optimizer,
-            candidate_size: candidate_size.min(num_entities),
+            // The positive's own entity is never a candidate.
+            candidate_size: candidate_size.min(num_entities - 1),
             num_entities,
             policy,
             baseline: 0.0,
@@ -154,20 +160,17 @@ impl KbGanSampler {
     ) -> SampledNegative {
         let side = policy.choose(positive, rng);
         // Uniform candidate set Neg, excluding the positive's own entity so a
-        // candidate can never reproduce the positive triple (Eq. (5)). The
+        // candidate can never reproduce the positive triple (Eq. (5)):
+        // distinct draws from the |E| − 1 other ids, shifted past it. The
         // candidate and probability buffers are recycled from the previous
         // draw, and scoring goes through the batched fast path.
         let excluded = positive.entity_at(side);
-        sample_distinct_uniform_into(rng, num_entities, candidate_size, &mut slot.idx_scratch);
+        sample_distinct_uniform_into(rng, num_entities - 1, candidate_size, &mut slot.idx_scratch);
         let mut candidates = std::mem::take(&mut slot.spare_candidates);
         candidates.clear();
         candidates.extend(slot.idx_scratch.iter().map(|&e| {
             let e = e as EntityId;
-            if e == excluded {
-                (e + 1) % num_entities as EntityId
-            } else {
-                e
-            }
+            e + EntityId::from(e >= excluded)
         }));
         let mut probs = std::mem::take(&mut slot.spare_probs);
         generator.score_candidates(positive, side, &candidates, &mut probs);
@@ -570,6 +573,29 @@ mod tests {
         // a second merge with no new feedback is a no-op
         s.merge_batch();
         assert_eq!(s.feedback_steps(), 2);
+    }
+
+    #[test]
+    fn candidates_are_distinct_and_exclude_the_positive_when_clamped() {
+        // candidate_size 50 clamps to |E| − 1 = 4, so Neg must be exactly
+        // E∖{the positive's entity on the corrupted side}.
+        let mut s = KbGanSampler::new(generator(5), 50, 0.01, CorruptionPolicy::Uniform);
+        let d = discriminator(5);
+        let mut rng = seeded_rng(6);
+        for i in 0..100u32 {
+            let pos = Triple::new(i % 5, 0, (i / 5) % 5);
+            let neg = s.sample(&pos, d.as_ref(), &mut rng);
+            let excluded = pos.entity_at(neg.side);
+            let pending = s.slots[0].pending.as_ref().expect("a draw is pending");
+            let mut candidates = pending.candidates.clone();
+            candidates.sort_unstable();
+            let expected: Vec<EntityId> = (0..5).filter(|&e| e != excluded).collect();
+            assert_eq!(
+                candidates, expected,
+                "positive {pos:?}, side {:?}",
+                neg.side
+            );
+        }
     }
 
     #[test]

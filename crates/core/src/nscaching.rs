@@ -11,8 +11,8 @@ use crate::state::{
 use crate::strategy::{SampleStrategy, UpdateStrategy};
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{
-    argmax, sample_distinct_uniform_into, sample_one_weighted,
-    sample_without_replacement_weighted_into, softmax_in_place, top_k_indices_into,
+    argmax, gumbel_top_k_into, sample_distinct_uniform_into, sample_one_weighted, softmax_in_place,
+    top_k_indices_into,
 };
 use nscaching_models::KgeModel;
 use rand::rngs::StdRng;
@@ -32,6 +32,8 @@ struct Scratch {
     pool: Vec<EntityId>,
     /// Batched candidate scores / softmax weights, in `pool` order.
     scores: Vec<f64>,
+    /// `(Gumbel key, pool index)` pairs of the importance-sampling update.
+    keys: Vec<(f64, usize)>,
     /// Indices into `pool` kept by the update strategy.
     kept: Vec<usize>,
     /// Distinct random indices drawn when extending the pool (Algorithm 3
@@ -105,8 +107,13 @@ pub struct NsCachingSampler {
 }
 
 impl NsCachingSampler {
-    /// Create a sampler for a vocabulary of `num_entities` entities.
+    /// Create a sampler for a vocabulary of `num_entities` entities. Panics
+    /// on fewer than two: a positive's only corruption would be itself.
     pub fn new(config: NsCachingConfig, num_entities: usize, policy: CorruptionPolicy) -> Self {
+        assert!(
+            num_entities >= 2,
+            "negative sampling needs at least two entities"
+        );
         Self {
             shards: vec![NsCachingShard::new(&config, num_entities)],
             policy,
@@ -219,14 +226,12 @@ impl NsCachingSampler {
     ) -> EntityId {
         // `candidates` has already been masked: the positive's own entity (a
         // very high-scoring cache resident) is filtered out by the caller. If
-        // masking emptied the entry, fall back to a uniform draw over E.
+        // masking emptied the entry, fall back to a uniform draw over
+        // E∖{excluded}: one of the |E| − 1 other ids, shifted past it.
         if candidates.is_empty() {
             let excluded = positive.entity_at(side);
-            let mut e = rng.gen_range(0..num_entities as EntityId);
-            if e == excluded {
-                e = (e + 1) % num_entities as EntityId;
-            }
-            return e;
+            let e = rng.gen_range(0..num_entities as EntityId - 1);
+            return e + EntityId::from(e >= excluded);
         }
         match config.sample_strategy {
             SampleStrategy::Uniform => candidates[rng.gen_range(0..candidates.len())],
@@ -308,7 +313,9 @@ impl NsCachingSampler {
     /// refreshed entry back in place. Scoring the `N1 + N2` candidate pool
     /// goes through the batched fast path, and every intermediate lives in
     /// the shard's scratch, so a steady-state refresh performs no heap
-    /// allocation.
+    /// allocation. With the importance-sampling update the refresh costs
+    /// `O((N1 + N2)·d)`, as Table I states: scoring dominates, and keeping
+    /// `N1` of the scored candidates is one linear Gumbel-top-k pass.
     fn refresh_entry(
         config: &NsCachingConfig,
         num_entities: usize,
@@ -336,17 +343,16 @@ impl NsCachingSampler {
         model.score_candidates(positive, side, &scratch.pool, &mut scratch.scores);
         // Steps 5-9: keep N1 of them.
         match config.update_strategy {
-            UpdateStrategy::Importance => {
-                // Probability ∝ exp(score) — Equation (6); softmax keeps the
-                // exponentials finite.
-                softmax_in_place(&mut scratch.scores);
-                sample_without_replacement_weighted_into(
-                    rng,
-                    &mut scratch.scores,
-                    n1,
-                    &mut scratch.kept,
-                );
-            }
+            // Equation (6): N1 picks without replacement, each ∝ exp(score)
+            // among the candidates left, drawn as the N1 largest
+            // score + Gumbel-noise keys.
+            UpdateStrategy::Importance => gumbel_top_k_into(
+                rng,
+                &scratch.scores,
+                n1,
+                &mut scratch.keys,
+                &mut scratch.kept,
+            ),
             UpdateStrategy::Top => top_k_indices_into(&scratch.scores, n1, &mut scratch.kept),
             UpdateStrategy::Uniform => sample_distinct_uniform_into(
                 rng,
@@ -738,6 +744,47 @@ mod tests {
         assert!(s.updates_enabled());
         s.update(&pos, m.as_ref(), &mut rng);
         assert_eq!(s.refresh_count(), 4);
+    }
+
+    #[test]
+    fn emptied_entry_falls_back_to_a_uniform_draw_over_the_other_entities() {
+        // Both cache entries of the self-loop (2, 0, 2) hold only entity 2,
+        // so masking empties whichever side is corrupted.
+        let n = 6;
+        let mut s = NsCachingSampler::new(NsCachingConfig::new(3, 3), n, CorruptionPolicy::Uniform);
+        let only_excluded = |key| CacheState {
+            changed_elements: 0,
+            entries: vec![CacheEntryState {
+                key,
+                entities: vec![2, 2, 2],
+            }],
+        };
+        s.import_state(SamplerState::NsCaching(NsCachingState {
+            updates_enabled: true,
+            shards: vec![NsCachingShardState {
+                refresh_count: 0,
+                head: only_excluded((0, 2)),
+                tail: only_excluded((2, 0)),
+            }],
+        }))
+        .unwrap();
+        let m = model(n);
+        let mut rng = seeded_rng(10);
+        let pos = Triple::new(2, 0, 2);
+        let draws = 50_000;
+        let mut counts = [0usize; 6];
+        for _ in 0..draws {
+            counts[s.sample(&pos, m.as_ref(), &mut rng).entity as usize] += 1;
+        }
+        assert_eq!(counts[2], 0, "the positive's own entity is never drawn");
+        // χ² against uniform over the 5 other entities; 18.47 is the
+        // p = 0.001 critical value at 4 degrees of freedom.
+        let expected = draws as f64 / 5.0;
+        let chi2: f64 = (0..n)
+            .filter(|&e| e != 2)
+            .map(|e| (counts[e] as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 18.47, "counts {counts:?}, χ² {chi2:.1}");
     }
 
     #[test]

@@ -22,9 +22,8 @@ pub mod vecops;
 pub use init::{constant_init, uniform_init, xavier_uniform};
 pub use rng::{rng_from_state, rng_state, seeded_rng, split_seed, SeedStream};
 pub use sample::{
-    sample_distinct_uniform, sample_distinct_uniform_into, sample_one_weighted,
-    sample_without_replacement_weighted, sample_without_replacement_weighted_into, AliasTable,
-    ReservoirSampler, WeightedIndex,
+    gumbel_top_k_into, sample_distinct_uniform, sample_distinct_uniform_into, sample_one_weighted,
+    AliasTable, ReservoirSampler, WeightedIndex,
 };
 pub use softmax::{log_sum_exp, softmax, softmax_in_place};
 pub use stats::{Ccdf, Histogram, OnlineStats, Quantiles};

@@ -5,8 +5,9 @@
 //! * uniform sampling of `N2` distinct entities when refreshing the cache
 //!   (Algorithm 3, step 2) — [`sample_distinct_uniform`];
 //! * importance sampling *without replacement* of `N1` entries proportionally
-//!   to `exp(score)` (Algorithm 3, steps 5–9) —
-//!   [`sample_without_replacement_weighted`];
+//!   to `exp(score)` (Algorithm 3, steps 5–9, Eq. (6)) — [`gumbel_top_k_into`],
+//!   which keeps the `N1` largest Gumbel-perturbed scores in one linear pass,
+//!   so the refresh costs the `O((N1 + N2)·d)` of Table I;
 //! * single weighted draws for the KBGAN generator and for the "IS sampling
 //!   from cache" ablation — [`sample_one_weighted`] / [`WeightedIndex`].
 //!
@@ -79,83 +80,54 @@ pub fn sample_one_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usi
         .unwrap_or(weights.len() - 1)
 }
 
-/// Sample `k` *distinct* indices without replacement with probability
-/// proportional to `weights`, following Algorithm 3 of the paper: repeatedly
-/// draw from the renormalised remaining weights and remove the winner.
+/// Sample `min(k, logits.len())` *distinct* indices without replacement,
+/// each pick proportional to `exp(logit)` among the indices not yet picked
+/// (Equation (6) of the paper; Algorithm 3, steps 5–9), with the
+/// Gumbel-top-k trick: perturb every logit with independent standard Gumbel
+/// noise and keep the `k` largest keys. The kept set has exactly the
+/// distribution of `k` sequential renormalised draws (Kool, van Hoof &
+/// Welling, ICML 2019; Efraimidis & Spirakis 2006) but costs one linear pass
+/// plus an `O(n)` selection, instead of one `O(n)` rescan per pick.
 ///
-/// If fewer than `k` strictly positive weights exist, the remaining slots are
-/// filled uniformly from the not-yet-chosen indices, so the result always has
-/// exactly `min(k, weights.len())` entries.
-pub fn sample_without_replacement_weighted<R: Rng + ?Sized>(
-    rng: &mut R,
-    weights: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    let mut scratch = weights.to_vec();
-    let mut out = Vec::with_capacity(k.min(weights.len()));
-    sample_without_replacement_weighted_into(rng, &mut scratch, k, &mut out);
-    out
-}
-
-/// In-place variant of [`sample_without_replacement_weighted`].
+/// * Key `i` is `(logit_i − max) − ln(−ln u_i)`, with `u_i` drawn from one
+///   `u64` as the midpoint of one of 2^52 equal cells of (0, 1), so `u_i` is
+///   never 0 or 1. A call consumes exactly `logits.len()` draws, whatever `k`
+///   is, which keeps the RNG stream position a function of the input length.
+/// * If the maximum logit is not finite (every entry −∞ or NaN, or some entry
+///   +∞) the key is the noise alone: a uniform draw, as `softmax_in_place`
+///   falls back to.
+/// * A NaN key counts as −∞, so NaN and −∞ logits are kept only once every
+///   finite one is; the order among them is unspecified.
 ///
-/// `weights` is consumed as working storage: non-finite and negative entries
-/// are zeroed up front and picked entries are marked with a negative
-/// sentinel, so the call performs no heap allocation once `out` has grown to
-/// capacity `k`. This is what the NSCaching cache refresh uses on its hot
-/// path, where the weights buffer is a reusable scratch anyway.
-pub fn sample_without_replacement_weighted_into<R: Rng + ?Sized>(
+/// The kept indices land in `out` (cleared first) in no particular order.
+/// `keys` is working storage for the `(key, index)` pairs; the call allocates
+/// nothing once `keys` and `out` have grown to `logits.len()`.
+pub fn gumbel_top_k_into<R: Rng + ?Sized>(
     rng: &mut R,
-    weights: &mut [f64],
+    logits: &[f64],
     k: usize,
+    keys: &mut Vec<(f64, usize)>,
     out: &mut Vec<usize>,
 ) {
-    out.clear();
-    let n = weights.len();
-    let k = k.min(n);
-    for w in weights.iter_mut() {
-        if !w.is_finite() || *w <= 0.0 {
-            *w = 0.0;
-        }
-    }
-    // Picked entries are flagged with -1 so "remaining" = non-negative.
-    const PICKED: f64 = -1.0;
-    for _ in 0..k {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        let idx = if total > 0.0 {
-            let mut u = rng.gen_range(0.0..total);
-            let mut chosen = None;
-            for (i, &w) in weights.iter().enumerate() {
-                if w > 0.0 {
-                    if u < w {
-                        chosen = Some(i);
-                        break;
-                    }
-                    u -= w;
-                }
-            }
-            // Floating-point slack: fall back to the last positive weight.
-            chosen.unwrap_or_else(|| {
-                weights
-                    .iter()
-                    .rposition(|w| *w > 0.0)
-                    .expect("total > 0 implies a positive weight")
-            })
-        } else {
-            // Uniform among the not-yet-picked indices.
-            let remaining = weights.iter().filter(|w| **w >= 0.0).count();
-            let target = rng.gen_range(0..remaining);
-            weights
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| **w >= 0.0)
-                .nth(target)
-                .map(|(i, _)| i)
-                .expect("remaining count matches filter")
+    const CELL: f64 = 1.0 / (1u64 << 52) as f64;
+    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let shift = max.is_finite().then_some(max);
+    keys.clear();
+    keys.extend(logits.iter().enumerate().map(|(i, &logit)| {
+        let u = ((rng.next_u64() >> 12) as f64 + 0.5) * CELL;
+        let noise = -(-u.ln()).ln();
+        let key = match shift {
+            Some(max) => (logit - max) + noise,
+            None => noise,
         };
-        weights[idx] = PICKED;
-        out.push(idx);
+        (if key.is_nan() { f64::NEG_INFINITY } else { key }, i)
+    }));
+    let k = k.min(keys.len());
+    if k > 0 && k < keys.len() {
+        keys.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
     }
+    out.clear();
+    out.extend(keys[..k].iter().map(|&(_, i)| i));
 }
 
 /// A cumulative-sum weighted index for repeated draws from a *fixed*
@@ -344,6 +316,8 @@ impl<T> ReservoirSampler<T> {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use rand::rngs::StdRng;
+    use rand::RngCore;
     use std::collections::HashSet;
 
     #[test]
@@ -403,23 +377,36 @@ mod tests {
         }
     }
 
+    /// One [`gumbel_top_k_into`] draw into fresh buffers.
+    fn gumbel_top_k(rng: &mut StdRng, logits: &[f64], k: usize) -> Vec<usize> {
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        gumbel_top_k_into(rng, logits, k, &mut keys, &mut out);
+        out
+    }
+
     #[test]
     fn without_replacement_returns_distinct_and_prefers_heavy() {
+        // Weights 1:1:1:10 as logits: entry 3 is in a 2-subset with
+        // probability 10/13 + 3·(1/13)·(10/12) ≈ 0.96, each other entry
+        // with ≈ 0.35.
         let mut rng = seeded_rng(16);
-        let mut first_counts = [0usize; 4];
+        let logits = [0.0, 0.0, 0.0, 10f64.ln()];
+        let mut counts = [0usize; 4];
         for _ in 0..20_000 {
-            let picks = sample_without_replacement_weighted(&mut rng, &[1.0, 1.0, 1.0, 10.0], 2);
+            let picks = gumbel_top_k(&mut rng, &logits, 2);
             assert_eq!(picks.len(), 2);
             assert_ne!(picks[0], picks[1]);
-            first_counts[picks[0]] += 1;
+            for p in picks {
+                counts[p] += 1;
+            }
         }
-        assert!(first_counts[3] > first_counts[0] * 5);
+        assert!(counts[3] > counts[0] * 5 / 2, "{counts:?}");
     }
 
     #[test]
     fn without_replacement_handles_more_requested_than_available() {
         let mut rng = seeded_rng(17);
-        let mut picks = sample_without_replacement_weighted(&mut rng, &[1.0, 2.0], 5);
+        let mut picks = gumbel_top_k(&mut rng, &[0.0, 2f64.ln()], 5);
         picks.sort_unstable();
         assert_eq!(picks, vec![0, 1]);
     }
@@ -427,10 +414,26 @@ mod tests {
     #[test]
     fn without_replacement_fills_from_zero_weights_when_needed() {
         let mut rng = seeded_rng(18);
-        let picks = sample_without_replacement_weighted(&mut rng, &[0.0, 0.0, 5.0], 3);
+        let logits = [f64::NEG_INFINITY, f64::NAN, 5f64.ln()];
+        for _ in 0..100 {
+            assert_eq!(gumbel_top_k(&mut rng, &logits, 1), vec![2]);
+        }
+        let picks = gumbel_top_k(&mut rng, &logits, 3);
         let set: HashSet<_> = picks.iter().collect();
         assert_eq!(set.len(), 3);
-        assert_eq!(picks[0], 2, "the only positive weight must be drawn first");
+    }
+
+    #[test]
+    fn gumbel_top_k_consumes_one_draw_per_logit() {
+        for k in [0, 1, 3, 7] {
+            let mut rng = seeded_rng(23);
+            let mut twin = seeded_rng(23);
+            let _ = gumbel_top_k(&mut rng, &[0.5, -1.0, f64::NAN, 2.0, 0.0], k);
+            for _ in 0..5 {
+                twin.next_u64();
+            }
+            assert_eq!(rng.next_u64(), twin.next_u64(), "k = {k}");
+        }
     }
 
     #[test]

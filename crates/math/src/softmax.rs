@@ -1,9 +1,11 @@
 //! Numerically stable softmax utilities.
 //!
-//! The importance-sampling cache update (Algorithm 3 of the paper, Eq. (6))
-//! samples cache entries with probability `exp(f) / Σ exp(f)`. Scores can be
-//! moderately large in magnitude, so the usual max-subtraction trick is
-//! applied everywhere.
+//! Single draws with probability `exp(f) / Σ exp(f)` — the "IS sampling from
+//! cache" ablation and the KBGAN and IGAN generators — normalise scores with
+//! [`softmax_in_place`]. Scores can be moderately large in magnitude, so the
+//! usual max-subtraction trick is applied everywhere. The cache update
+//! (Algorithm 3, Eq. (6)) needs no softmax: `gumbel_top_k_into` in
+//! `sample.rs` draws its `N1` picks straight from the raw scores.
 
 /// `log(Σ exp(x_i))` computed stably. Returns `-inf` for an empty slice.
 pub fn log_sum_exp(xs: &[f64]) -> f64 {

@@ -62,17 +62,18 @@ proptest! {
     #[test]
     fn weighted_without_replacement_is_distinct_and_in_range(
         seed in any::<u64>(),
-        weights in prop::collection::vec(0.0f64..10.0, 1..40),
+        logits in prop::collection::vec(-30.0f64..30.0, 1..40),
         k in 0usize..60,
     ) {
         let mut rng = seeded_rng(seed);
-        let picks = sample_without_replacement_weighted(&mut rng, &weights, k);
-        prop_assert_eq!(picks.len(), k.min(weights.len()));
+        let (mut keys, mut picks) = (Vec::new(), Vec::new());
+        gumbel_top_k_into(&mut rng, &logits, k, &mut keys, &mut picks);
+        prop_assert_eq!(picks.len(), k.min(logits.len()));
         let mut sorted = picks.clone();
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), picks.len());
-        prop_assert!(picks.iter().all(|p| *p < weights.len()));
+        prop_assert!(picks.iter().all(|p| *p < logits.len()));
     }
 
     #[test]

@@ -277,6 +277,10 @@ fn staleness_case(policy: PolicyKind, ops: Vec<(u32, u32, u32, u32)>) -> Result<
                 }
             }
             op => {
+                // Top-k keys come from a hot set of 24 (3 anchors × 2
+                // relations × k ∈ {1, 2} × 2 sides), so queries repeat
+                // across model updates; score probes keep the full range.
+                let (entity, relation, k) = (entity % 3, relation % 2, 1 + k % 2);
                 let query = if op % 2 == 1 {
                     TopKQuery::heads(entity, relation, k)
                 } else {
