@@ -6,6 +6,13 @@
 //! which matches the reference implementation's initialisation and gives the
 //! "easy samples first" behaviour discussed in the self-paced-learning
 //! section of the paper.
+//!
+//! The entries live in one `std` `HashMap` with its randomly keyed hasher:
+//! restored keys come from checkpoint files, which a fixed hasher would let
+//! a crafted file fill with colliding keys. Besides the entries (at most `N1`
+//! ids per key, 4 bytes each), a cache holds one membership bitset of
+//! `num_entities` bits, with which a refresh counts its changed elements in
+//! one `O(N1)` pass.
 
 use nscaching_kg::EntityId;
 use rand::Rng;
@@ -22,9 +29,10 @@ pub struct NegativeCache {
     num_entities: u32,
     entries: HashMap<CacheKey, Vec<EntityId>>,
     changed_elements: u64,
-    /// Reusable sort buffer for change counting in `replace_from_slice`; kept
-    /// here so steady-state refreshes allocate nothing.
-    sorted_scratch: Vec<EntityId>,
+    /// Membership bitset over the vocabulary for change counting in
+    /// `replace_from_slice`: all zeros between calls, `num_entities` bits, so
+    /// its size never depends on an entity id a caller passes in.
+    marks: Vec<u64>,
 }
 
 impl NegativeCache {
@@ -37,7 +45,7 @@ impl NegativeCache {
             num_entities: num_entities as u32,
             entries: HashMap::new(),
             changed_elements: 0,
-            sorted_scratch: Vec::new(),
+            marks: vec![0; num_entities.div_ceil(64)],
         }
     }
 
@@ -87,17 +95,34 @@ impl NegativeCache {
     /// existing entry's storage. The sampler's refresh path calls this with a
     /// scratch buffer so a steady-state cache update performs no heap
     /// allocation at all.
+    ///
+    /// A new entity counts as changed when the old entry does not hold it,
+    /// once per occurrence. Counting is one `O(N1)` pass: the old entry's
+    /// in-vocabulary ids are marked in a bitset, each new id is tested, and
+    /// the marked words are cleared again. An id at or past `num_entities`,
+    /// which only a direct `replace` call can pass, is looked up in the old
+    /// entry by a scan instead.
     pub fn replace_from_slice(&mut self, key: CacheKey, new_entries: &[EntityId]) -> usize {
         let new_entries = &new_entries[..new_entries.len().min(self.capacity)];
         let changed = match self.entries.get_mut(&key) {
             Some(old) => {
-                self.sorted_scratch.clear();
-                self.sorted_scratch.extend_from_slice(old);
-                self.sorted_scratch.sort_unstable();
+                let n = self.num_entities;
+                for &e in old.iter().filter(|&&e| e < n) {
+                    self.marks[e as usize / 64] |= 1 << (e % 64);
+                }
                 let changed = new_entries
                     .iter()
-                    .filter(|e| self.sorted_scratch.binary_search(e).is_err())
+                    .filter(|&&e| {
+                        if e < n {
+                            (self.marks[e as usize / 64] >> (e % 64)) & 1 == 0
+                        } else {
+                            !old.contains(&e)
+                        }
+                    })
                     .count();
+                for &e in old.iter().filter(|&&e| e < n) {
+                    self.marks[e as usize / 64] = 0;
+                }
                 old.clear();
                 old.extend_from_slice(new_entries);
                 changed
@@ -220,6 +245,16 @@ mod tests {
         assert_eq!(cache.changed_elements(), expected as u64);
         assert_eq!(cache.take_changed_elements(), expected as u64);
         assert_eq!(cache.changed_elements(), 0);
+    }
+
+    #[test]
+    fn replace_counts_every_occurrence_of_a_new_id() {
+        let mut cache = NegativeCache::new(5, 10);
+        cache.restore_entry((0, 0), vec![2, 2, 2]).unwrap();
+        assert_eq!(cache.replace((0, 0), vec![2, 5, 5, 2]), 2);
+        // Ids past the vocabulary are compared like any other.
+        assert_eq!(cache.replace((0, 0), vec![40, 5, 40, 9]), 3);
+        assert_eq!(cache.replace((0, 0), vec![40, 41, 9]), 1);
     }
 
     #[test]

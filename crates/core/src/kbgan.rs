@@ -46,6 +46,8 @@ struct KbGanShardSlot {
     rewards: Vec<f64>,
     /// Scratch for drawing distinct candidate indices without allocating.
     idx_scratch: Vec<usize>,
+    /// Floyd's membership bitset for those draws (all zeros between draws).
+    idx_seen: Vec<u64>,
     /// Buffers recycled between consecutive `PendingChoice`s so the
     /// steady-state sample → feedback cycle reuses its allocations.
     spare_candidates: Vec<EntityId>,
@@ -165,7 +167,13 @@ impl KbGanSampler {
         // candidate and probability buffers are recycled from the previous
         // draw, and scoring goes through the batched fast path.
         let excluded = positive.entity_at(side);
-        sample_distinct_uniform_into(rng, num_entities - 1, candidate_size, &mut slot.idx_scratch);
+        sample_distinct_uniform_into(
+            rng,
+            num_entities - 1,
+            candidate_size,
+            &mut slot.idx_seen,
+            &mut slot.idx_scratch,
+        );
         let mut candidates = std::mem::take(&mut slot.spare_candidates);
         candidates.clear();
         candidates.extend(slot.idx_scratch.iter().map(|&e| {

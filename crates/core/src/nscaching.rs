@@ -39,6 +39,9 @@ struct Scratch {
     /// Distinct random indices drawn when extending the pool (Algorithm 3
     /// step 2).
     random: Vec<usize>,
+    /// Floyd's membership bitset for the distinct draws (all zeros between
+    /// draws).
+    seen: Vec<u64>,
     /// The refreshed cache entry before it is copied over the old one.
     refreshed: Vec<EntityId>,
 }
@@ -335,7 +338,13 @@ impl NsCachingSampler {
         // Step 2-3: candidate pool = cache ∪ N2 uniformly random entities.
         scratch.pool.clear();
         scratch.pool.extend_from_slice(cache.get_or_init(key, rng));
-        sample_distinct_uniform_into(rng, num_entities, n2, &mut scratch.random);
+        sample_distinct_uniform_into(
+            rng,
+            num_entities,
+            n2,
+            &mut scratch.seen,
+            &mut scratch.random,
+        );
         scratch
             .pool
             .extend(scratch.random.iter().map(|&e| e as EntityId));
@@ -358,6 +367,7 @@ impl NsCachingSampler {
                 rng,
                 scratch.pool.len(),
                 n1.min(scratch.pool.len()),
+                &mut scratch.seen,
                 &mut scratch.kept,
             ),
         }

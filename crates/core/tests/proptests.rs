@@ -19,8 +19,52 @@ fn small_model(num_entities: usize, num_relations: usize, seed: u64) -> Box<dyn 
     )
 }
 
+/// The change count as first written: sort a copy of the old entry, then
+/// binary-search it for each new id.
+fn changed_by_sort_and_search(old: &[u32], new: &[u32]) -> usize {
+    let mut sorted = old.to_vec();
+    sorted.sort_unstable();
+    new.iter()
+        .filter(|e| sorted.binary_search(e).is_err())
+        .count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn change_count_matches_sort_and_binary_search(
+        seed in any::<u64>(),
+        capacity in 1usize..20,
+        num_entities in 2usize..40,
+        restored in prop::collection::vec(0u32..6, 0..20),
+        replacements in prop::collection::vec(prop::collection::vec(0u32..80, 0..25), 1..12),
+    ) {
+        // Key (0, 0) starts from a restored entry, which may repeat ids
+        // (`[2, 2, 2]`) and be shorter than N1; key (1, 1) from a lazily
+        // initialised one. Replacements repeat ids too, may be shorter or
+        // longer than N1, and hold ids at or past `num_entities`, which
+        // `replace` accepts.
+        let mut cache = NegativeCache::new(capacity, num_entities);
+        let restored: Vec<u32> = restored
+            .into_iter()
+            .filter(|&e| (e as usize) < num_entities)
+            .take(capacity)
+            .collect();
+        cache.restore_entry((0, 0), restored.clone()).unwrap();
+        let lazy = cache.get_or_init((1, 1), &mut seeded_rng(seed)).to_vec();
+        let mut old = [restored, lazy];
+        let mut total = 0;
+        for (i, new) in replacements.into_iter().enumerate() {
+            let key = (i % 2) as u32;
+            let kept = &new[..new.len().min(capacity)];
+            let expected = changed_by_sort_and_search(&old[i % 2], kept);
+            prop_assert_eq!(cache.replace((key, key), new.clone()), expected);
+            total += expected as u64;
+            old[i % 2] = kept.to_vec();
+        }
+        prop_assert_eq!(cache.changed_elements(), total);
+    }
 
     #[test]
     fn cache_entries_never_exceed_capacity_and_stay_in_range(

@@ -8,10 +8,16 @@
 //! cache refresh used before (one renormalised draw per pick, `O(k·n)`) lives
 //! on here as the oracle, and runs through the same harness as a check on
 //! the harness itself.
+//!
+//! The kernel computes its Gumbel noise with a vectorised polynomial `ln`
+//! instead of libm's. The first version of the kernel, which used libm, lives
+//! on here too, as [`libm_noise_kernel_into`]: on seeded refreshes shaped like
+//! the cache's, the kernel must keep the same indices in the same order and
+//! leave the RNG in the same state, so training trajectories stay identical.
 
 use nscaching_math::{gumbel_top_k_into, rng_state, seeded_rng};
 use proptest::prelude::*;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Seed of every statistical case, fixed before the test was first run.
 const SEED: u64 = 0x1CDE_2019;
@@ -91,6 +97,37 @@ fn exact_sequential_into<R: Rng + ?Sized>(
         weights[idx] = PICKED;
         out.push(idx);
     }
+}
+
+/// The Gumbel-top-k kernel as it was first written, with `f64::ln` noise:
+/// key `i` is `(logit_i − max) − ln(−ln u_i)`, one `u64` draw per logit in
+/// index order, NaN keys as −∞, one `select_nth_unstable_by`.
+fn libm_noise_kernel_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    logits: &[f64],
+    k: usize,
+    keys: &mut Vec<(f64, usize)>,
+    out: &mut Vec<usize>,
+) {
+    const CELL: f64 = 1.0 / (1u64 << 52) as f64;
+    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let shift = max.is_finite().then_some(max);
+    keys.clear();
+    keys.extend(logits.iter().enumerate().map(|(i, &logit)| {
+        let u = ((rng.next_u64() >> 12) as f64 + 0.5) * CELL;
+        let noise = -(-u.ln()).ln();
+        let key = match shift {
+            Some(max) => (logit - max) + noise,
+            None => noise,
+        };
+        (if key.is_nan() { f64::NEG_INFINITY } else { key }, i)
+    }));
+    let k = k.min(keys.len());
+    if k > 0 && k < keys.len() {
+        keys.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
+    }
+    out.clear();
+    out.extend(keys[..k].iter().map(|&(_, i)| i));
 }
 
 /// Exact probability of every k-subset (indexed by its bitmask), from the
@@ -262,6 +299,77 @@ fn same_seed_gives_the_same_picks_and_rng_state() {
         (out, rng_state(&rng))
     };
     assert_eq!(run(), run());
+}
+
+/// Runs `refreshes` calls of the kernel and of the libm-noise oracle on twin
+/// RNG streams, with `n` logits spread over `[0, spread)` and the spread
+/// log-uniform in `[0.1, 20]`. Asserts the same kept indices, in the same
+/// order, and the same RNG state after every call; returns how many keys
+/// differed in their bits, out of how many.
+fn assert_kernel_matches_libm_noise(
+    seed: u64,
+    refreshes: usize,
+    n: usize,
+    k: usize,
+) -> (usize, usize) {
+    let mut inputs = seeded_rng(seed ^ 0x5EED);
+    let (mut rng, mut twin) = (seeded_rng(seed), seeded_rng(seed));
+    let (mut keys, mut out) = (Vec::new(), Vec::new());
+    let (mut oracle_keys, mut oracle_out) = (Vec::new(), Vec::new());
+    let (mut logits, mut key_of) = (vec![0.0; n], vec![0.0; n]);
+    let mut differing = 0;
+    for refresh in 0..refreshes {
+        let spread = 0.1 * 200f64.powf(inputs.gen::<f64>());
+        logits
+            .iter_mut()
+            .for_each(|x| *x = spread * inputs.gen::<f64>());
+        gumbel_top_k_into(&mut rng, &logits, k, &mut keys, &mut out);
+        libm_noise_kernel_into(&mut twin, &logits, k, &mut oracle_keys, &mut oracle_out);
+        assert_eq!(out, oracle_out, "refresh {refresh}, spread {spread}");
+        assert_eq!(rng_state(&rng), rng_state(&twin), "refresh {refresh}");
+        keys.iter().for_each(|&(key, i)| key_of[i] = key);
+        differing += oracle_keys
+            .iter()
+            .filter(|&&(key, i)| key.to_bits() != key_of[i].to_bits())
+            .count();
+    }
+    (differing, refreshes * n)
+}
+
+#[test]
+fn kernel_keeps_what_the_libm_noise_kernel_keeps_on_cache_sized_refreshes() {
+    // The NSCaching refresh at the paper's N1 = N2 = 50.
+    let (differing, keys) = assert_kernel_matches_libm_noise(SEED, 100_000, 100, 50);
+    println!("{differing} of {keys} keys differ from the libm-noise keys in their bits");
+    assert!(differing > 0, "the noise is not computed with libm's ln");
+}
+
+#[test]
+fn kernel_keeps_what_the_libm_noise_kernel_keeps_across_chunk_boundaries() {
+    for n in [1, 2, 63, 64, 65, 127, 128, 129, 300] {
+        for k in [0, 1, n / 2, n - 1, n] {
+            assert_kernel_matches_libm_noise(SEED ^ ((n as u64) << 16) ^ k as u64, 200, n, k);
+        }
+    }
+}
+
+#[test]
+fn kernel_draws_noise_in_index_order() {
+    // Equal logits make each key the noise alone; keep k = 0 so the keys stay
+    // in index order. Each key must be the noise of the index's own draw.
+    let mut rng = seeded_rng(3);
+    let mut twin = seeded_rng(3);
+    let (mut keys, mut out) = (Vec::new(), Vec::new());
+    gumbel_top_k_into(&mut rng, &[0.0; 150], 0, &mut keys, &mut out);
+    for (i, &(key, index)) in keys.iter().enumerate() {
+        assert_eq!(index, i);
+        let u = ((twin.next_u64() >> 12) as f64 + 0.5) / (1u64 << 52) as f64;
+        let libm = -(-u.ln()).ln();
+        assert!(
+            (key - libm).abs() <= 1e-12 * libm.abs().max(1.0),
+            "{i}: {key} vs {libm}"
+        );
+    }
 }
 
 proptest! {

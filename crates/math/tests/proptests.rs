@@ -171,3 +171,34 @@ proptest! {
         prop_assert!((l1_combine(&q, &e, &w, sign, c) - reference).abs() <= 1e-12);
     }
 }
+
+/// Floyd's algorithm as first written: each membership test scans the picks
+/// so far, `O(k²)` per call.
+fn floyd_with_contains(rng: &mut rand::rngs::StdRng, n: usize, k: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(k);
+    for j in (n - k)..n {
+        let t = rand::Rng::gen_range(rng, 0..=j);
+        out.push(if out.contains(&t) { j } else { t });
+    }
+    out
+}
+
+#[test]
+fn distinct_sampling_matches_the_scanning_floyd_for_every_small_n_and_k() {
+    // One bitset serves every call, as in a sampler's scratch, so a call that
+    // left a bit set would corrupt the calls after it.
+    let (mut seen, mut out) = (Vec::new(), Vec::new());
+    for n in 0..=300usize {
+        for k in 0..=n {
+            let seed = ((n as u64) << 32) | k as u64;
+            let (mut rng, mut twin) = (seeded_rng(seed), seeded_rng(seed));
+            sample_distinct_uniform_into(&mut rng, n, k, &mut seen, &mut out);
+            assert_eq!(
+                out,
+                floyd_with_contains(&mut twin, n, k),
+                "n = {n}, k = {k}"
+            );
+            assert_eq!(rng_state(&rng), rng_state(&twin), "n = {n}, k = {k}");
+        }
+    }
+}

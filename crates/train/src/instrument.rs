@@ -1,4 +1,8 @@
 //! Per-epoch instrumentation: the quantities behind Figures 7, 8 and 10.
+//!
+//! [`RepeatTracker`] keeps its window of negatives in one map, pruned at
+//! every epoch boundary, so its memory is bounded by the distinct negatives
+//! of `window + 1` epochs.
 
 use nscaching_kg::Triple;
 use serde::{Deserialize, Serialize};
@@ -54,12 +58,26 @@ impl EpochStats {
 /// of epochs (the "RR" measure of Figure 7(a)).
 ///
 /// A draw counts as a *repeat* when the same negative triple was already
-/// drawn earlier within the window (including earlier in the current epoch).
+/// drawn earlier within the window: earlier in the current epoch, or in one
+/// of the last `window` closed epochs.
+///
+/// One map holds each negative drawn within the window with the epoch it was
+/// last drawn in, so a draw costs one map insert, and a deque holds the draw
+/// count of each closed epoch in the window. Every
+/// [`end_epoch`](Self::end_epoch) prunes the map to the window, so it holds
+/// at most the distinct negatives of `window + 1` epochs, at one
+/// `(Triple, u32)` entry of 16 bytes each.
 #[derive(Debug, Clone)]
 pub struct RepeatTracker {
     window: usize,
-    current: HashMap<Triple, u64>,
-    history: VecDeque<HashMap<Triple, u64>>,
+    /// The current epoch's number, counted from 0 and wrapping.
+    epoch: u32,
+    /// Each negative drawn within the window → the epoch it was last drawn in.
+    last_drawn: HashMap<Triple, u32>,
+    /// Draws of each closed epoch in the window, oldest first.
+    closed_draws: VecDeque<u64>,
+    /// Draws of the current epoch.
+    current_draws: u64,
     draws_in_window: u64,
     repeats_in_window: u64,
 }
@@ -69,8 +87,10 @@ impl RepeatTracker {
     pub fn new(window: usize) -> Self {
         Self {
             window: window.max(1),
-            current: HashMap::new(),
-            history: VecDeque::new(),
+            epoch: 0,
+            last_drawn: HashMap::new(),
+            closed_draws: VecDeque::new(),
+            current_draws: 0,
             draws_in_window: 0,
             repeats_in_window: 0,
         }
@@ -79,12 +99,10 @@ impl RepeatTracker {
     /// Record one sampled negative triple.
     pub fn record(&mut self, negative: Triple) {
         self.draws_in_window += 1;
-        let seen_before = self.current.contains_key(&negative)
-            || self.history.iter().any(|m| m.contains_key(&negative));
-        if seen_before {
+        self.current_draws += 1;
+        if self.last_drawn.insert(negative, self.epoch).is_some() {
             self.repeats_in_window += 1;
         }
-        *self.current.entry(negative).or_insert(0) += 1;
     }
 
     /// The repeat ratio over the current window, in `[0, 1]`.
@@ -95,30 +113,27 @@ impl RepeatTracker {
         self.repeats_in_window as f64 / self.draws_in_window as f64
     }
 
-    /// Close the current epoch; evicts epochs that fall out of the window.
-    ///
-    /// The per-epoch maps are recycled: the current map is snapshotted into
-    /// the history by swap, and the oldest evicted epoch's map (cleared, its
-    /// table allocation intact) becomes the new current map. In steady state
-    /// an epoch boundary therefore moves allocations around instead of
-    /// rebuilding a fresh `HashMap` from empty every epoch.
+    /// Close the current epoch; evicts epochs that fall out of the window and
+    /// drops the negatives last drawn in them.
     pub fn end_epoch(&mut self) {
-        let mut recycled = HashMap::new();
-        self.history.push_back(std::mem::take(&mut self.current));
-        while self.history.len() > self.window {
-            if let Some(evicted) = self.history.pop_front() {
+        self.closed_draws
+            .push_back(std::mem::take(&mut self.current_draws));
+        while self.closed_draws.len() > self.window {
+            if let Some(evicted_draws) = self.closed_draws.pop_front() {
                 // Recompute window totals without the evicted epoch. The exact
                 // repeat attribution within the window is approximate once
                 // eviction starts; the trend (Bernoulli ≈ 0, NSCaching ≫ 0) is
                 // what Figure 7 reads off, and that is preserved.
-                let evicted_draws: u64 = evicted.values().sum();
                 self.draws_in_window = self.draws_in_window.saturating_sub(evicted_draws);
                 self.repeats_in_window = self.repeats_in_window.min(self.draws_in_window);
-                recycled = evicted;
             }
         }
-        recycled.clear();
-        std::mem::swap(&mut self.current, &mut recycled);
+        self.epoch = self.epoch.wrapping_add(1);
+        // Keep the negatives last drawn in one of the closed epochs still in
+        // the window: those are 1..=closed_draws.len() epochs old now.
+        let (epoch, kept) = (self.epoch, self.closed_draws.len() as u32);
+        self.last_drawn
+            .retain(|_, drawn| epoch.wrapping_sub(*drawn) <= kept);
     }
 }
 
@@ -194,6 +209,96 @@ impl EpochAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tracker as first written: one map per epoch in the window, each
+    /// draw probing the current map and every closed one.
+    struct PerEpochMapTracker {
+        window: usize,
+        current: HashMap<Triple, u64>,
+        history: VecDeque<HashMap<Triple, u64>>,
+        draws_in_window: u64,
+        repeats_in_window: u64,
+    }
+
+    impl PerEpochMapTracker {
+        fn new(window: usize) -> Self {
+            Self {
+                window: window.max(1),
+                current: HashMap::new(),
+                history: VecDeque::new(),
+                draws_in_window: 0,
+                repeats_in_window: 0,
+            }
+        }
+
+        fn record(&mut self, negative: Triple) {
+            self.draws_in_window += 1;
+            let seen_before = self.current.contains_key(&negative)
+                || self.history.iter().any(|m| m.contains_key(&negative));
+            if seen_before {
+                self.repeats_in_window += 1;
+            }
+            *self.current.entry(negative).or_insert(0) += 1;
+        }
+
+        fn ratio(&self) -> f64 {
+            if self.draws_in_window == 0 {
+                return 0.0;
+            }
+            self.repeats_in_window as f64 / self.draws_in_window as f64
+        }
+
+        fn end_epoch(&mut self) {
+            self.history.push_back(std::mem::take(&mut self.current));
+            while self.history.len() > self.window {
+                if let Some(evicted) = self.history.pop_front() {
+                    let evicted_draws: u64 = evicted.values().sum();
+                    self.draws_in_window = self.draws_in_window.saturating_sub(evicted_draws);
+                    self.repeats_in_window = self.repeats_in_window.min(self.draws_in_window);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn repeat_ratio_matches_the_per_epoch_map_tracker(
+            window in 1usize..=6,
+            alphabet in 3u32..=400,
+            // `(0, _)` closes the epoch; `(_, x)` draws triple number x.
+            steps in prop::collection::vec((0u32..20, any::<u32>()), 0..600),
+        ) {
+            let triple = |x: u32| {
+                let i = x % alphabet;
+                Triple::new(i % 97, 0, i / 97)
+            };
+            let (mut tracker, mut oracle) = (RepeatTracker::new(window), PerEpochMapTracker::new(window));
+            for (kind, x) in steps {
+                if kind != 0 {
+                    tracker.record(triple(x));
+                    oracle.record(triple(x));
+                } else {
+                    tracker.end_epoch();
+                    oracle.end_epoch();
+                    // Exactly the negatives of the closed epochs still in the
+                    // window remain, none older.
+                    for &drawn in tracker.last_drawn.values() {
+                        prop_assert!(tracker.epoch.wrapping_sub(drawn) as usize <= window);
+                    }
+                    let mut in_window: Vec<Triple> =
+                        oracle.history.iter().flat_map(|m| m.keys().copied()).collect();
+                    in_window.sort_unstable_by_key(|t| (t.head, t.relation, t.tail));
+                    in_window.dedup();
+                    prop_assert_eq!(tracker.last_drawn.len(), in_window.len());
+                    prop_assert!(in_window.iter().all(|t| tracker.last_drawn.contains_key(t)));
+                }
+                prop_assert_eq!(tracker.ratio().to_bits(), oracle.ratio().to_bits());
+            }
+        }
+    }
 
     #[test]
     fn repeat_tracker_counts_repeats_within_the_window() {
