@@ -28,7 +28,7 @@ pub use sample::{
 pub use softmax::{log_sum_exp, softmax, softmax_in_place};
 pub use stats::{Ccdf, Histogram, OnlineStats, Quantiles};
 pub use topk::{
-    argmax, cmp_desc, rank_contenders_into, top_k_indices, top_k_indices_into,
+    argmax, cmp_desc, rank_contenders_into, rank_scan, top_k_indices, top_k_indices_into,
     top_k_indices_sort_into, RankScan,
 };
 pub use vecops::{

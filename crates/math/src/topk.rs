@@ -3,25 +3,48 @@
 //! Used by the "top sampling" / "top update" ablations of Section IV-C, by
 //! the link-prediction ranker, and by the serving engine's top-k miss path.
 //!
-//! # The partial-selection kernel
+//! # The bounded-buffer kernel
 //!
 //! [`top_k_indices_into`] is the serving miss path's selection kernel. It
-//! used to be a full argsort (`O(|E| log |E|)` per query) truncated to `k`;
-//! it is now **partial selection**: an introselect
-//! (`select_nth_unstable_by`, quickselect with a median-of-medians fallback)
-//! partitions the index buffer so the `k` winners occupy the prefix in
-//! `O(|E|)` expected time, and only that prefix is sorted — `O(|E| + k log
-//! k)` overall. For the serving workload (`|E|` in the tens of thousands,
-//! `k` around 10) the selection, not the scoring scan, dominated the miss
-//! path; see the `topk_miss_path` section of `BENCH_serve.json`.
+//! makes one pass over the scores and holds at most `max(2k, k + 32)`
+//! candidate indices in `out`:
 //!
-//! The tie contract is **bit-identical** to the old sort: largest value
+//! 1. `out` is seeded with the first indices of `xs` until the buffer is
+//!    full; `select_nth_unstable_by(k − 1)` then cuts it down to the best
+//!    `k`, and the `k`-th of them sets the *threshold*.
+//! 2. The rest of `xs` is scanned 16 scores at a time. A branch-free
+//!    count finds the scores that beat the threshold; only a block that holds
+//!    one enters a scalar loop, which pushes each such index and re-selects
+//!    (tightening the threshold) whenever the buffer fills again.
+//! 3. One last select cuts the buffer to `k` and the `k`-prefix is sorted.
+//!
+//! A score beats the threshold only when it is *strictly* above it, or real
+//! against a NaN threshold. A score equal to the threshold loses: it comes
+//! from a later (larger) index, and ties go to the lower index. The buffer
+//! therefore always holds the exact top `k` of the indices scanned so far.
+//! For serving-sized inputs (`|E|` in the tens of thousands, `k` around 10)
+//! almost every block is rejected at the count, so the cost is one
+//! streaming compare per score plus `O(k log k)`. In the worst case,
+//! strictly ascending scores, every score enters; each re-select then costs
+//! `O(max(2k, k + 32))` and frees at least `max(k, 32)` slots, so the pass
+//! stays linear. `k` is first clamped to `|xs|`, and `out` never holds more
+//! than `min(max(2k, k + 32), |xs|)` indices: no `k`, however large, sizes an
+//! allocation beyond the input.
+//!
+//! The tie contract is **bit-identical** to a full sort: largest value
 //! first, ties broken towards the lower index. The comparator
 //! ([`cmp_desc`]`.then(index)`) is a strict total order over indices, so the
-//! top-`k` set and its order are unique — partial selection cannot disagree
-//! with the sort. [`top_k_indices_sort_into`] retains the sort-based kernel
-//! as the equivalence oracle (property-tested in `tests/topk_equivalence.rs`)
-//! and as the bench baseline.
+//! top-`k` set and its order are unique, and the bounded pass cannot
+//! disagree with the sort. [`top_k_indices_sort_into`] retains the sort-based
+//! kernel as the equivalence oracle (property-tested in
+//! `tests/topk_equivalence.rs`) and as the bench baseline.
+//!
+//! # Rank scans
+//!
+//! [`rank_scan`] counts the scores above and equal to a reference value; the
+//! serving engine's rank query needs nothing else. [`rank_contenders_into`]
+//! also collects the indices of those scores, which the filtered evaluation
+//! protocol probes against its false-negative index.
 
 use std::cmp::Ordering;
 
@@ -56,25 +79,73 @@ pub fn top_k_indices(xs: &[f64], k: usize) -> Vec<usize> {
 
 /// In-place variant of [`top_k_indices`]: clears `out`, fills it with the
 /// indices of the `k` largest values (largest first, ties towards the lower
-/// index) and allocates nothing once `out` has grown to `xs.len()` capacity.
+/// index) and allocates nothing once `out` has grown to
+/// `min(max(2k, k + 32), xs.len())` capacity.
 ///
-/// Partial selection, `O(|xs| + k log k)`: when `k < xs.len()` the index
-/// buffer is partitioned around the `k`-th order statistic first and only
-/// the winning prefix is sorted. Output is bit-identical to
-/// [`top_k_indices_sort_into`] (the comparator is a strict total order, so
-/// the answer is unique; proptested in `tests/topk_equivalence.rs`).
+/// One bounded pass, `O(|xs| + k log k)` (see the module docs). Output is
+/// bit-identical to [`top_k_indices_sort_into`] (the comparator is a strict
+/// total order, so the answer is unique; proptested in
+/// `tests/topk_equivalence.rs`).
 pub fn top_k_indices_into(xs: &[f64], k: usize, out: &mut Vec<usize>) {
     out.clear();
     let k = k.min(xs.len());
     if k == 0 {
         return;
     }
-    out.extend(0..xs.len());
-    if k < out.len() {
-        out.select_nth_unstable_by(k - 1, |&a, &b| cmp_desc(xs[a], xs[b]).then(a.cmp(&b)));
-        out.truncate(k);
+    let cap = (2 * k).max(k + 32);
+    let seeded = cap.min(xs.len());
+    out.extend(0..seeded);
+    if seeded < xs.len() {
+        let mut threshold = select_best(xs, k, out);
+        for (block, chunk) in xs[seeded..].chunks(BLOCK).enumerate() {
+            if count_beating(chunk, threshold) == 0 {
+                continue;
+            }
+            let base = seeded + block * BLOCK;
+            for (offset, &x) in chunk.iter().enumerate() {
+                if beats(x, threshold) {
+                    out.push(base + offset);
+                    if out.len() == cap {
+                        threshold = select_best(xs, k, out);
+                    }
+                }
+            }
+        }
+    }
+    if out.len() > k {
+        select_best(xs, k, out);
     }
     out.sort_unstable_by(|&a, &b| cmp_desc(xs[a], xs[b]).then(a.cmp(&b)));
+}
+
+/// Scores per block of the bounded pass's branch-free threshold count.
+const BLOCK: usize = 16;
+
+/// Cut `out` (more than `k` indices into `xs`) down to its best `k`, in no
+/// particular order, and return the `k`-th best score: the new threshold.
+fn select_best(xs: &[f64], k: usize, out: &mut Vec<usize>) -> f64 {
+    out.select_nth_unstable_by(k - 1, |&a, &b| cmp_desc(xs[a], xs[b]).then(a.cmp(&b)));
+    out.truncate(k);
+    xs[out[k - 1]]
+}
+
+/// Whether a score at a later index than the threshold's ranks ahead of it:
+/// strictly greater, or real against a NaN threshold. `!(x <= t)` is true
+/// for every `x` when `t` is NaN, and `!x.is_nan()` then rules out a NaN `x`.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the negation is what admits a NaN threshold
+fn beats(x: f64, threshold: f64) -> bool {
+    !(x <= threshold) & !x.is_nan()
+}
+
+/// Number of scores in `chunk` that [`beats`] the threshold, without a
+/// branch per score.
+#[inline]
+fn count_beating(chunk: &[f64], threshold: f64) -> usize {
+    chunk
+        .iter()
+        .map(|&x| usize::from(beats(x, threshold)))
+        .sum()
 }
 
 /// The retired full-sort top-k kernel, kept as the equivalence oracle for
@@ -146,36 +217,36 @@ pub fn rank_contenders_into(xs: &[f64], value: f64, skip: usize, out: &mut Vec<u
     scan
 }
 
-/// Number of entries strictly greater than `value`, plus the number of earlier
-/// ties — i.e. the 1-based competition rank of `value` among `xs ∪ {value}`
-/// when `value` itself is *not* a member of `xs`.
-///
-/// The link-prediction protocol ranks the positive entity against all
-/// corrupted candidates; with `rank = 1 + #{candidates with score > value}`
-/// (ties counted as half to avoid systematic bias, matching common practice).
-pub fn rank_against(xs: &[f64], value: f64) -> f64 {
-    let mut greater = 0usize;
-    let mut ties = 0usize;
+/// Count-only twin of [`rank_contenders_into`]: the same [`RankScan`] — the
+/// entries of `xs` strictly greater than `value` and those equal to it,
+/// ignoring NaNs and the entry at index `skip` — without collecting indices.
+/// A NaN `value` compares false against everything, so it gets zero counts.
+/// One branch-free pass; the serving engine's rank query calls it.
+pub fn rank_scan(xs: &[f64], value: f64, skip: usize) -> RankScan {
+    let mut scan = RankScan {
+        greater: 0,
+        ties: 0,
+    };
     for &x in xs {
-        if x.is_nan() {
-            continue;
-        }
-        if x > value {
-            greater += 1;
-        } else if x == value {
-            ties += 1;
-        }
+        scan.greater += usize::from(x > value);
+        scan.ties += usize::from(x == value);
     }
-    1.0 + greater as f64 + ties as f64 / 2.0
+    if let Some(&own) = xs.get(skip) {
+        scan.greater -= usize::from(own > value);
+        scan.ties -= usize::from(own == value);
+    }
+    scan
 }
 
 /// Descending score comparator shared by every top-k consumer (the selection
 /// kernels here, the serve-side ranking helpers, the eval ranker oracles):
 /// larger values order first. This is a strict **total** order — NaNs form
 /// their own equivalence class ordered after every real number (a NaN score
-/// can therefore never displace a real candidate) — which partial selection
-/// requires: `select_nth_unstable_by` and `sort_unstable_by` must see
-/// consistent answers or the partition and the sort could disagree. For
+/// can therefore never displace a real candidate) — which the top-k kernels
+/// require: `select_nth_unstable_by` and `sort_unstable_by` must see
+/// consistent answers or the partition and the sort could disagree, and the
+/// bounded pass's threshold test is this order restricted to a
+/// later index. For
 /// NaN-free inputs it is exactly `b.partial_cmp(&a)`.
 pub fn cmp_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
@@ -265,10 +336,11 @@ mod tests {
         assert_eq!(scan.ties, 1, "index 5 ties");
         assert_eq!(out, vec![1, 3, 5]);
         assert_eq!(scan.rank(), 1.0 + 2.0 + 0.5);
-        // counts agree with the full-scan helper once the skipped entry and
-        // its tie handling are accounted for
-        let without_skip: Vec<f64> = [0.5, 2.0, 3.0, f64::NAN, 1.0].to_vec();
-        assert_eq!(scan.rank(), rank_against(&without_skip, 1.0));
+        // the count-only scan gives the same counts, with the skip and with
+        // the skipped entry removed and nothing skipped
+        assert_eq!(rank_scan(&xs, 1.0, 2), scan);
+        let without_skip = [0.5, 2.0, 3.0, f64::NAN, 1.0];
+        assert_eq!(rank_scan(&without_skip, 1.0, without_skip.len()), scan);
     }
 
     #[test]
@@ -281,12 +353,18 @@ mod tests {
     }
 
     #[test]
-    fn rank_against_counts_strictly_greater_and_half_ties() {
-        assert_eq!(rank_against(&[0.5, 2.0, 3.0], 1.0), 3.0);
-        assert_eq!(rank_against(&[], 1.0), 1.0);
+    fn rank_scan_counts_strictly_greater_and_half_ties() {
+        // `skip` past the end skips nothing.
+        assert_eq!(rank_scan(&[0.5, 2.0, 3.0], 1.0, 3).rank(), 3.0);
+        assert_eq!(rank_scan(&[], 1.0, 0).rank(), 1.0);
         // one greater, one equal -> 1 + 1 + 0.5
-        assert_eq!(rank_against(&[2.0, 1.0], 1.0), 2.5);
+        assert_eq!(rank_scan(&[2.0, 1.0], 1.0, 2).rank(), 2.5);
         // NaN candidates are ignored
-        assert_eq!(rank_against(&[f64::NAN, 2.0], 1.0), 2.0);
+        assert_eq!(rank_scan(&[f64::NAN, 2.0], 1.0, 2).rank(), 2.0);
+        // the skipped entry is not counted, whatever it holds
+        assert_eq!(rank_scan(&[2.0, 1.0, 1.0], 1.0, 2).rank(), 2.5);
+        assert_eq!(rank_scan(&[2.0, 1.0, 5.0], 1.0, 2).rank(), 2.5);
+        // a NaN value has no competitors
+        assert_eq!(rank_scan(&[2.0, f64::NAN], f64::NAN, 0).rank(), 1.0);
     }
 }

@@ -1190,6 +1190,27 @@ mod tests {
     }
 
     #[test]
+    fn a_top_k_frame_with_a_huge_k_is_answered_and_the_server_lives_on() {
+        let engine = engine();
+        let server = NetServer::bind("127.0.0.1:0", engine.clone(), test_config()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let query = TopKQuery::tails(3, 1, u32::MAX);
+        let response = call(&mut stream, &Request::TopK(query));
+        match response.result {
+            Ok(Answer::TopK(got)) => {
+                assert_eq!(got.len(), engine.num_entities());
+                let expected = engine.top_k(&query, &mut QueryScratch::default()).unwrap();
+                assert_eq!(got.as_slice(), &*expected);
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+        assert_eq!(call(&mut stream, &Request::Ping).result, Ok(Answer::Pong));
+        let stats = server.shutdown();
+        assert_eq!(stats.decoded, 2, "{stats:?}");
+        assert!(stats.ledger_balanced(), "{stats:?}");
+    }
+
+    #[test]
     fn malformed_and_oversized_frames_are_rejected() {
         let server = NetServer::bind("127.0.0.1:0", engine(), test_config()).unwrap();
 

@@ -2,7 +2,7 @@
 //!
 //! A cold top-k query scores **every** entity — `O(|E|)` fused kernel passes
 //! per miss, which dominates serve-path latency on large vocabularies even
-//! after the partial-selection kernel removed the sort. But real knowledge
+//! after the bounded one-pass selection removed the sort. But real knowledge
 //! graphs are heavily typed: most relations are only ever observed with a
 //! small slice of the entity set (`born_in` never takes a protein as its
 //! tail), and link-prediction answers outside that slice are noise to a
@@ -23,7 +23,7 @@
 //! never observed with the relation no longer appear, exactly like a SQL
 //! index-only plan over a typed column. The ranking *within* the candidate
 //! set is bit-identical to a full scan restricted to the same set — same
-//! scoring kernel, same partial-selection kernel, same lower-entity-id tie
+//! scoring kernel, same top-k selection kernel, same lower-entity-id tie
 //! break (candidate lists are sorted ascending, so index-order ties *are*
 //! entity-id ties). [`KnowledgeServer::bind_candidate_index`] therefore
 //! bumps the server's model stamp: cached answers computed under different

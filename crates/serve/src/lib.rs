@@ -15,9 +15,10 @@
 //!    behind one lock, with a pluggable eviction policy ([`PolicyKind`]: LRU
 //!    or SLRU, selected from trace-driven simulation, see [`policy`]), and
 //!    fanned out over the existing worker pool for batch traffic. The
-//!    cache-miss path selects its top-k via an O(|E| + k log k) partial
-//!    selection kernel (`nscaching_math::top_k_indices_into`) instead of a
-//!    full sort, and with a bound per-relation [`CandidateIndex`] scores only
+//!    cache-miss path selects its top-k in one bounded pass
+//!    (`nscaching_math::top_k_indices_into`: O(|E| + k log k), holding at
+//!    most `max(2k, k + 32)` indices) instead of a full sort, and with a
+//!    bound per-relation [`CandidateIndex`] scores only
 //!    the query relation's observed candidate set instead of the full
 //!    vocabulary (see [`candidates`] for the answer semantics). Score, rank
 //!    and classification queries are not cached.

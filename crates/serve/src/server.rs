@@ -11,13 +11,13 @@
 //!   `(h, r, ?)` for [`CorruptionSide::Tail`], `(?, r, t)` for
 //!   [`CorruptionSide::Head`]. Scoring streams the whole entity table through
 //!   the batched `score_all_into` fast path (which for TransR/TransD rides
-//!   the relation-projection cache), then selects with
-//!   `top_k_indices_into` — all into caller-owned [`QueryScratch`], so the
-//!   uncached steady state allocates nothing.
+//!   the relation-projection cache), then selects with the bounded one-pass
+//!   kernel `top_k_indices_into` — all into caller-owned [`QueryScratch`],
+//!   so the uncached steady state allocates nothing.
 //! * **Rank** ([`KnowledgeServer::rank`]): the competition rank of a known
-//!   triple among all corruptions of one side, resolved from the contender
-//!   set by `rank_contenders_into` (the evaluation protocol's
-//!   early-termination path).
+//!   triple among all corruptions of one side, from the counts of one
+//!   count-only `rank_scan` over the scored entities (no contender indices
+//!   are collected: the unfiltered rank needs only the counts).
 //! * **Triplet classification** ([`KnowledgeServer::score`] /
 //!   [`KnowledgeServer::classify`]): the scalar score of one triple, compared
 //!   against a caller-supplied threshold (thresholds are tuned per relation
@@ -63,7 +63,7 @@ use crate::policy::PolicyKind;
 use crate::snapshot::load_model;
 use crate::telemetry::ServeMetrics;
 use nscaching_kg::{CorruptionSide, EntityId, RelationId, Triple};
-use nscaching_math::{rank_contenders_into, split_seed, top_k_indices_into};
+use nscaching_math::{rank_scan, split_seed, top_k_indices_into};
 use nscaching_models::{KgeModel, ModelKind};
 use nscaching_train::WorkerPool;
 use std::path::Path;
@@ -209,8 +209,6 @@ pub struct QueryScratch {
     scores: Vec<f64>,
     /// Index buffer of the top-k selection.
     order: Vec<usize>,
-    /// Contender buffer of the rank scan.
-    contenders: Vec<usize>,
 }
 
 /// Per-batch worker scratch: one [`QueryScratch`] per pool worker, reused
@@ -529,7 +527,9 @@ impl KnowledgeServer {
         // one serve path that gets timed per call (the hit path above stays
         // clock-free — see the telemetry module's overhead contract).
         let compute_started = self.inner.metrics.get().map(|_| Instant::now());
-        let mut ranked = Vec::with_capacity(query.k as usize);
+        // `query.k` is an untrusted wire value: the answer is sized by what
+        // the kernel returns (at most `min(k, |E|)` entries), never by `k`.
+        let mut ranked = Vec::new();
         self.top_k_with_model(model.as_ref(), query, scratch, &mut ranked);
         if let (Some(metrics), Some(started)) = (self.inner.metrics.get(), compute_started) {
             metrics.topk_compute_us.observe(started.elapsed());
@@ -574,11 +574,11 @@ impl KnowledgeServer {
         let anchor = query.anchor();
         // Candidate-index fast path: score only the relation's observed
         // entities through the batched gather kernel. The candidate list is
-        // sorted ascending, so the partial-selection kernel's
-        // lower-index tie break *is* the full scan's lower-entity-id tie
-        // break, and the ranking over the set is bit-identical to scanning
-        // it entity by entity (asserted against the restricted-scan oracle
-        // in the candidate-index tests).
+        // sorted ascending, so the bounded top-k pass's lower-index tie
+        // break *is* the full scan's lower-entity-id tie break, and the
+        // ranking over the set is bit-identical to scanning it entity by
+        // entity (asserted against the restricted-scan oracle in the
+        // candidate-index tests).
         if let Some(index) = &*self.inner.candidates.read().expect("candidate lock") {
             if let Some(candidates) =
                 index.shrinking_candidates(query.relation, query.direction, model.num_entities())
@@ -614,7 +614,8 @@ impl KnowledgeServer {
     }
 
     /// Competition rank (1-based, half-credit ties) of `triple` among all
-    /// corruptions of `side`, via the contender-scan early-termination path.
+    /// corruptions of `side`, from one count-only [`rank_scan`] of the
+    /// scored entities.
     pub fn rank(
         &self,
         triple: &Triple,
@@ -625,13 +626,7 @@ impl KnowledgeServer {
         validate_triple(model.as_ref(), triple)?;
         model.score_all_into(triple, side, &mut scratch.scores);
         let true_entity = triple.entity_at(side) as usize;
-        Ok(rank_contenders_into(
-            &scratch.scores,
-            scratch.scores[true_entity],
-            true_entity,
-            &mut scratch.contenders,
-        )
-        .rank())
+        Ok(rank_scan(&scratch.scores, scratch.scores[true_entity], true_entity).rank())
     }
 
     /// Answer a batch of top-k queries across `pool`, one contiguous chunk
@@ -779,6 +774,48 @@ mod tests {
             .top_k_into(&TopKQuery::tails(0, 0, 1000), &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out.len(), server.num_entities());
+    }
+
+    /// The full-sort oracle over the batched scores `top_k_with_model` sees.
+    fn sort_oracle_top_k(server: &KnowledgeServer, query: &TopKQuery) -> Vec<RankedEntity> {
+        let model = server.inner.model.read().expect("model lock");
+        let mut scores = Vec::new();
+        model.score_all_into(&query.anchor(), query.direction, &mut scores);
+        let mut order = Vec::new();
+        nscaching_math::top_k_indices_sort_into(&scores, query.k as usize, &mut order);
+        order
+            .iter()
+            .map(|&i| RankedEntity {
+                entity: i as EntityId,
+                score: scores[i],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_wire_sized_k_is_answered_from_the_vocabulary() {
+        // `k` arrives as an untrusted u32: sizing the answer by it would ask
+        // for a 64 GiB allocation and abort the process.
+        let server = server(ModelKind::TransE, 0);
+        let queries = [
+            TopKQuery::tails(3, 1, u32::MAX),
+            TopKQuery::heads(7, 2, u32::MAX),
+        ];
+        let mut scratch = QueryScratch::default();
+        for query in &queries {
+            let answer = server.top_k(query, &mut scratch).unwrap();
+            assert_eq!(answer.len(), server.num_entities(), "{query:?}");
+            assert_eq!(&*answer, sort_oracle_top_k(&server, query).as_slice());
+        }
+        let mut pool = WorkerPool::new(2);
+        let mut batch = BatchScratch::default();
+        let mut out = Vec::new();
+        server.top_k_batch(&mut pool, &queries, &mut batch, &mut out);
+        for (query, answer) in queries.iter().zip(&out) {
+            let answer = answer.as_ref().unwrap();
+            assert_eq!(answer.len(), server.num_entities(), "{query:?}");
+            assert_eq!(&**answer, sort_oracle_top_k(&server, query).as_slice());
+        }
     }
 
     #[test]

@@ -157,8 +157,9 @@ impl ModelSnapshot {
         let dim = r.u64("model dim")? as usize;
         let num_entities = r.u64("entity count")? as usize;
         let num_relations = r.u64("relation count")? as usize;
-        let n_tables = r.u32("table count")?;
-        let mut tables = Vec::with_capacity(n_tables as usize);
+        let n_tables = r.u32("table count")? as usize;
+        guard_count(r, n_tables, TABLE_MIN_BYTES, "model tables")?;
+        let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
             let name = r.str("table name")?;
             let rows = r.u64("table rows")? as usize;
@@ -420,6 +421,10 @@ fn walk_sections(
     Ok(())
 }
 
+/// Minimal encoding of one model or generator table: name length (4), rows
+/// (8), dim (8) and slab length (8) prefixes.
+const TABLE_MIN_BYTES: usize = 28;
+
 /// Reject a decoded element count whose minimal encoding could not fit in the
 /// reader's remaining bytes — the pre-allocation guard for corrupt counts.
 fn guard_count(
@@ -556,8 +561,9 @@ fn decode_sampler_state(r: &mut Reader<'_>) -> Result<SamplerState, SnapshotErro
             };
             let baseline = r.f64("generator baseline")?;
             let feedback_steps = r.u64("feedback steps")?;
-            let n = r.u32("generator table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("generator table count")? as usize;
+            guard_count(r, n, TABLE_MIN_BYTES, "generator tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.str("generator table name")?;
                 let rows = r.u64("generator table rows")? as usize;
@@ -620,8 +626,10 @@ fn decode_optimizer_state(r: &mut Reader<'_>) -> Result<OptimizerState, Snapshot
     match optimizer_kind_from_tag(r.u8("optimizer state kind")?)? {
         OptimizerKind::Sgd => Ok(OptimizerState::Sgd),
         OptimizerKind::AdaGrad => {
-            let n = r.u32("adagrad table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("adagrad table count")? as usize;
+            // dim (8) + accumulator and seen-flag count prefixes (8 each).
+            guard_count(r, n, 24, "adagrad tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let dim = r.u64("adagrad dim")? as usize;
                 let acc = r.f64_slice("adagrad accumulators")?;
@@ -631,8 +639,11 @@ fn decode_optimizer_state(r: &mut Reader<'_>) -> Result<OptimizerState, Snapshot
             Ok(OptimizerState::AdaGrad { tables })
         }
         OptimizerKind::Adam => {
-            let n = r.u32("adam table count")?;
-            let mut tables = Vec::with_capacity(n as usize);
+            let n = r.u32("adam table count")? as usize;
+            // dim (8) + first-moment, second-moment and step count prefixes
+            // (8 each).
+            guard_count(r, n, 32, "adam tables")?;
+            let mut tables = Vec::with_capacity(n);
             for _ in 0..n {
                 let dim = r.u64("adam dim")? as usize;
                 let m = r.f64_slice("adam first moments")?;

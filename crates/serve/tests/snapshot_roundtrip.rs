@@ -9,7 +9,7 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
-use nscaching_serve::format::{read_frame, FORMAT_VERSION, MAGIC};
+use nscaching_serve::format::{read_frame, write_frame, Writer, FORMAT_VERSION, MAGIC};
 use nscaching_serve::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, ModelSnapshot,
     SnapshotError,
@@ -239,6 +239,69 @@ fn hostile_payload_lengths_fail_typed_without_overflow() {
             "length {payload_len}: unexpected error {err}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn hostile_table_counts_fail_typed_before_allocating() {
+    // Each payload is checksum-valid and declares u32::MAX tables in one
+    // count field. Sizing a Vec by such a count asks for hundreds of GiB and
+    // aborts the process, so every count is checked against the bytes left.
+    fn section(tag: u8, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut inner = Writer::new();
+        body(&mut inner);
+        let inner = inner.into_payload();
+        let mut w = Writer::new();
+        w.u8(tag);
+        w.u64(inner.len() as u64);
+        w.raw(&inner);
+        w.into_payload()
+    }
+    let model = section(1, |w| {
+        w.u8(0); // TransE
+        w.u64(4);
+        w.u64(10);
+        w.u64(2);
+        w.u32(u32::MAX);
+    });
+    let generator = section(4, |w| {
+        w.u8(2); // generator sampler state
+        w.u8(1); // KBGAN
+        w.f64(0.0);
+        w.u64(0);
+        w.u32(u32::MAX);
+    });
+    let adagrad = section(3, |w| {
+        w.u8(1);
+        w.u32(u32::MAX);
+    });
+    let adam = section(3, |w| {
+        w.u8(2);
+        w.u32(u32::MAX);
+    });
+    let path = tempfile("hostile-table-count");
+    for (payload, expected) in [
+        (&model, "model tables"),
+        (&generator, "generator tables"),
+        (&adagrad, "adagrad tables"),
+        (&adam, "adam tables"),
+    ] {
+        write_frame(&path, payload).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Truncated { context, .. } if context == expected),
+            "{expected}: unexpected error {err}"
+        );
+    }
+    // The model-only loader (the wire `Reload` path) refuses it the same way.
+    write_frame(&path, &model).unwrap();
+    assert!(matches!(
+        load_model(&path),
+        Err(SnapshotError::Truncated {
+            context: "model tables",
+            ..
+        })
+    ));
     std::fs::remove_file(&path).ok();
 }
 
