@@ -19,7 +19,15 @@
 //!   queue) hammered with expensive uncacheable queries and no client
 //!   retries. Records the shed rate and the degradation-ladder occupancy,
 //!   demonstrating that saturation surfaces as typed `Overloaded`
-//!   rejections and degraded service, not latency collapse.
+//!   rejections and degraded service, not latency collapse;
+//! * **inline round trips** — one client times a Ping, a warm top-k and a
+//!   `Score` in 15 interleaved rounds of 2,000 calls each. The connection
+//!   thread answers all three without a worker hand-off, so a cache hit or a
+//!   score should cost what a Ping costs. Gated: the median warm-top-k/Ping
+//!   and Score/Ping ratios must each be ≤ 1.3 (a hand-off to a worker and
+//!   back read 1.6–1.75 on a 2-vCPU host). Both sides of each ratio come
+//!   from one run on one host, so the bound is the same everywhere, with no
+//!   env override.
 //!
 //! The response ledger (`decoded + protocol_errors == written +
 //! write_failures`) is hard-asserted after every phase at any gate level.
@@ -45,6 +53,13 @@ const MODERATE_CALLS: usize = 300;
 const MODERATE_CLIENTS: usize = 4;
 /// Calls per client at each step of the saturation sweep.
 const SWEEP_CALLS: usize = 150;
+/// Interleaved rounds of the inline round-trip probe.
+const INLINE_ROUNDS: usize = 15;
+/// Calls per request kind per round of the inline probe.
+const INLINE_CALLS: usize = 2_000;
+/// Most a warm top-k or a `Score` round trip may cost, as a multiple of a
+/// Ping round trip.
+const MAX_INLINE_RATIO: f64 = 1.3;
 
 fn engine() -> KnowledgeServer {
     let model = build_model(
@@ -163,6 +178,49 @@ fn percentile_us(sorted: &[u64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)] as f64
 }
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// One client's round trips for the requests the connection thread answers:
+/// a Ping, a warm top-k and a `Score`, timed in interleaved rounds so host
+/// drift hits all three alike. Returns the median µs per call of each, and
+/// the medians of the per-round warm-top-k/Ping and Score/Ping ratios.
+fn inline_round_trips(addr: SocketAddr) -> ([f64; 3], [f64; 2]) {
+    let mut client = NetClient::new(addr, ClientConfig::default());
+    let requests = [
+        Request::Ping,
+        Request::TopK(TopKQuery::tails(3, 1, 10)),
+        Request::Score {
+            head: 1,
+            relation: 2,
+            tail: 3,
+        },
+    ];
+    for request in &requests {
+        client.call(request).unwrap(); // opens the connection, warms the key
+    }
+    let mut per_call_us: [Vec<f64>; 3] = Default::default();
+    let mut ratios: [Vec<f64>; 2] = Default::default();
+    for _ in 0..INLINE_ROUNDS {
+        let mut round = [0.0; 3];
+        for (us, request) in round.iter_mut().zip(&requests) {
+            let start = Instant::now();
+            for _ in 0..INLINE_CALLS {
+                black_box(client.call(request).unwrap());
+            }
+            *us = start.elapsed().as_secs_f64() * 1e6 / INLINE_CALLS as f64;
+        }
+        for (samples, us) in per_call_us.iter_mut().zip(round) {
+            samples.push(us);
+        }
+        ratios[0].push(round[1] / round[0]);
+        ratios[1].push(round[2] / round[0]);
+    }
+    (per_call_us.map(median), ratios.map(median))
+}
+
 fn assert_ledger(stats: &NetStatsSnapshot, phase: &str) {
     assert_eq!(
         stats.decoded + stats.protocol_errors,
@@ -193,7 +251,8 @@ fn bench_round_trip(c: &mut Criterion) {
 }
 
 /// Acceptance gates: moderate-phase p99 ≤ `NSC_NET_P99_MAX` ms and shed rate
-/// ≤ `NSC_NET_SHED_OK`; ledger balance at every phase. Records
+/// ≤ `NSC_NET_SHED_OK`; warm-top-k/Ping and Score/Ping round-trip ratios
+/// ≤ `MAX_INLINE_RATIO`; ledger balance at every phase. Records
 /// `BENCH_net.json`.
 fn assert_net_load(_c: &mut Criterion) {
     let p99_max_ms: f64 = std::env::var("NSC_NET_P99_MAX")
@@ -301,11 +360,23 @@ fn assert_net_load(_c: &mut Criterion) {
         (shed as f64 / (served + shed) as f64, stats)
     };
 
+    // --- Inline round trips: hits and scores cost what a Ping costs.
+    let ([ping_us, topk_us, score_us], [topk_ratio, score_ratio]) = {
+        let server = NetServer::bind("127.0.0.1:0", engine(), provisioned_config()).unwrap();
+        let probe = inline_round_trips(server.addr());
+        let stats = server.shutdown();
+        assert_ledger(&stats, "inline");
+        assert_eq!(stats.ok, stats.decoded, "inline phase: {stats:?}");
+        probe
+    };
+
     println!(
         "net_load TransE d={DIM} |E|={ENTITIES}: moderate({MODERATE_CLIENTS} clients) \
          p50 {p50_ms:.2}ms p99 {p99_ms:.2}ms {moderate_qps:.0} q/s shed {:.2}% \
          (max p99 {p99_max_ms}ms, max shed {shed_ok}); sweep {:?} peak {peak_qps:.0} q/s; \
-         overload shed {:.1}% (server shed {} deadline {} degraded_l1 {} l2 {})",
+         overload shed {:.1}% (server shed {} deadline {} degraded_l1 {} l2 {}); \
+         inline round trips ping {ping_us:.1}us warm top-k {topk_us:.1}us score {score_us:.1}us \
+         = {topk_ratio:.2}x / {score_ratio:.2}x a ping (max {MAX_INLINE_RATIO}x)",
         moderate_shed_rate * 100.0,
         sweep
             .iter()
@@ -323,7 +394,7 @@ fn assert_net_load(_c: &mut Criterion) {
         .map(|(c, q)| format!("{{ \"clients\": {c}, \"qps\": {q:.0} }}"))
         .collect();
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"transport\": \"tcp loopback, length-prefixed frames\"\n  }},\n  \"moderate\": {{\n    \"clients\": {MODERATE_CLIENTS},\n    \"calls\": {},\n    \"p50_ms\": {p50_ms:.3},\n    \"p99_ms\": {p99_ms:.3},\n    \"qps\": {moderate_qps:.0},\n    \"shed_rate\": {moderate_shed_rate:.4},\n    \"max_p99_ms\": {p99_max_ms},\n    \"max_shed_rate\": {shed_ok}\n  }},\n  \"saturation_sweep\": [\n    {}\n  ],\n  \"peak_qps\": {peak_qps:.0},\n  \"overload\": {{\n    \"workers\": 1,\n    \"queue_depth\": 2,\n    \"shed_rate\": {overload_shed_rate:.4},\n    \"server_shed\": {},\n    \"server_deadline_exceeded\": {},\n    \"degraded_l1\": {},\n    \"degraded_l2\": {}\n  }},\n  \"note\": \"closed-loop loopback load; the p99/shed gates (NSC_NET_P99_MAX, NSC_NET_SHED_OK) bound the healthy-server envelope, the overload phase documents typed shedding + the degradation ladder under saturation\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"transport\": \"tcp loopback, length-prefixed frames\"\n  }},\n  \"moderate\": {{\n    \"clients\": {MODERATE_CLIENTS},\n    \"calls\": {},\n    \"p50_ms\": {p50_ms:.3},\n    \"p99_ms\": {p99_ms:.3},\n    \"qps\": {moderate_qps:.0},\n    \"shed_rate\": {moderate_shed_rate:.4},\n    \"max_p99_ms\": {p99_max_ms},\n    \"max_shed_rate\": {shed_ok}\n  }},\n  \"saturation_sweep\": [\n    {}\n  ],\n  \"peak_qps\": {peak_qps:.0},\n  \"overload\": {{\n    \"workers\": 1,\n    \"queue_depth\": 2,\n    \"shed_rate\": {overload_shed_rate:.4},\n    \"server_shed\": {},\n    \"server_deadline_exceeded\": {},\n    \"degraded_l1\": {},\n    \"degraded_l2\": {}\n  }},\n  \"inline_round_trip\": {{\n    \"rounds\": {INLINE_ROUNDS},\n    \"calls_per_round\": {INLINE_CALLS},\n    \"ping_us\": {ping_us:.1},\n    \"warm_topk_us\": {topk_us:.1},\n    \"score_us\": {score_us:.1},\n    \"warm_topk_over_ping\": {topk_ratio:.3},\n    \"score_over_ping\": {score_ratio:.3},\n    \"max_ratio\": {MAX_INLINE_RATIO}\n  }},\n  \"note\": \"closed-loop loopback load; the p99/shed gates (NSC_NET_P99_MAX, NSC_NET_SHED_OK) bound the healthy-server envelope, the overload phase documents typed shedding + the degradation ladder under saturation, and the inline ratio gate (no override: both sides come from one run) pins cache hits and scores to the cost of a ping\"\n}}",
         MODERATE_CLIENTS * MODERATE_CALLS,
         sweep_json.join(",\n    "),
         overload_stats.shed,
@@ -354,6 +425,15 @@ fn assert_net_load(_c: &mut Criterion) {
         overload_shed_rate > 0.0,
         "overload phase produced no shedding: {overload_stats:?}"
     );
+    // A worker hand-off adds two thread wake-ups to a round trip; a hit or a
+    // score answered on the connection thread adds none.
+    for (what, ratio) in [("warm top-k", topk_ratio), ("score", score_ratio)] {
+        assert!(
+            ratio <= MAX_INLINE_RATIO,
+            "a {what} round trip costs {ratio:.2}x a ping (max {MAX_INLINE_RATIO}x): \
+             requests that need no scan must be answered on the connection thread"
+        );
+    }
 }
 
 criterion_group! {

@@ -17,14 +17,16 @@
 //!   `top_k_batch` over a 4-worker `WorkerPool` (recorded, not gated — on a
 //!   1-core container the pool adds only dispatch overhead).
 //!
-//! The bench also asserts the tentpole's allocation contract: after warm-up,
+//! The bench also asserts the allocation contract: after warm-up,
 //! steady-state queries perform **zero heap allocations** — on the uncached
 //! path (scratch at its high-water marks) *and* on the cache-hit path (an
-//! `Arc` clone out of a pre-sized LRU).
+//! `Arc` clone out of a pre-sized LRU) — and a cache **miss** performs one,
+//! the shared answer built in place from the scratch (asserted below 1.1 per
+//! miss under LRU and SLRU, over misses that each evict).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nscaching_models::{build_model, ModelConfig, ModelKind};
-use nscaching_serve::{BatchScratch, KnowledgeServer, QueryScratch, TopKQuery};
+use nscaching_serve::{BatchScratch, CacheConfig, KnowledgeServer, QueryScratch, TopKQuery};
 use nscaching_train::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,11 +73,20 @@ const DISTINCT_QUERIES: usize = 512;
 const CACHE_CAPACITY: usize = 256;
 /// Length of the sampled query stream.
 const STREAM: usize = 4_096;
+/// Steady-state misses measured per cache policy.
+const MISSES: usize = 2_000;
+/// Most allocations a miss may make: its one shared answer, plus slack for
+/// a fixed count per measurement.
+const MAX_ALLOCATIONS_PER_MISS: f64 = 1.1;
 /// Zipf skew exponent (s > 1 concentrates mass on the head, like real
 /// entity-lookup traffic).
 const ZIPF_S: f64 = 1.2;
 
 fn server() -> KnowledgeServer {
+    server_with(CacheConfig::legacy_lru(CACHE_CAPACITY))
+}
+
+fn server_with(cache: CacheConfig) -> KnowledgeServer {
     let model = build_model(
         &ModelConfig::new(ModelKind::TransE)
             .with_dim(DIM)
@@ -83,7 +94,7 @@ fn server() -> KnowledgeServer {
         ENTITIES,
         RELATIONS,
     );
-    KnowledgeServer::new(model, CACHE_CAPACITY)
+    KnowledgeServer::with_cache(model, cache)
 }
 
 /// A Zipf-distributed stream over `DISTINCT_QUERIES` distinct top-k queries:
@@ -215,6 +226,45 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         ALLOCATION_COUNT.load(Ordering::Relaxed) - before
     };
 
+    // --- One allocation per steady-state miss. A cycle over twice the
+    //     capacity's distinct keys misses every time under LRU and SLRU,
+    //     and once the cache is full every insert evicts.
+    let miss_allocations: Vec<(CacheConfig, u64)> = [
+        CacheConfig::legacy_lru(CACHE_CAPACITY),
+        CacheConfig::with_capacity(CACHE_CAPACITY),
+    ]
+    .into_iter()
+    .map(|config| {
+        let server = server_with(config);
+        let mut scratch = QueryScratch::default();
+        let cycle: Vec<TopKQuery> = (0..2 * CACHE_CAPACITY)
+            .map(|i| TopKQuery::tails(i as u32, (i % RELATIONS) as u32, K))
+            .collect();
+        let mut queries = cycle.iter().cycle();
+        for query in queries.by_ref().take(2 * cycle.len()) {
+            black_box(server.top_k(query, &mut scratch).unwrap());
+        }
+        let stats_before = server.cache_stats();
+        let before = ALLOCATION_COUNT.load(Ordering::Relaxed);
+        for query in queries.take(MISSES) {
+            black_box(server.top_k(query, &mut scratch).unwrap());
+        }
+        let allocations = ALLOCATION_COUNT.load(Ordering::Relaxed) - before;
+        let stats = server.cache_stats();
+        assert_eq!(
+            (
+                stats.misses - stats_before.misses,
+                stats.hits - stats_before.hits,
+                stats.evictions - stats_before.evictions,
+            ),
+            (MISSES as u64, 0, MISSES as u64),
+            "{:?}: every measured query must be a miss that evicts",
+            config.policy
+        );
+        (config, allocations)
+    })
+    .collect();
+
     // --- Throughput: uncached vs warm-LRU over the same Zipf stream.
     let secs_uncached = {
         let server = server();
@@ -272,14 +322,29 @@ fn assert_serve_throughput(_c: &mut Criterion) {
          {DISTINCT_QUERIES} distinct / {CACHE_CAPACITY} cache slots: \
          uncached {qps_uncached:.0} q/s, warm LRU {qps_warm:.0} q/s = {speedup:.1}x \
          (min {min_speedup}x, hit rate {:.1}%), pool(4) batch {qps_batch:.0} q/s; \
-         steady-state allocations: uncached {uncached_allocations}, hits {hit_allocations}",
+         steady-state allocations: uncached {uncached_allocations}, hits {hit_allocations}, \
+         {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss)",
         hit_rate * 100.0,
+        miss_allocations
+            .iter()
+            .map(|(config, n)| format!("{:?}: {n}", config.policy))
+            .collect::<Vec<_>>(),
     );
+    let miss_json: Vec<String> = miss_allocations
+        .iter()
+        .map(|(config, n)| {
+            format!(
+                "\"miss_{}_per_{MISSES}_queries\": {n}",
+                format!("{:?}", config.policy).to_lowercase()
+            )
+        })
+        .collect();
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
         stream.len(),
         4 * CACHE_CAPACITY / 2,
+        miss_json.join(",\n    "),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -298,6 +363,15 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         hit_allocations, 0,
         "steady-state cache hits must not allocate"
     );
+    for (config, allocations) in &miss_allocations {
+        let per_miss = *allocations as f64 / MISSES as f64;
+        assert!(
+            per_miss < MAX_ALLOCATIONS_PER_MISS,
+            "{:?}: a steady-state miss must allocate only its shared answer \
+             (got {per_miss:.3} allocations per miss)",
+            config.policy
+        );
+    }
     assert!(
         speedup >= min_speedup,
         "warm-LRU top-k must be ≥{min_speedup}x the uncached path on the Zipf stream \

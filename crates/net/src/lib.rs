@@ -25,9 +25,13 @@
 //!
 //! ## Queueing and load shedding
 //!
-//! `workers × queue_depth` bounds everything the server will hold. Admission
-//! is `try_send` across the per-worker queues — when all are full the
-//! request is **shed** with [`wire::ErrorCode::Overloaded`] in microseconds.
+//! Only requests that scan the whole vocabulary — top-k misses and ranks —
+//! are queued; the connection thread answers everything else itself (ping,
+//! stats, reload, score, and top-k hits from the result cache), so those
+//! never wait behind a scan. `workers × queue_depth` bounds everything the
+//! server will hold. Admission is `try_send` across the per-worker queues —
+//! when all are full the scan is **shed** with
+//! [`wire::ErrorCode::Overloaded`] in microseconds.
 //! There is no unbounded backlog anywhere: under overload, clients see fast
 //! typed rejections (which their retry layer spreads with jittered backoff)
 //! instead of collapsing tail latency for everyone. Size `queue_depth` so
@@ -36,9 +40,9 @@
 //!
 //! ## The degradation ladder
 //!
-//! Queue occupancy drives service levels, reported in every response header
-//! (so clients and load balancers can see pressure *before* the shedding
-//! starts):
+//! Queue occupancy (queued scans only) drives service levels, reported in
+//! every response header (so clients and load balancers can see pressure
+//! *before* the shedding starts):
 //!
 //! | level | meaning | operator signal |
 //! |-------|---------|-----------------|

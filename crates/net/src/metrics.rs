@@ -6,9 +6,10 @@
 //!
 //! * **Per-opcode latency** (`nsc_net_request_latency_us{op=…}`) is timed on
 //!   the connection thread from the moment a request decodes to the moment
-//!   its response write returns — queue wait, worker execution and the
-//!   response write are all inside the window, which is what a client
-//!   experiences minus socket transit. Two `Instant` reads per request are
+//!   its response write returns — queue wait and worker execution (for the
+//!   scans a worker runs) or inline execution, and the response write, are
+//!   all inside the window, which is what a client experiences minus socket
+//!   transit. Two `Instant` reads per request are
 //!   noise next to a socket round-trip.
 //! * **Queue pressure** (`nsc_net_in_flight`, `nsc_net_active_connections`,
 //!   `nsc_net_queue_capacity`) are gauges refreshed at scrape time from the

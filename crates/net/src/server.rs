@@ -5,32 +5,45 @@
 //! # Architecture
 //!
 //! ```text
-//!                 ┌──────────────┐    bounded sync queues (depth = queue_depth)
-//!   accept loop ─▶│ conn thread  │──▶ worker 0 ─┐ KnowledgeServer clone
-//!   (1 thread)    │ (1 / socket) │──▶ worker 1 ─┤ + per-worker QueryScratch
-//!                 │ read frame   │──▶ …         ┘
-//!                 │ write frame  │◀── rendezvous reply channel
-//!                 └──────────────┘
+//!                 ┌──────────────────┐  bounded sync queues (depth = queue_depth)
+//!   accept loop ─▶│ conn thread      │──▶ worker 0 ─┐ KnowledgeServer clone
+//!   (1 thread)    │ (1 / socket)     │──▶ worker 1 ─┤ + per-worker QueryScratch:
+//!                 │ read frame       │──▶ …         ┘ top-k misses and ranks
+//!                 │ answer inline:   │◀── rendezvous reply channel
+//!                 │  ping, stats,    │
+//!                 │  reload, score,  │
+//!                 │  cached top-k    │
+//!                 │ write frame      │
+//!                 └──────────────────┘
 //!                    ▲ idle reaper (1 thread) tears down silent sockets
 //! ```
 //!
-//! Connection threads do only I/O and admission; all model work happens on
-//! the fixed worker pool, each worker reusing one [`QueryScratch`]. A request
-//! that cannot be queued is **shed immediately** with a typed
-//! [`ErrorCode::Overloaded`] — the queues are the only buffer, and they are
-//! bounded, so overload turns into fast rejections instead of an unbounded
-//! backlog and latency collapse.
+//! Connection threads do the I/O, admission, and every answer that needs no
+//! full-vocabulary scan: a top-k request is looked up in the result cache
+//! ([`KnowledgeServer::top_k_cached`]) and a live hit is written back at
+//! once, a `Score` scores its one triple (O(d) to O(d²) work, far below the
+//! two thread wake-ups of a hand-off), and ping, stats and reload are
+//! answered there too. Only the scans — top-k misses
+//! ([`KnowledgeServer::top_k_miss`], which caches its answer without a
+//! second lookup) and `Rank` — go to the fixed worker pool, each worker
+//! reusing one [`QueryScratch`]. A scan that cannot be queued is **shed
+//! immediately** with a typed [`ErrorCode::Overloaded`] — the queues are
+//! the only buffer, and they are bounded, so overload turns into fast
+//! rejections instead of an unbounded backlog and latency collapse. A panic
+//! while answering, inline or on a worker, becomes a typed
+//! [`ErrorCode::Internal`] response.
 //!
 //! # Degradation ladder
 //!
 //! Queue occupancy (`in-flight / (workers × queue_depth)`) drives three
-//! service levels, reported in every response header:
+//! service levels, reported in every response header. Inline answers never
+//! enter a queue, so only scans count towards occupancy:
 //!
-//! | level | trigger | behaviour |
-//! |-------|---------|-----------|
-//! | 0     | occupancy < `clamp_threshold` | full service |
-//! | 1     | occupancy ≥ `clamp_threshold` | top-k `k` clamped to `degraded_k_clamp` |
-//! | 2     | occupancy ≥ `cache_only_threshold` | top-k served **only** from the result cache (an `Arc` clone, no model work); cold top-k and all score/rank queries shed as `Overloaded` |
+//! | level | trigger | behaviour | where answers are produced |
+//! |-------|---------|-----------|----------------------------|
+//! | 0     | occupancy < `clamp_threshold` | full service | connection thread: cached top-k, score; worker: top-k misses, rank |
+//! | 1     | occupancy ≥ `clamp_threshold` | top-k `k` clamped to `degraded_k_clamp` | as level 0, with the clamped key looked up and computed |
+//! | 2     | occupancy ≥ `cache_only_threshold` | top-k served **only** from the result cache (an `Arc` clone, no model work), full key first, then the clamped key; cold top-k and all score/rank queries shed as `Overloaded` | connection thread only |
 //!
 //! The ladder degrades *before* it sheds: clamping bounds per-request work,
 //! cache-only keeps absorbing the hot head of a skewed stream at near-zero
@@ -69,9 +82,9 @@ use crate::metrics::{op_index, NetMetrics};
 use crate::wire::{
     code_of_query_error, Answer, ErrorCode, Request, Response, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-use nscaching_kg::Triple;
+use nscaching_kg::{CorruptionSide, Triple};
 use nscaching_obs::{Counter, MetricsRegistry};
-use nscaching_serve::{KnowledgeServer, QueryScratch, TopKQuery};
+use nscaching_serve::{KnowledgeServer, QueryError, QueryScratch, TopKQuery};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -270,9 +283,18 @@ impl NetStatsSnapshot {
     }
 }
 
+/// The requests a worker runs: the two that scan the whole vocabulary.
+/// Everything else is answered on the connection thread.
+enum Scan {
+    /// A top-k query that missed the result cache.
+    TopKMiss(TopKQuery),
+    /// The rank of a triple among the corruptions of one side.
+    Rank(Triple, CorruptionSide),
+}
+
 /// One queued unit of work.
 struct Job {
-    request: Request,
+    scan: Scan,
     degradation: u8,
     enqueued: Instant,
     reply: SyncSender<Response>,
@@ -872,7 +894,8 @@ fn serve_connection(
         shared.stats.decoded.inc();
 
         // The latency window a client experiences minus socket transit:
-        // admission, queue wait, execution and the response write.
+        // admission, queue wait (scans only), execution and the response
+        // write.
         let op = op_index(&request);
         let started = Instant::now();
         let response = handle_request(shared, queues, &mut next_worker, request);
@@ -901,7 +924,8 @@ fn response_bytes(response: &Response, scratch: &mut Vec<u8>, frame: &mut Vec<u8
 }
 
 /// Admission control + degradation ladder + dispatch. Always produces
-/// exactly one response.
+/// exactly one response. Every request that needs no full-vocabulary scan
+/// is answered here on the connection thread; only the scans are queued.
 fn handle_request(
     shared: &Arc<Shared>,
     queues: &[SyncSender<Job>],
@@ -909,81 +933,94 @@ fn handle_request(
     request: Request,
 ) -> Response {
     let level = shared.degradation_level();
-    // Pings answer inline: the liveness probe must work precisely when the
-    // queues are in trouble.
-    if matches!(request, Request::Ping) {
-        return Response::ok(level, Answer::Pong);
-    }
-
-    // Stats answer inline too, and *before* the cache-only branch: the
-    // telemetry you need during an incident must not be shed by the
-    // incident. Rendering touches no model state and no worker queue.
-    if matches!(request, Request::Stats) {
-        return Response::ok(level, Answer::Stats(shared.render_stats()));
-    }
-
-    // Reloads run here on the connection thread, off the worker queues: the
-    // load + validation happens on a snapshot nobody is serving yet, so query
-    // workers keep draining at full speed and the swap itself is one write
-    // lock acquisition inside the engine. Any typed failure leaves the
-    // serving model untouched (the engine validates *before* swapping).
-    if let Request::Reload { path } = &request {
-        return match shared.engine.reload(Path::new(path)) {
-            Ok(()) => {
-                shared.stats.reload_ok.inc();
-                Response::ok(level, Answer::Reloaded)
-            }
-            Err(e) => {
-                shared.stats.reload_failed.inc();
-                Response::error(
-                    level,
-                    ErrorCode::Internal,
-                    format!("reload of {path:?} rejected ({e}); serving model unchanged"),
-                )
-            }
-        };
-    }
-
-    if level >= 2 {
-        // Cache-only mode: serve LRU hits (both the full-k and the clamped
-        // key — traffic clamped at level 1 warmed the latter), shed the rest.
-        if let Request::TopK(query) = &request {
-            let clamped = TopKQuery {
-                k: query.k.min(shared.config.degraded_k_clamp),
-                ..*query
-            };
-            for candidate in [query, &clamped] {
-                match shared.engine.top_k_cached(candidate) {
-                    Ok(Some(answer)) => {
-                        return Response::ok(2, Answer::TopK(answer.to_vec()));
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        return Response::error(2, code_of_query_error(&e), e.to_string());
-                    }
-                }
-            }
-        }
-        return Response::error(
+    let shed = || {
+        Response::error(
             2,
             ErrorCode::Overloaded,
             "cache-only degradation: cold query shed",
-        );
-    }
-
-    let request = match (&request, level) {
-        (Request::TopK(query), 1) if query.k > shared.config.degraded_k_clamp => {
-            Request::TopK(TopKQuery {
-                k: shared.config.degraded_k_clamp,
-                ..*query
-            })
+        )
+    };
+    let scan = match request {
+        // Pings answer inline: the liveness probe must work precisely when
+        // the queues are in trouble.
+        Request::Ping => return Response::ok(level, Answer::Pong),
+        // Stats answer inline at every level, cache-only included: the
+        // telemetry you need during an incident must not be shed by the
+        // incident. Rendering touches no model state and no worker queue.
+        Request::Stats => return Response::ok(level, Answer::Stats(shared.render_stats())),
+        // Reloads run here too, off the worker queues: the load + validation
+        // happens on a snapshot nobody is serving yet, so query workers keep
+        // draining at full speed and the swap itself is one write lock
+        // acquisition inside the engine. Any typed failure leaves the
+        // serving model untouched (the engine validates *before* swapping).
+        Request::Reload { path } => {
+            return match shared.engine.reload(Path::new(&path)) {
+                Ok(()) => {
+                    shared.stats.reload_ok.inc();
+                    Response::ok(level, Answer::Reloaded)
+                }
+                Err(e) => {
+                    shared.stats.reload_failed.inc();
+                    Response::error(
+                        level,
+                        ErrorCode::Internal,
+                        format!("reload of {path:?} rejected ({e}); serving model unchanged"),
+                    )
+                }
+            };
         }
-        _ => request,
+        Request::TopK(query) => {
+            let clamped = TopKQuery {
+                k: query.k.min(shared.config.degraded_k_clamp),
+                ..query
+            };
+            // Level 0 looks the key up as asked and level 1 its clamped
+            // form. Level 2 tries the full key, then the clamped one (traffic
+            // clamped at level 1 warmed it), and sheds what neither holds.
+            let (key, fallback) = match level {
+                0 => (query, None),
+                1 => (clamped, None),
+                _ => (query, (clamped != query).then_some(clamped)),
+            };
+            for candidate in std::iter::once(key).chain(fallback) {
+                match guarded(level, || shared.engine.top_k_cached(&candidate)) {
+                    Ok(Some(answer)) => return Response::ok(level, Answer::TopK(answer.to_vec())),
+                    Ok(None) => {}
+                    Err(response) => return response,
+                }
+            }
+            if level >= 2 {
+                return shed();
+            }
+            Scan::TopKMiss(key)
+        }
+        // Cache-only mode serves no model work at all.
+        _ if level >= 2 => return shed(),
+        // One triple's score is O(d) to O(d²) work, far below the two thread
+        // wake-ups of a hand-off to a worker and back.
+        Request::Score {
+            head,
+            relation,
+            tail,
+        } => {
+            return respond(level, || {
+                shared
+                    .engine
+                    .score(&Triple::new(head, relation, tail))
+                    .map(Answer::Score)
+            });
+        }
+        Request::Rank {
+            head,
+            relation,
+            tail,
+            side,
+        } => Scan::Rank(Triple::new(head, relation, tail), side),
     };
 
     let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
     let mut job = Job {
-        request,
+        scan,
         degradation: level,
         enqueued: Instant::now(),
         reply: reply_tx,
@@ -1036,7 +1073,15 @@ fn worker_loop(shared: &Arc<Shared>, queue: mpsc::Receiver<Job>) {
                 "queue wait exceeded deadline",
             )
         } else {
-            execute(&shared.engine, &mut scratch, &job.request, job.degradation)
+            let engine = &shared.engine;
+            respond(job.degradation, || match job.scan {
+                Scan::TopKMiss(query) => engine
+                    .top_k_miss(&query, &mut scratch)
+                    .map(|answer| Answer::TopK(answer.to_vec())),
+                Scan::Rank(triple, side) => {
+                    engine.rank(&triple, side, &mut scratch).map(Answer::Rank)
+                }
+            })
         };
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
         // The connection may have died while we worked; that is its problem.
@@ -1044,45 +1089,33 @@ fn worker_loop(shared: &Arc<Shared>, queue: mpsc::Receiver<Job>) {
     }
 }
 
-/// Run one request against the engine. Panics are converted into typed
-/// `Internal` errors — untrusted traffic must never take a worker down.
-fn execute(
-    engine: &KnowledgeServer,
-    scratch: &mut QueryScratch,
-    request: &Request,
+/// Run one engine call, mapping a typed [`QueryError`] onto its wire error
+/// and a panic onto a typed `Internal` one — untrusted traffic must never
+/// take a worker or a connection thread down.
+fn guarded<T>(
     degradation: u8,
-) -> Response {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match request {
-        Request::Ping => Ok(Answer::Pong),
-        Request::TopK(query) => engine
-            .top_k(query, scratch)
-            .map(|answer| Answer::TopK(answer.to_vec())),
-        Request::Score {
-            head,
-            relation,
-            tail,
-        } => engine
-            .score(&Triple::new(*head, *relation, *tail))
-            .map(Answer::Score),
-        Request::Rank {
-            head,
-            relation,
-            tail,
-            side,
-        } => engine
-            .rank(&Triple::new(*head, *relation, *tail), *side, scratch)
-            .map(Answer::Rank),
-        // Reloads and stats are answered on the connection thread in
-        // handle_request and never enqueued; a job carrying one is a
-        // programming error that the catch_unwind below converts into a
-        // typed Internal response.
-        Request::Reload { .. } => unreachable!("reload jobs are never queued"),
-        Request::Stats => unreachable!("stats jobs are never queued"),
-    }));
-    match outcome {
-        Ok(Ok(answer)) => Response::ok(degradation, answer),
-        Ok(Err(e)) => Response::error(degradation, code_of_query_error(&e), e.to_string()),
-        Err(_) => Response::error(degradation, ErrorCode::Internal, "query execution panicked"),
+    call: impl FnOnce() -> Result<T, QueryError>,
+) -> Result<T, Response> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(Response::error(
+            degradation,
+            code_of_query_error(&e),
+            e.to_string(),
+        )),
+        Err(_) => Err(Response::error(
+            degradation,
+            ErrorCode::Internal,
+            "query execution panicked",
+        )),
+    }
+}
+
+/// The response to one [`guarded`] engine call that produces an answer.
+fn respond(degradation: u8, call: impl FnOnce() -> Result<Answer, QueryError>) -> Response {
+    match guarded(degradation, call) {
+        Ok(answer) => Response::ok(degradation, answer),
+        Err(response) => response,
     }
 }
 

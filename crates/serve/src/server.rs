@@ -50,7 +50,11 @@
 //! callers share the model under a read lock and the cache under one mutex.
 //! The mutex is held only for a lookup or an insert, never across the model
 //! scan of a miss, so a miss does not block other callers' hits. Lock order
-//! is always model → cache.
+//! is always model → cache. [`KnowledgeServer::top_k`] is also available as
+//! its two halves, [`KnowledgeServer::top_k_cached`] (the lookup) and
+//! [`KnowledgeServer::top_k_miss`] (compute and insert, no second lookup),
+//! so a caller can answer hits on one thread and run the scans on another
+//! while counting each request once.
 //! [`KnowledgeServer::top_k_batch`] / [`KnowledgeServer::score_batch`] fan a
 //! query set out across an existing [`WorkerPool`] in contiguous chunks, one
 //! per worker, each worker reusing its own scratch from the caller's
@@ -209,6 +213,21 @@ pub struct QueryScratch {
     scores: Vec<f64>,
     /// Index buffer of the top-k selection.
     order: Vec<usize>,
+}
+
+impl QueryScratch {
+    /// The selection [`select_top_k`] left in this scratch, best first.
+    /// `candidates` is what it returned: the entity list the selected
+    /// indices point into, or `None` when they are entity ids themselves.
+    fn ranked<'a>(
+        &'a self,
+        candidates: Option<&'a [EntityId]>,
+    ) -> impl Iterator<Item = RankedEntity> + 'a {
+        self.order.iter().map(move |&i| RankedEntity {
+            entity: candidates.map_or(i as EntityId, |c| c[i]),
+            score: self.scores[i],
+        })
+    }
 }
 
 /// Per-batch worker scratch: one [`QueryScratch`] per pool worker, reused
@@ -499,15 +518,19 @@ impl KnowledgeServer {
     ) -> Result<(), QueryError> {
         let model = self.inner.model.read().expect("model lock");
         validate_ids(model.as_ref(), query.entity, query.relation)?;
-        self.top_k_with_model(model.as_ref(), query, scratch, out);
+        let index = self.inner.candidates.read().expect("candidate lock");
+        let candidates = select_top_k(model.as_ref(), index.as_deref(), query, scratch);
+        out.clear();
+        out.extend(scratch.ranked(candidates));
         Ok(())
     }
 
-    /// Answer a top-k query through the result cache: a warm hit is an `Arc`
-    /// clone (no scoring, no allocation); a miss computes through
-    /// [`Self::top_k_into`] and caches the shared answer under the current
-    /// model stamp. Out-of-range ids are rejected before the cache is
-    /// touched.
+    /// Answer a top-k query through the result cache: the lookup of
+    /// [`Self::top_k_cached`] and, on a miss, the compute-and-insert of
+    /// [`Self::top_k_miss`], under one hold of the model read lock. A warm
+    /// hit is an `Arc` clone (no scoring, no allocation); a miss allocates
+    /// once, for the shared answer. Out-of-range ids are rejected before the
+    /// cache is touched.
     pub fn top_k(
         &self,
         query: &TopKQuery,
@@ -523,37 +546,21 @@ impl KnowledgeServer {
         if let Some(answer) = self.cached_answer(query, stamp) {
             return Ok(answer);
         }
-        // Miss path: the model scan dwarfs the clock reads, so this is the
-        // one serve path that gets timed per call (the hit path above stays
-        // clock-free — see the telemetry module's overhead contract).
-        let compute_started = self.inner.metrics.get().map(|_| Instant::now());
-        // `query.k` is an untrusted wire value: the answer is sized by what
-        // the kernel returns (at most `min(k, |E|)` entries), never by `k`.
-        let mut ranked = Vec::new();
-        self.top_k_with_model(model.as_ref(), query, scratch, &mut ranked);
-        if let (Some(metrics), Some(started)) = (self.inner.metrics.get(), compute_started) {
-            metrics.topk_compute_us.observe(started.elapsed());
-        }
-        let answer: Arc<[RankedEntity]> = ranked.into();
-        self.cache().insert(
-            *query,
-            CachedAnswer {
-                stamp,
-                answer: Arc::clone(&answer),
-            },
-        );
-        Ok(answer)
+        Ok(self.compute_and_cache(model.as_ref(), stamp, query, scratch))
     }
 
-    /// Answer a top-k query **only if a live cached answer exists** — the
-    /// graceful-degradation hook of the network front door: under pressure a
-    /// server can keep absorbing the hot head of its traffic (an `Arc` clone,
-    /// no scoring work) while shedding cold queries instead of queueing them.
+    /// The lookup half of [`Self::top_k`]: the live cached answer to
+    /// `query` (an `Arc` clone, no scoring work), or `Ok(None)` on a cold or
+    /// version-invalidated key — the stale entry is dropped, exactly as
+    /// [`Self::top_k`] would, but nothing is computed. The lookup counts in
+    /// [`Self::cache_stats`] like any other, and the entry's stamp is checked
+    /// under the model read lock, so a stale answer is never returned.
+    /// Out-of-range ids are rejected first, like every other query path.
     ///
-    /// Returns `Ok(None)` on a cold or version-invalidated key (the stale
-    /// entry is dropped, exactly as [`Self::top_k`] would, but nothing is
-    /// recomputed). Out-of-range ids are rejected first, like every other
-    /// query path.
+    /// The network front door looks every top-k request up through this on
+    /// its connection thread, answers hits there, and hands only the misses
+    /// to [`Self::top_k_miss`] on its worker pool; under cache-only
+    /// degradation it is the only top-k path that runs.
     pub fn top_k_cached(
         &self,
         query: &TopKQuery,
@@ -564,42 +571,54 @@ impl KnowledgeServer {
         Ok(self.cached_answer(query, stamp))
     }
 
-    fn top_k_with_model(
+    /// The miss half of [`Self::top_k`], for a caller that has just missed
+    /// in [`Self::top_k_cached`]: compute the answer, cache it under the
+    /// current model stamp and return it, without a second lookup — so the
+    /// request counts once in [`Self::cache_stats`]. If another caller
+    /// cached the same key in between, the fresh answer replaces it; each
+    /// was computed from the tables its stamp names. Out-of-range ids are
+    /// rejected first.
+    pub fn top_k_miss(
         &self,
-        model: &dyn KgeModel,
         query: &TopKQuery,
         scratch: &mut QueryScratch,
-        out: &mut Vec<RankedEntity>,
-    ) {
-        let anchor = query.anchor();
-        // Candidate-index fast path: score only the relation's observed
-        // entities through the batched gather kernel. The candidate list is
-        // sorted ascending, so the bounded top-k pass's lower-index tie
-        // break *is* the full scan's lower-entity-id tie break, and the
-        // ranking over the set is bit-identical to scanning it entity by
-        // entity (asserted against the restricted-scan oracle in the
-        // candidate-index tests).
-        if let Some(index) = &*self.inner.candidates.read().expect("candidate lock") {
-            if let Some(candidates) =
-                index.shrinking_candidates(query.relation, query.direction, model.num_entities())
-            {
-                model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores);
-                top_k_indices_into(&scratch.scores, query.k as usize, &mut scratch.order);
-                out.clear();
-                out.extend(scratch.order.iter().map(|&i| RankedEntity {
-                    entity: candidates[i],
-                    score: scratch.scores[i],
-                }));
-                return;
-            }
+    ) -> Result<Arc<[RankedEntity]>, QueryError> {
+        let model = self.inner.model.read().expect("model lock");
+        validate_ids(model.as_ref(), query.entity, query.relation)?;
+        let stamp = self.inner.stamp.load(Ordering::Acquire);
+        Ok(self.compute_and_cache(model.as_ref(), stamp, query, scratch))
+    }
+
+    /// Compute `query`'s answer and cache it under `stamp`. Must be called
+    /// under the model read lock `stamp` was read under.
+    fn compute_and_cache(
+        &self,
+        model: &dyn KgeModel,
+        stamp: u64,
+        query: &TopKQuery,
+        scratch: &mut QueryScratch,
+    ) -> Arc<[RankedEntity]> {
+        // Miss path: the model scan dwarfs the clock reads, so this is the
+        // one serve path that gets timed per call (the hit path stays
+        // clock-free — see the telemetry module's overhead contract).
+        let compute_started = self.inner.metrics.get().map(|_| Instant::now());
+        let index = self.inner.candidates.read().expect("candidate lock");
+        let candidates = select_top_k(model, index.as_deref(), query, scratch);
+        // One allocation, sized by what the kernel selected (`query.k` is an
+        // untrusted wire value): the selection's exact length lets the `Arc`
+        // be built in place from the scratch.
+        let answer: Arc<[RankedEntity]> = scratch.ranked(candidates).collect();
+        if let (Some(metrics), Some(started)) = (self.inner.metrics.get(), compute_started) {
+            metrics.topk_compute_us.observe(started.elapsed());
         }
-        model.score_all_into(&anchor, query.direction, &mut scratch.scores);
-        top_k_indices_into(&scratch.scores, query.k as usize, &mut scratch.order);
-        out.clear();
-        out.extend(scratch.order.iter().map(|&i| RankedEntity {
-            entity: i as EntityId,
-            score: scratch.scores[i],
-        }));
+        self.cache().insert(
+            *query,
+            CachedAnswer {
+                stamp,
+                answer: Arc::clone(&answer),
+            },
+        );
+        answer
     }
 
     /// The model score of one triple (larger = more plausible).
@@ -694,6 +713,38 @@ impl KnowledgeServer {
     }
 }
 
+/// Score the open slot of `query` and leave the indices of its top `k` in
+/// `scratch.order`, best first, ties towards the lower index. Returns the
+/// entity list those indices point into, or `None` when the whole vocabulary
+/// was scanned and they are entity ids; [`QueryScratch::ranked`] maps them.
+///
+/// Candidate-index fast path: when a bound `index` shrinks the scan, only
+/// the relation's observed entities are scored, through the batched gather
+/// kernel. The candidate list is sorted ascending, so the bounded top-k
+/// pass's lower-index tie break *is* the full scan's lower-entity-id tie
+/// break, and the ranking over the set is bit-identical to scanning it
+/// entity by entity (asserted against the restricted-scan oracle in the
+/// candidate-index tests).
+fn select_top_k<'i>(
+    model: &dyn KgeModel,
+    index: Option<&'i CandidateIndex>,
+    query: &TopKQuery,
+    scratch: &mut QueryScratch,
+) -> Option<&'i [EntityId]> {
+    let anchor = query.anchor();
+    let candidates = index.and_then(|index| {
+        index.shrinking_candidates(query.relation, query.direction, model.num_entities())
+    });
+    match candidates {
+        Some(candidates) => {
+            model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores)
+        }
+        None => model.score_all_into(&anchor, query.direction, &mut scratch.scores),
+    }
+    top_k_indices_into(&scratch.scores, query.k as usize, &mut scratch.order);
+    candidates
+}
+
 /// Score one triple after validating its ids against the model.
 fn score_triple(model: &dyn KgeModel, triple: &Triple) -> Result<f64, QueryError> {
     validate_triple(model, triple)?;
@@ -776,7 +827,7 @@ mod tests {
         assert_eq!(out.len(), server.num_entities());
     }
 
-    /// The full-sort oracle over the batched scores `top_k_with_model` sees.
+    /// The full-sort oracle over the batched scores `select_top_k` sees.
     fn sort_oracle_top_k(server: &KnowledgeServer, query: &TopKQuery) -> Vec<RankedEntity> {
         let model = server.inner.model.read().expect("model lock");
         let mut scores = Vec::new();
@@ -991,6 +1042,43 @@ mod tests {
         );
         let n = server.num_entities() as u32;
         assert!(server.top_k_cached(&TopKQuery::tails(n, 0, 1)).is_err());
+    }
+
+    #[test]
+    fn the_lookup_and_miss_halves_answer_like_top_k_and_count_once() {
+        let server = server(ModelKind::DistMult, 16);
+        let mut scratch = QueryScratch::default();
+        let mut expected = Vec::new();
+        let query = TopKQuery::heads(5, 2, 6);
+        assert_eq!(server.top_k_cached(&query), Ok(None));
+        let computed = server.top_k_miss(&query, &mut scratch).unwrap();
+        server
+            .top_k_into(&query, &mut scratch, &mut expected)
+            .unwrap();
+        assert_eq!(&*computed, expected.as_slice());
+        let peeked = server.top_k_cached(&query).unwrap().expect("miss cached");
+        assert!(Arc::ptr_eq(&computed, &peeked), "the miss half cached it");
+        let stats = server.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "one lookup each");
+
+        // After a model update the miss half caches under the new stamp.
+        server.update_model(|model| {
+            model.tables_mut()[0].row_mut(0)[0] += 1.0;
+        });
+        assert_eq!(server.top_k_cached(&query), Ok(None));
+        let fresh = server.top_k_miss(&query, &mut scratch).unwrap();
+        server
+            .top_k_into(&query, &mut scratch, &mut expected)
+            .unwrap();
+        assert_eq!(&*fresh, expected.as_slice());
+        let peeked = server.top_k_cached(&query).unwrap().expect("live again");
+        assert!(Arc::ptr_eq(&fresh, &peeked));
+
+        let n = server.num_entities() as u32;
+        assert!(server
+            .top_k_miss(&TopKQuery::tails(n, 0, 3), &mut scratch)
+            .is_err());
+        assert_eq!(server.cache_len(), 1, "rejected queries are never cached");
     }
 
     /// The restricted-scan oracle: full scalar scoring of exactly the

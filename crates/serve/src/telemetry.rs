@@ -3,8 +3,9 @@
 //!
 //! # Overhead contract
 //!
-//! The serve **hit path** — a warm [`KnowledgeServer::top_k`] returning an
-//! `Arc` clone — is deliberately *not* timed per call: two clock reads cost
+//! The serve **hit path** — a warm [`KnowledgeServer::top_k`] or
+//! [`KnowledgeServer::top_k_cached`] returning an `Arc` clone — is
+//! deliberately *not* timed per call: two clock reads cost
 //! a meaningful fraction of the ~hundreds-of-nanoseconds hit itself and
 //! would blow the `NSC_OBS_OVERHEAD_MAX` gate. Instead:
 //!
@@ -24,6 +25,7 @@
 //! the miss path and nothing on the hit path.
 //!
 //! [`KnowledgeServer::top_k`]: crate::KnowledgeServer::top_k
+//! [`KnowledgeServer::top_k_cached`]: crate::KnowledgeServer::top_k_cached
 //! [`KnowledgeServer::attach_metrics`]: crate::KnowledgeServer::attach_metrics
 //! [`CheckpointManager::attach_metrics`]: crate::CheckpointManager::attach_metrics
 //! [`CacheStats`]: crate::CacheStats
