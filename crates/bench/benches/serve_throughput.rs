@@ -23,8 +23,21 @@
 //! `Arc` clone out of a pre-sized LRU) — and a cache **miss** performs one,
 //! the shared answer built in place from the scratch (asserted below 1.1 per
 //! miss under LRU and SLRU, over misses that each evict).
+//!
+//! A **design-point** phase gates the scan mirror at the served snapshot's
+//! shape (TransE, d = 64, |E| = 14,541, |R| = 237): uncached `top_k_into`
+//! (k = 10) and `rank` through the engine, which scan the `f32` mirror and
+//! rescore exactly only what its error bound cannot rule out, against the
+//! exact `f64` scan (`score_all_into` + `top_k_indices_into` / `rank_scan`)
+//! on an identical model. Every answer is first asserted bit-identical;
+//! then alternated passes are timed, and the median exact/engine ratio of
+//! each query shape must reach `MIN_MIRROR_SPEEDUP` (1.25×). Both sides run
+//! on the same host in the same process, so the bound is the same locally
+//! and in CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nscaching_kg::{CorruptionSide, Triple};
+use nscaching_math::{rank_scan, top_k_indices_into};
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_serve::{BatchScratch, CacheConfig, KnowledgeServer, QueryScratch, TopKQuery};
 use nscaching_train::WorkerPool;
@@ -81,6 +94,15 @@ const MAX_ALLOCATIONS_PER_MISS: f64 = 1.1;
 /// Zipf skew exponent (s > 1 concentrates mass on the head, like real
 /// entity-lookup traffic).
 const ZIPF_S: f64 = 1.2;
+/// The served snapshot's vocabulary (`perfbench`'s serving workloads).
+const DESIGN_ENTITIES: usize = 14_541;
+const DESIGN_RELATIONS: usize = 237;
+/// Top-k queries and rank queries per timed design-point pass.
+const DESIGN_QUERIES: usize = 48;
+/// Alternated engine/exact pass pairs per query shape.
+const DESIGN_SAMPLES: usize = 9;
+/// Least median exact/engine time ratio of the design-point scans.
+const MIN_MIRROR_SPEEDUP: f64 = 1.25;
 
 fn server() -> KnowledgeServer {
     server_with(CacheConfig::legacy_lru(CACHE_CAPACITY))
@@ -130,6 +152,135 @@ fn zipf_stream() -> Vec<TopKQuery> {
             universe[rank.min(DISTINCT_QUERIES - 1)]
         })
         .collect()
+}
+
+/// Seconds one call of `pass` takes.
+fn seconds(mut pass: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    pass();
+    start.elapsed().as_secs_f64()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The design-point phase (see the module docs): the engine's two-pass
+/// scans against the exact `f64` scan on an identical TransE model.
+/// Returns the median exact/engine ratios `(top-k, rank)` and the median
+/// engine microseconds per query of each.
+fn design_point() -> ((f64, f64), (f64, f64)) {
+    let config = ModelConfig::new(ModelKind::TransE)
+        .with_dim(DIM)
+        .with_seed(7);
+    let engine = KnowledgeServer::new(build_model(&config, DESIGN_ENTITIES, DESIGN_RELATIONS), 0);
+    assert!(
+        engine.scan_mirror_bytes() > 0,
+        "TransE is served with a mirror"
+    );
+    let exact = build_model(&config, DESIGN_ENTITIES, DESIGN_RELATIONS);
+    let mut rng = StdRng::seed_from_u64(9);
+    let queries: Vec<TopKQuery> = (0..DESIGN_QUERIES)
+        .map(|i| {
+            let entity = rng.gen_range(0..DESIGN_ENTITIES as u32);
+            let relation = rng.gen_range(0..DESIGN_RELATIONS as u32);
+            if i % 2 == 0 {
+                TopKQuery::tails(entity, relation, K)
+            } else {
+                TopKQuery::heads(entity, relation, K)
+            }
+        })
+        .collect();
+    let ranks: Vec<(Triple, CorruptionSide)> = (0..DESIGN_QUERIES)
+        .map(|i| {
+            let triple = Triple::new(
+                rng.gen_range(0..DESIGN_ENTITIES as u32),
+                rng.gen_range(0..DESIGN_RELATIONS as u32),
+                rng.gen_range(0..DESIGN_ENTITIES as u32),
+            );
+            let side = if i % 2 == 0 {
+                CorruptionSide::Tail
+            } else {
+                CorruptionSide::Head
+            };
+            (triple, side)
+        })
+        .collect();
+
+    let mut scratch = QueryScratch::default();
+    let mut out = Vec::new();
+    let (mut scores, mut order) = (Vec::new(), Vec::new());
+    let exact_top_k = |query: &TopKQuery, scores: &mut Vec<f64>, order: &mut Vec<usize>| {
+        let anchor = match query.direction {
+            CorruptionSide::Tail => Triple::new(query.entity, query.relation, 0),
+            CorruptionSide::Head => Triple::new(0, query.relation, query.entity),
+        };
+        exact.score_all_into(&anchor, query.direction, scores);
+        top_k_indices_into(scores, query.k as usize, order);
+    };
+    let exact_rank = |triple: &Triple, side: CorruptionSide, scores: &mut Vec<f64>| {
+        exact.score_all_into(triple, side, scores);
+        let target = triple.entity_at(side) as usize;
+        rank_scan(scores, scores[target], target).rank()
+    };
+
+    // Bit-identity first: nothing is timed unless every answer matches.
+    for query in &queries {
+        engine.top_k_into(query, &mut scratch, &mut out).unwrap();
+        exact_top_k(query, &mut scores, &mut order);
+        let want: Vec<(u32, u64)> = order
+            .iter()
+            .map(|&i| (i as u32, scores[i].to_bits()))
+            .collect();
+        let got: Vec<(u32, u64)> = out.iter().map(|r| (r.entity, r.score.to_bits())).collect();
+        assert_eq!(got, want, "design-point top-k {query:?}");
+    }
+    for (triple, side) in &ranks {
+        let got = engine.rank(triple, *side, &mut scratch).unwrap();
+        let want = exact_rank(triple, *side, &mut scores);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "design-point rank {triple:?} {side:?}"
+        );
+    }
+
+    let (mut top_k_ratio, mut rank_ratio) = (Vec::new(), Vec::new());
+    let (mut top_k_us, mut rank_us) = (Vec::new(), Vec::new());
+    let per_query_us = |secs: f64| secs * 1e6 / DESIGN_QUERIES as f64;
+    for _ in 0..DESIGN_SAMPLES {
+        let engine_secs = seconds(|| {
+            for query in &queries {
+                engine.top_k_into(query, &mut scratch, &mut out).unwrap();
+                black_box(out.len());
+            }
+        });
+        let exact_secs = seconds(|| {
+            for query in &queries {
+                exact_top_k(query, &mut scores, &mut order);
+                black_box(order.len());
+            }
+        });
+        top_k_ratio.push(exact_secs / engine_secs);
+        top_k_us.push(per_query_us(engine_secs));
+        let engine_secs = seconds(|| {
+            for (triple, side) in &ranks {
+                black_box(engine.rank(triple, *side, &mut scratch).unwrap());
+            }
+        });
+        let exact_secs = seconds(|| {
+            for (triple, side) in &ranks {
+                black_box(exact_rank(triple, *side, &mut scores));
+            }
+        });
+        rank_ratio.push(exact_secs / engine_secs);
+        rank_us.push(per_query_us(engine_secs));
+    }
+    (
+        (median(top_k_ratio), median(rank_ratio)),
+        (median(top_k_us), median(rank_us)),
+    )
 }
 
 /// Best-of-`samples` seconds for one full pass over the stream.
@@ -308,6 +459,9 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         })
     };
 
+    // --- The scan mirror at the design point (bit-identity asserted inside).
+    let ((mirror_top_k, mirror_rank), (mirror_top_k_us, mirror_rank_us)) = design_point();
+
     let qps_uncached = stream.len() as f64 / secs_uncached;
     let qps_warm = stream.len() as f64 / secs_warm;
     let qps_batch = stream.len() as f64 / secs_batch;
@@ -323,7 +477,10 @@ fn assert_serve_throughput(_c: &mut Criterion) {
          uncached {qps_uncached:.0} q/s, warm LRU {qps_warm:.0} q/s = {speedup:.1}x \
          (min {min_speedup}x, hit rate {:.1}%), pool(4) batch {qps_batch:.0} q/s; \
          steady-state allocations: uncached {uncached_allocations}, hits {hit_allocations}, \
-         {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss)",
+         {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss); \
+         design point |E|={DESIGN_ENTITIES}: scan mirror top-k {mirror_top_k_us:.0} us = \
+         {mirror_top_k:.2}x the exact scan, rank {mirror_rank_us:.0} us = {mirror_rank:.2}x \
+         (min {MIN_MIRROR_SPEEDUP}x)",
         hit_rate * 100.0,
         miss_allocations
             .iter()
@@ -341,7 +498,7 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         .collect();
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
         stream.len(),
         4 * CACHE_CAPACITY / 2,
         miss_json.join(",\n    "),
@@ -377,6 +534,13 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         "warm-LRU top-k must be ≥{min_speedup}x the uncached path on the Zipf stream \
          (got {speedup:.2}x; override with NSC_SERVE_LRU_MIN)"
     );
+    for (shape, ratio) in [("top-k", mirror_top_k), ("rank", mirror_rank)] {
+        assert!(
+            ratio >= MIN_MIRROR_SPEEDUP,
+            "design-point {shape} through the scan mirror must be ≥{MIN_MIRROR_SPEEDUP}x \
+             the exact f64 scan (median {ratio:.2}x)"
+        );
+    }
 }
 
 criterion_group! {

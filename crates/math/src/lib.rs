@@ -32,6 +32,7 @@ pub use topk::{
     top_k_indices_sort_into, RankScan,
 };
 pub use vecops::{
-    add, add_scaled, dot, hadamard, l1_combine, l1_distance, l1_norm, l1_sum, l2_distance, l2_norm,
-    normalize_l2, scale, sub,
+    add, add_scaled, dot, hadamard, l1_combine, l1_distance, l1_distance_f32,
+    l1_distance_f32_bound, l1_norm, l1_norm_upper, l1_sum, l2_distance, l2_norm, normalize_l2,
+    scale, sub, F32_L1_MAX_ABS,
 };

@@ -64,10 +64,50 @@ pub fn build_model(
     }
 }
 
+/// The `(rows, dim)` of every table [`build_model`] allocates for `config`
+/// and these vocabulary sizes, in `KgeModel::tables()` order, computed
+/// without allocating anything; `None` when a table's size overflows
+/// `usize`. A snapshot loader checks a file's tables against these before
+/// building, so a corrupt size is refused instead of allocated.
+pub fn table_shapes(
+    config: &ModelConfig,
+    num_entities: usize,
+    num_relations: usize,
+) -> Option<Vec<(usize, usize)>> {
+    let (e, r, d) = (num_entities, num_relations, config.dim);
+    let shapes = match config.kind {
+        ModelKind::TransE | ModelKind::DistMult => vec![(e, d), (r, d)],
+        ModelKind::TransH => vec![(e, d), (r, d), (r, d)],
+        ModelKind::TransD => vec![(e, d), (r, d), (e, d), (r, d)],
+        ModelKind::TransR => vec![(e, d), (r, d), (r, d.checked_mul(d)?)],
+        ModelKind::ComplEx => vec![(e, d.checked_mul(2)?), (r, d.checked_mul(2)?)],
+        ModelKind::Rescal => vec![(e, d), (r, d.checked_mul(d)?)],
+    };
+    for &(rows, dim) in &shapes {
+        rows.checked_mul(dim)?;
+    }
+    Some(shapes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nscaching_kg::Triple;
+
+    #[test]
+    fn table_shapes_are_the_built_tables() {
+        for kind in ModelKind::ALL {
+            let config = ModelConfig::new(kind).with_dim(3);
+            let model = build_model(&config, 7, 2);
+            let built: Vec<(usize, usize)> =
+                model.tables().iter().map(|t| (t.rows(), t.dim())).collect();
+            assert_eq!(table_shapes(&config, 7, 2), Some(built), "{kind:?}");
+        }
+        let huge = ModelConfig::new(ModelKind::Rescal).with_dim(1 << 33);
+        assert_eq!(table_shapes(&huge, 1, 1), None, "d² overflows");
+        let wide = ModelConfig::new(ModelKind::TransE).with_dim(1 << 40);
+        assert_eq!(table_shapes(&wide, 1 << 30, 1), None, "|E|·d overflows");
+    }
 
     #[test]
     fn every_kind_builds_with_matching_metadata() {

@@ -192,6 +192,29 @@ pub trait KgeModel: Send + Sync {
         }
     }
 
+    /// The L1 form of this model's full-vocabulary scores, if it has one.
+    ///
+    /// A model answers yes by filling `q` (cleared first) and returning the
+    /// table whose row `e` is entity `e`'s embedding, under this contract:
+    /// every score [`Self::score_all_into`] writes for `side` of `triple` is
+    /// `−nscaching_math::l1_distance(table.row(e), q)`, **bit for bit**. The
+    /// returned table is the same for every `triple` and `side`.
+    ///
+    /// The serving engine keeps an `f32` copy of that table and answers
+    /// full-vocabulary top-k and rank queries by scanning the copy, then
+    /// rescoring exactly, with this `q`, only the rows the copy's error
+    /// bound cannot rule out; the bit-for-bit contract is what makes those
+    /// answers equal the full scan's. The default answers no (`None`),
+    /// which leaves every scan on [`Self::score_all_into`].
+    fn l1_scan_query(
+        &self,
+        _triple: &Triple,
+        _side: CorruptionSide,
+        _q: &mut Vec<f64>,
+    ) -> Option<&EmbeddingTable> {
+        None
+    }
+
     /// Score every entity substituted at `side` of `triple`.
     ///
     /// Allocating convenience wrapper around [`Self::score_all_into`]; hot

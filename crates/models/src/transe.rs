@@ -119,6 +119,18 @@ impl KgeModel for TransE {
         });
     }
 
+    fn l1_scan_query(
+        &self,
+        t: &Triple,
+        side: CorruptionSide,
+        q: &mut Vec<f64>,
+    ) -> Option<&EmbeddingTable> {
+        q.clear();
+        q.resize(self.dim, 0.0);
+        self.fill_query(t, side, q);
+        Some(&self.entities)
+    }
+
     fn accumulate_score_gradient(&self, t: &Triple, coeff: f64, grads: &mut dyn GradientSink) {
         // f = −‖u‖₁ with u = h + r − t ⇒ ∂f/∂u = −sign(u).
         let u = self.residual(t);
@@ -216,6 +228,29 @@ mod tests {
         assert!(rows.contains(&(ENTITY_TABLE, 1)));
         assert!(rows.contains(&(ENTITY_TABLE, 3)));
         assert!(rows.contains(&(RELATION_TABLE, 0)));
+    }
+
+    #[test]
+    fn the_l1_scan_query_reproduces_every_batched_score_bit_for_bit() {
+        let mut rng = seeded_rng(7);
+        // d = 37 exercises the kernel's blocks and its remainder.
+        let m = TransE::new(50, 3, 37, &mut rng);
+        let mut scores = Vec::new();
+        let mut q = Vec::new();
+        for t in [Triple::new(4, 2, 9), Triple::new(0, 0, 49)] {
+            for side in [CorruptionSide::Tail, CorruptionSide::Head] {
+                m.score_all_into(&t, side, &mut scores);
+                let table = m
+                    .l1_scan_query(&t, side, &mut q)
+                    .expect("TransE has an L1 form");
+                assert_eq!(q.len(), 37);
+                assert_eq!(table.rows(), m.num_entities());
+                for (e, score) in scores.iter().enumerate() {
+                    let l1 = -l1_distance(table.row(e), &q);
+                    assert_eq!(l1.to_bits(), score.to_bits(), "{t:?} {side:?} entity {e}");
+                }
+            }
+        }
     }
 
     #[test]

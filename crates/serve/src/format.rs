@@ -193,7 +193,8 @@ pub fn write_frame(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
 }
 
 /// Read, validate and unwrap the frame at `path`, returning the verified
-/// payload bytes.
+/// payload bytes: the file's own buffer with the framing stripped, so a
+/// load never holds two payload-sized buffers at once.
 ///
 /// Reading never modifies the filesystem. A staging file (`*.tmp-snapshot`)
 /// next to `path` is ignored: the final name always holds a complete frame
@@ -209,7 +210,7 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
             "not a regular file",
         )));
     }
-    let bytes = std::fs::read(path)?;
+    let mut bytes = std::fs::read(path)?;
     if bytes.len() < FRAME_BYTES {
         // Too short to even hold the framing; if the start looks like our
         // magic it is a truncated snapshot, otherwise it is not one at all.
@@ -254,13 +255,14 @@ pub fn read_frame(path: &Path) -> Result<Vec<u8>, SnapshotError> {
         )));
     }
     let payload_end = expected_total - 8;
-    let payload = &bytes[20..payload_end];
     let expected = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8 bytes"));
-    let found = fnv1a64(payload);
+    let found = fnv1a64(&bytes[20..payload_end]);
     if expected != found {
         return Err(SnapshotError::ChecksumMismatch { expected, found });
     }
-    Ok(payload.to_vec())
+    bytes.truncate(payload_end);
+    bytes.drain(..20);
+    Ok(bytes)
 }
 
 /// Cursor over a verified payload. Every read reports running out of bytes

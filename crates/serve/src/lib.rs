@@ -17,7 +17,11 @@
 //!    fanned out over the existing worker pool for batch traffic. The
 //!    cache-miss path selects its top-k in one bounded pass
 //!    (`nscaching_math::top_k_indices_into`: O(|E| + k log k), holding at
-//!    most `max(2k, k + 32)` indices) instead of a full sort, and with a
+//!    most `max(2k, k + 32)` indices) instead of a full sort; a TransE
+//!    model's full-vocabulary top-k and rank scan an `f32` mirror of its
+//!    entity table and rescore exactly only the rows the mirror's error
+//!    bound cannot rule out (answers bit-identical to the full scan, see
+//!    [`server`]); and with a
 //!    bound per-relation [`CandidateIndex`] scores only
 //!    the query relation's observed candidate set instead of the full
 //!    vocabulary (see [`candidates`] for the answer semantics). Score, rank
@@ -103,6 +107,7 @@ pub mod crash;
 pub mod error;
 pub mod format;
 pub mod manager;
+mod mirror;
 pub mod policy;
 pub mod server;
 pub mod snapshot;

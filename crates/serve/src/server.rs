@@ -13,15 +13,47 @@
 //!   the batched `score_all_into` fast path (which for TransR/TransD rides
 //!   the relation-projection cache), then selects with the bounded one-pass
 //!   kernel `top_k_indices_into` — all into caller-owned [`QueryScratch`],
-//!   so the uncached steady state allocates nothing.
+//!   so the uncached steady state allocates nothing. A mirrored model scans
+//!   in two passes instead (see *Scan mirror* below).
 //! * **Rank** ([`KnowledgeServer::rank`]): the competition rank of a known
 //!   triple among all corruptions of one side, from the counts of one
 //!   count-only `rank_scan` over the scored entities (no contender indices
-//!   are collected: the unfiltered rank needs only the counts).
+//!   are collected: the unfiltered rank needs only the counts), or the same
+//!   counts from the two passes of a mirrored model.
 //! * **Triplet classification** ([`KnowledgeServer::score`] /
 //!   [`KnowledgeServer::classify`]): the scalar score of one triple, compared
 //!   against a caller-supplied threshold (thresholds are tuned per relation
 //!   by `nscaching_eval`'s classification protocol).
+//!
+//! # Scan mirror
+//!
+//! A full-vocabulary scan is bound by memory bandwidth: it streams every
+//! `f64` entity row, although only the rows near the answer can change it.
+//! So a model whose scores are an L1 distance to a query vector
+//! ([`KgeModel::l1_scan_query`]; of this workspace's models, TransE) is
+//! served with an `f32` copy of its entity table, the *scan mirror*, built
+//! with the model under the same lock (`with_cache`, `reload`,
+//! `update_model`), so a reader never pairs a model with another version's
+//! mirror. Its memory is `4·|E|·d` bytes, half the table (3.7 MB for
+//! 14,541 entities at d = 64), reported as `nsc_serve_scan_mirror_bytes`.
+//! A table holding a non-finite value or one beyond `2^64` gets no mirror.
+//!
+//! Every full-vocabulary top-k and rank of a mirrored model then runs two
+//! passes: an approximate one over the mirror, whose error against the
+//! exact `f64` score has a rigorous bound `B`
+//! (`nscaching_math::l1_distance_f32_bound`), and an exact one that
+//! rescores with the model's own `f64` kernel only the rows `B` cannot rule
+//! out (on the served snapshot, 10.0 rows per top-10 and 5.3 per rank of a
+//! random triple). A row whose
+//! approximate score trails the `k`-th best by more than `2B` has at least
+//! `k` rows strictly ahead of it, so it can never enter the answer; the
+//! rest are rescored in ascending id order, so the selection's tie break is
+//! the full scan's. Every answer — ids, order, score bits, rank — is
+//! therefore the exact scan's, bit for bit (the derivation is in
+//! `crate::mirror`; `tests/scan_mirror.rs` checks it against the model's
+//! own scan). Models without an L1 form, queries a bound
+//! [`CandidateIndex`] shrinks, `k = 0`, `k ≥ |E|` and query vectors outside
+//! the bound's domain take the exact scan.
 //!
 //! # Cache contract
 //!
@@ -63,6 +95,7 @@
 use crate::cache::{CacheStats, PolicyCache};
 use crate::candidates::CandidateIndex;
 use crate::error::SnapshotError;
+use crate::mirror::{MirrorScratch, ScanMirror};
 use crate::policy::PolicyKind;
 use crate::snapshot::load_model;
 use crate::telemetry::ServeMetrics;
@@ -209,22 +242,37 @@ fn validate_triple(model: &dyn KgeModel, triple: &Triple) -> Result<(), QueryErr
 /// `serve_throughput` bench).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// All-entity score buffer (`score_all_into` target).
+    /// Score buffer: every entity's (`score_all_into` target), a candidate
+    /// set's, or the rows a two-pass scan rescored.
     scores: Vec<f64>,
     /// Index buffer of the top-k selection.
     order: Vec<usize>,
+    /// Buffers of the scan mirror's two passes.
+    mirror: MirrorScratch,
+}
+
+/// Which entities the indices [`select_top_k`] selected point at.
+#[derive(Debug, Clone, Copy)]
+enum Scanned<'i> {
+    /// The whole vocabulary, scanned exactly: indices are entity ids.
+    Vocabulary,
+    /// A bound candidate index's list.
+    Candidates(&'i [EntityId]),
+    /// The rows the scan mirror's exact pass rescored
+    /// (`QueryScratch::mirror.refined`).
+    Refined,
 }
 
 impl QueryScratch {
     /// The selection [`select_top_k`] left in this scratch, best first.
-    /// `candidates` is what it returned: the entity list the selected
-    /// indices point into, or `None` when they are entity ids themselves.
-    fn ranked<'a>(
-        &'a self,
-        candidates: Option<&'a [EntityId]>,
-    ) -> impl Iterator<Item = RankedEntity> + 'a {
+    /// `scanned` is what it returned.
+    fn ranked<'a>(&'a self, scanned: Scanned<'a>) -> impl Iterator<Item = RankedEntity> + 'a {
         self.order.iter().map(move |&i| RankedEntity {
-            entity: candidates.map_or(i as EntityId, |c| c[i]),
+            entity: match scanned {
+                Scanned::Vocabulary => i as EntityId,
+                Scanned::Candidates(candidates) => candidates[i],
+                Scanned::Refined => self.mirror.refined[i],
+            },
             score: self.scores[i],
         })
     }
@@ -297,8 +345,28 @@ impl CacheConfig {
     }
 }
 
+/// The served model and its scan mirror, under one lock so that a reader
+/// can never pair a model with another version's mirror.
+struct Served {
+    model: Box<dyn KgeModel>,
+    /// `Some` for a model with an L1 form whose entity values the mirror's
+    /// error bound covers; see [`crate::mirror`].
+    mirror: Option<ScanMirror>,
+}
+
+impl Served {
+    fn new(model: Box<dyn KgeModel>) -> Self {
+        let mirror = ScanMirror::build(model.as_ref());
+        Self { model, mirror }
+    }
+
+    fn mirror_bytes(&self) -> u64 {
+        self.mirror.as_ref().map_or(0, |m| m.bytes() as u64)
+    }
+}
+
 struct ServerInner {
-    model: RwLock<Box<dyn KgeModel>>,
+    served: RwLock<Served>,
     /// Optional per-relation candidate index for the top-k miss path; see
     /// [`CandidateIndex`] for the answer semantics. Written only under the
     /// model write lock (lock order: model → candidates → cache).
@@ -311,6 +379,9 @@ struct ServerInner {
     /// Bumped on every load/update so stamps from different loaded models
     /// can never collide even if their version sums do.
     generation: AtomicU64,
+    /// Bytes of the served scan mirror (0 without one), for the scrape-time
+    /// gauge. Written only under the model write lock.
+    mirror_bytes: AtomicU64,
     /// Attach-once telemetry handles. Consulted only off the hit path (one
     /// relaxed load on a cache miss); see [`crate::telemetry`] for the
     /// overhead contract.
@@ -335,9 +406,11 @@ impl KnowledgeServer {
     /// — capacity and eviction policy.
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
+        let served = Served::new(model);
         Self {
             inner: Arc::new(ServerInner {
-                model: RwLock::new(model),
+                mirror_bytes: AtomicU64::new(served.mirror_bytes()),
+                served: RwLock::new(served),
                 candidates: RwLock::new(None),
                 cache: Mutex::new(PolicyCache::new(config.capacity, config.policy)),
                 stamp: AtomicU64::new(stamp),
@@ -359,12 +432,19 @@ impl KnowledgeServer {
         self.inner.metrics.get()
     }
 
-    /// Bridge this engine's cache counters onto the attached registry
-    /// (scrape-time; a no-op when no metrics are attached).
+    /// Bridge this engine's cache counters and scan-mirror size onto the
+    /// attached registry (scrape-time; a no-op when no metrics are
+    /// attached). Takes no model lock.
     pub fn publish_metrics(&self) {
         if let Some(metrics) = self.inner.metrics.get() {
-            metrics.bridge(&self.cache_stats());
+            metrics.bridge(&self.cache_stats(), self.scan_mirror_bytes());
         }
+    }
+
+    /// Resident bytes of the served model's `f32` scan mirror: `4·|E|·d`
+    /// for a mirrored model, 0 for one without (see the module docs).
+    pub fn scan_mirror_bytes(&self) -> u64 {
+        self.inner.mirror_bytes.load(Ordering::Relaxed)
     }
 
     /// Load a model from a snapshot (or full checkpoint) file and serve it.
@@ -383,26 +463,38 @@ impl KnowledgeServer {
     /// one drops it, and the eviction policy recycles the rest as fresh
     /// answers displace them.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
-        let model = load_model(path)?.into_model()?;
-        let mut guard = self.inner.model.write().expect("model lock");
+        // The new scan mirror is built before the write lock is taken, so
+        // readers wait only for the swap.
+        let served = Served::new(load_model(path)?.into_model()?);
+        let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        *guard = model;
-        self.inner
-            .stamp
-            .store(stamp_of(guard.as_ref(), generation), Ordering::Release);
+        *guard = served;
+        self.publish_served(&guard, generation);
         Ok(())
     }
 
     /// Mutate the served model in place (e.g. apply an online fine-tuning
     /// step), refreshing the cache stamp so every prior answer is invalidated
-    /// by the tables' bumped versions.
+    /// by the tables' bumped versions, and rebuilding the scan mirror from
+    /// the mutated tables.
     pub fn update_model(&self, update: impl FnOnce(&mut dyn KgeModel)) {
-        let mut guard = self.inner.model.write().expect("model lock");
+        let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        update(guard.as_mut());
+        update(guard.model.as_mut());
+        guard.mirror = ScanMirror::build(guard.model.as_ref());
+        self.publish_served(&guard, generation);
+    }
+
+    /// Publish the stamp and mirror size of a freshly written `served`.
+    /// Called under the model write lock.
+    fn publish_served(&self, served: &Served, generation: u64) {
+        self.inner.stamp.store(
+            stamp_of(served.model.as_ref(), generation),
+            Ordering::Release,
+        );
         self.inner
-            .stamp
-            .store(stamp_of(guard.as_ref(), generation), Ordering::Release);
+            .mirror_bytes
+            .store(served.mirror_bytes(), Ordering::Relaxed);
     }
 
     /// Bind a per-relation [`CandidateIndex`]: subsequent top-k misses score
@@ -429,12 +521,13 @@ impl KnowledgeServer {
         // Same discipline as `update_model`: the swap happens under the
         // model write lock, so no reader can compute an answer while the
         // stamp and the index disagree.
-        let guard = self.inner.model.write().expect("model lock");
+        let guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
         *self.inner.candidates.write().expect("candidate lock") = index;
-        self.inner
-            .stamp
-            .store(stamp_of(guard.as_ref(), generation), Ordering::Release);
+        self.inner.stamp.store(
+            stamp_of(guard.model.as_ref(), generation),
+            Ordering::Release,
+        );
     }
 
     /// The bound candidate index, if any (diagnostics and benches).
@@ -448,17 +541,27 @@ impl KnowledgeServer {
 
     /// The served scoring function.
     pub fn kind(&self) -> ModelKind {
-        self.inner.model.read().expect("model lock").kind()
+        self.inner.served.read().expect("model lock").model.kind()
     }
 
     /// Entity vocabulary size of the served model.
     pub fn num_entities(&self) -> usize {
-        self.inner.model.read().expect("model lock").num_entities()
+        self.inner
+            .served
+            .read()
+            .expect("model lock")
+            .model
+            .num_entities()
     }
 
     /// Relation vocabulary size of the served model.
     pub fn num_relations(&self) -> usize {
-        self.inner.model.read().expect("model lock").num_relations()
+        self.inner
+            .served
+            .read()
+            .expect("model lock")
+            .model
+            .num_relations()
     }
 
     /// The current model stamp (diagnostics; changes on every reload/update).
@@ -516,12 +619,12 @@ impl KnowledgeServer {
         scratch: &mut QueryScratch,
         out: &mut Vec<RankedEntity>,
     ) -> Result<(), QueryError> {
-        let model = self.inner.model.read().expect("model lock");
-        validate_ids(model.as_ref(), query.entity, query.relation)?;
+        let served = self.inner.served.read().expect("model lock");
+        validate_ids(served.model.as_ref(), query.entity, query.relation)?;
         let index = self.inner.candidates.read().expect("candidate lock");
-        let candidates = select_top_k(model.as_ref(), index.as_deref(), query, scratch);
+        let scanned = select_top_k(&served, index.as_deref(), query, scratch);
         out.clear();
-        out.extend(scratch.ranked(candidates));
+        out.extend(scratch.ranked(scanned));
         Ok(())
     }
 
@@ -540,13 +643,13 @@ impl KnowledgeServer {
         // stamp cannot move while we hold it (writers take the write lock),
         // so the entry we insert is provably stamped with the tables it was
         // computed from. Lock order is always model → cache.
-        let model = self.inner.model.read().expect("model lock");
-        validate_ids(model.as_ref(), query.entity, query.relation)?;
+        let served = self.inner.served.read().expect("model lock");
+        validate_ids(served.model.as_ref(), query.entity, query.relation)?;
         let stamp = self.inner.stamp.load(Ordering::Acquire);
         if let Some(answer) = self.cached_answer(query, stamp) {
             return Ok(answer);
         }
-        Ok(self.compute_and_cache(model.as_ref(), stamp, query, scratch))
+        Ok(self.compute_and_cache(&served, stamp, query, scratch))
     }
 
     /// The lookup half of [`Self::top_k`]: the live cached answer to
@@ -565,8 +668,8 @@ impl KnowledgeServer {
         &self,
         query: &TopKQuery,
     ) -> Result<Option<Arc<[RankedEntity]>>, QueryError> {
-        let model = self.inner.model.read().expect("model lock");
-        validate_ids(model.as_ref(), query.entity, query.relation)?;
+        let served = self.inner.served.read().expect("model lock");
+        validate_ids(served.model.as_ref(), query.entity, query.relation)?;
         let stamp = self.inner.stamp.load(Ordering::Acquire);
         Ok(self.cached_answer(query, stamp))
     }
@@ -583,17 +686,17 @@ impl KnowledgeServer {
         query: &TopKQuery,
         scratch: &mut QueryScratch,
     ) -> Result<Arc<[RankedEntity]>, QueryError> {
-        let model = self.inner.model.read().expect("model lock");
-        validate_ids(model.as_ref(), query.entity, query.relation)?;
+        let served = self.inner.served.read().expect("model lock");
+        validate_ids(served.model.as_ref(), query.entity, query.relation)?;
         let stamp = self.inner.stamp.load(Ordering::Acquire);
-        Ok(self.compute_and_cache(model.as_ref(), stamp, query, scratch))
+        Ok(self.compute_and_cache(&served, stamp, query, scratch))
     }
 
     /// Compute `query`'s answer and cache it under `stamp`. Must be called
     /// under the model read lock `stamp` was read under.
     fn compute_and_cache(
         &self,
-        model: &dyn KgeModel,
+        served: &Served,
         stamp: u64,
         query: &TopKQuery,
         scratch: &mut QueryScratch,
@@ -603,11 +706,11 @@ impl KnowledgeServer {
         // clock-free — see the telemetry module's overhead contract).
         let compute_started = self.inner.metrics.get().map(|_| Instant::now());
         let index = self.inner.candidates.read().expect("candidate lock");
-        let candidates = select_top_k(model, index.as_deref(), query, scratch);
+        let scanned = select_top_k(served, index.as_deref(), query, scratch);
         // One allocation, sized by what the kernel selected (`query.k` is an
         // untrusted wire value): the selection's exact length lets the `Arc`
         // be built in place from the scratch.
-        let answer: Arc<[RankedEntity]> = scratch.ranked(candidates).collect();
+        let answer: Arc<[RankedEntity]> = scratch.ranked(scanned).collect();
         if let (Some(metrics), Some(started)) = (self.inner.metrics.get(), compute_started) {
             metrics.topk_compute_us.observe(started.elapsed());
         }
@@ -623,8 +726,8 @@ impl KnowledgeServer {
 
     /// The model score of one triple (larger = more plausible).
     pub fn score(&self, triple: &Triple) -> Result<f64, QueryError> {
-        let model = self.inner.model.read().expect("model lock");
-        score_triple(model.as_ref(), triple)
+        let served = self.inner.served.read().expect("model lock");
+        score_triple(served.model.as_ref(), triple)
     }
 
     /// Triplet classification against a caller-tuned threshold.
@@ -633,16 +736,25 @@ impl KnowledgeServer {
     }
 
     /// Competition rank (1-based, half-credit ties) of `triple` among all
-    /// corruptions of `side`, from one count-only [`rank_scan`] of the
-    /// scored entities.
+    /// corruptions of `side`: the counts of one count-only [`rank_scan`] of
+    /// the scored entities, or, for a mirrored model, the same counts from
+    /// the scan mirror's two passes (see the module docs).
     pub fn rank(
         &self,
         triple: &Triple,
         side: CorruptionSide,
         scratch: &mut QueryScratch,
     ) -> Result<f64, QueryError> {
-        let model = self.inner.model.read().expect("model lock");
-        validate_triple(model.as_ref(), triple)?;
+        let served = self.inner.served.read().expect("model lock");
+        let model = served.model.as_ref();
+        validate_triple(model, triple)?;
+        if let Some(scan) = served
+            .mirror
+            .as_ref()
+            .and_then(|mirror| mirror.rank(model, triple, side, &mut scratch.mirror))
+        {
+            return Ok(scan.rank());
+        }
         model.score_all_into(triple, side, &mut scratch.scores);
         let true_entity = triple.entity_at(side) as usize;
         Ok(rank_scan(&scratch.scores, scratch.scores[true_entity], true_entity).rank())
@@ -702,9 +814,9 @@ impl KnowledgeServer {
             .map(|(worker, (triples, slots))| {
                 let server = self;
                 let job = Box::new(move || {
-                    let model = server.inner.model.read().expect("model lock");
+                    let served = server.inner.served.read().expect("model lock");
                     for (triple, slot) in triples.iter().zip(slots) {
-                        *slot = score_triple(model.as_ref(), triple);
+                        *slot = score_triple(served.model.as_ref(), triple);
                     }
                 }) as Box<dyn FnOnce() + Send + '_>;
                 (worker, job)
@@ -714,9 +826,8 @@ impl KnowledgeServer {
 }
 
 /// Score the open slot of `query` and leave the indices of its top `k` in
-/// `scratch.order`, best first, ties towards the lower index. Returns the
-/// entity list those indices point into, or `None` when the whole vocabulary
-/// was scanned and they are entity ids; [`QueryScratch::ranked`] maps them.
+/// `scratch.order`, best first, ties towards the lower index. Returns which
+/// entities those indices point at; [`QueryScratch::ranked`] maps them.
 ///
 /// Candidate-index fast path: when a bound `index` shrinks the scan, only
 /// the relation's observed entities are scored, through the batched gather
@@ -724,25 +835,41 @@ impl KnowledgeServer {
 /// pass's lower-index tie break *is* the full scan's lower-entity-id tie
 /// break, and the ranking over the set is bit-identical to scanning it
 /// entity by entity (asserted against the restricted-scan oracle in the
-/// candidate-index tests).
+/// candidate-index tests). A full-vocabulary scan of a mirrored model runs
+/// the scan mirror's two passes, whose answer is the exact scan's (see the
+/// module docs); the exact scan answers everything else.
 fn select_top_k<'i>(
-    model: &dyn KgeModel,
+    served: &Served,
     index: Option<&'i CandidateIndex>,
     query: &TopKQuery,
     scratch: &mut QueryScratch,
-) -> Option<&'i [EntityId]> {
+) -> Scanned<'i> {
+    let model = served.model.as_ref();
     let anchor = query.anchor();
-    let candidates = index.and_then(|index| {
+    let k = query.k as usize;
+    if let Some(candidates) = index.and_then(|index| {
         index.shrinking_candidates(query.relation, query.direction, model.num_entities())
-    });
-    match candidates {
-        Some(candidates) => {
-            model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores)
-        }
-        None => model.score_all_into(&anchor, query.direction, &mut scratch.scores),
+    }) {
+        model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores);
+        top_k_indices_into(&scratch.scores, k, &mut scratch.order);
+        return Scanned::Candidates(candidates);
     }
-    top_k_indices_into(&scratch.scores, query.k as usize, &mut scratch.order);
-    candidates
+    if let Some(mirror) = &served.mirror {
+        if mirror.top_k(
+            model,
+            &anchor,
+            query.direction,
+            k,
+            &mut scratch.mirror,
+            &mut scratch.scores,
+            &mut scratch.order,
+        ) {
+            return Scanned::Refined;
+        }
+    }
+    model.score_all_into(&anchor, query.direction, &mut scratch.scores);
+    top_k_indices_into(&scratch.scores, k, &mut scratch.order);
+    Scanned::Vocabulary
 }
 
 /// Score one triple after validating its ids against the model.
@@ -829,7 +956,8 @@ mod tests {
 
     /// The full-sort oracle over the batched scores `select_top_k` sees.
     fn sort_oracle_top_k(server: &KnowledgeServer, query: &TopKQuery) -> Vec<RankedEntity> {
-        let model = server.inner.model.read().expect("model lock");
+        let served = server.inner.served.read().expect("model lock");
+        let model = served.model.as_ref();
         let mut scores = Vec::new();
         model.score_all_into(&query.anchor(), query.direction, &mut scores);
         let mut order = Vec::new();
@@ -1235,6 +1363,43 @@ mod tests {
         let b = clone.top_k(&query, &mut scratch).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "clone hits the shared cache");
         assert_eq!(clone.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn the_scan_mirror_gauge_follows_the_served_model() {
+        use nscaching_obs::MetricsRegistry;
+        let gauge = |server: &KnowledgeServer, registry: &MetricsRegistry| {
+            server.publish_metrics();
+            registry.gauge_value("nsc_serve_scan_mirror_bytes", &[])
+        };
+        // TransE at d = 8 over 40 entities: 4·40·8 bytes.
+        let registry = MetricsRegistry::new();
+        let transe = server(ModelKind::TransE, 0);
+        transe.attach_metrics(ServeMetrics::register(&registry));
+        assert_eq!(transe.scan_mirror_bytes(), 4 * 40 * 8);
+        assert_eq!(gauge(&transe, &registry), Some(1280.0));
+
+        // DistMult has no L1 form, so no mirror.
+        let registry = MetricsRegistry::new();
+        let distmult = server(ModelKind::DistMult, 0);
+        distmult.attach_metrics(ServeMetrics::register(&registry));
+        assert_eq!(gauge(&distmult, &registry), Some(0.0));
+
+        // A reload swaps the mirror with the model, both ways.
+        let dir = std::env::temp_dir().join("nscaching-serve-mirror-gauge");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("transe-{}.snap", std::process::id()));
+        let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(16), 25, 3);
+        crate::snapshot::save_model(&path, model.as_ref()).unwrap();
+        distmult.reload(&path).unwrap();
+        assert_eq!(gauge(&distmult, &registry), Some((4 * 25 * 16) as f64));
+        let path_distmult = dir.join(format!("distmult-{}.snap", std::process::id()));
+        let model = build_model(&ModelConfig::new(ModelKind::DistMult).with_dim(8), 30, 3);
+        crate::snapshot::save_model(&path_distmult, model.as_ref()).unwrap();
+        distmult.reload(&path_distmult).unwrap();
+        assert_eq!(gauge(&distmult, &registry), Some(0.0));
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(path_distmult);
     }
 
     fn server_with_cache(kind: ModelKind, config: CacheConfig) -> KnowledgeServer {

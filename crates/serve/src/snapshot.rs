@@ -25,7 +25,7 @@ use nscaching::{
     CacheEntryState, CacheState, GeneratorKind, GeneratorState, GeneratorTableState,
     NegativeSampler, NsCachingShardState, NsCachingState, SamplerState,
 };
-use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
+use nscaching_models::{build_model, table_shapes, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::{
     AdaGradTableState, AdamTableState, OptimizerConfig, OptimizerKind, OptimizerState,
 };
@@ -102,26 +102,30 @@ impl ModelSnapshot {
     /// with [`SnapshotError::SchemaMismatch`] instead of scoring garbage.
     pub fn into_model(self) -> Result<Box<dyn KgeModel>, SnapshotError> {
         let config = ModelConfig::new(self.kind).with_dim(self.dim);
-        let mut model = build_model(&config, self.num_entities, self.num_relations);
-        let mut tables = model.tables_mut();
-        if tables.len() != self.tables.len() {
+        // Check the shapes before building: the tables `build_model` would
+        // allocate must be exactly the ones the file holds, so a corrupt
+        // dimension or vocabulary size is refused here instead of sizing
+        // an allocation.
+        if self.dim == 0 {
+            return Err(SnapshotError::Corrupt("model dimension 0".into()));
+        }
+        let expected = table_shapes(&config, self.num_entities, self.num_relations);
+        let held: Vec<(usize, usize)> = self.tables.iter().map(|t| (t.rows, t.dim)).collect();
+        if expected.as_ref() != Some(&held) {
             return Err(SnapshotError::SchemaMismatch(format!(
-                "{:?} built with {} tables but the snapshot holds {}",
-                self.kind,
-                tables.len(),
-                self.tables.len()
+                "{:?} at d = {}, |E| = {}, |R| = {} has tables {expected:?}, \
+                 but the snapshot holds {held:?}",
+                self.kind, self.dim, self.num_entities, self.num_relations
             )));
         }
+        let mut model = build_model(&config, self.num_entities, self.num_relations);
+        let mut tables = model.tables_mut();
         for (table, snap) in tables.iter_mut().zip(&self.tables) {
-            if table.name() != snap.name || table.rows() != snap.rows || table.dim() != snap.dim {
+            if table.name() != snap.name {
                 return Err(SnapshotError::SchemaMismatch(format!(
-                    "table {:?} ({}×{}) does not match snapshot table {:?} ({}×{})",
+                    "table {:?} does not match snapshot table {:?}",
                     table.name(),
-                    table.rows(),
-                    table.dim(),
-                    snap.name,
-                    snap.rows,
-                    snap.dim
+                    snap.name
                 )));
             }
             if snap.data.len() != snap.rows * snap.dim {
@@ -165,7 +169,7 @@ impl ModelSnapshot {
             let rows = r.u64("table rows")? as usize;
             let dim = r.u64("table dim")? as usize;
             let data = r.f64_slice("table slab")?;
-            if data.len() != rows * dim {
+            if rows.checked_mul(dim) != Some(data.len()) {
                 return Err(SnapshotError::Corrupt(format!(
                     "table {name:?} slab holds {} values, expected {rows}×{dim}",
                     data.len()
@@ -569,7 +573,7 @@ fn decode_sampler_state(r: &mut Reader<'_>) -> Result<SamplerState, SnapshotErro
                 let rows = r.u64("generator table rows")? as usize;
                 let dim = r.u64("generator table dim")? as usize;
                 let data = r.f64_slice("generator table slab")?;
-                if data.len() != rows * dim {
+                if rows.checked_mul(dim) != Some(data.len()) {
                     return Err(SnapshotError::Corrupt(format!(
                         "generator table {name:?} slab holds {} values, expected {rows}×{dim}",
                         data.len()

@@ -31,7 +31,7 @@
 //! [`CacheStats`]: crate::CacheStats
 
 use crate::cache::CacheStats;
-use nscaching_obs::{Counter, LatencyHistogram, MetricsRegistry};
+use nscaching_obs::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
 use std::sync::Arc;
 
 /// Registered handles for every serve-layer metric. Cheap to clone the
@@ -44,6 +44,9 @@ pub struct ServeMetrics {
     cache_evictions: Arc<Counter>,
     /// Version-invalidated entries dropped at lookup (never served stale).
     pub(crate) stale_invalidations: Arc<Counter>,
+    /// Resident bytes of the served model's `f32` scan mirror (0 without
+    /// one), bridged at scrape.
+    scan_mirror_bytes: Arc<Gauge>,
     /// Miss-path top-k compute time (model scan + selection), microseconds.
     pub(crate) topk_compute_us: Arc<LatencyHistogram>,
     /// Whole [`CheckpointManager::save`](crate::CheckpointManager::save)
@@ -69,6 +72,7 @@ impl ServeMetrics {
             cache_misses: cache("nsc_serve_cache_misses_total", "topk"),
             cache_evictions: cache("nsc_serve_cache_evictions_total", "topk"),
             stale_invalidations: registry.counter("nsc_serve_stale_invalidations_total"),
+            scan_mirror_bytes: registry.gauge("nsc_serve_scan_mirror_bytes"),
             topk_compute_us: registry.histogram("nsc_serve_topk_compute_us"),
             checkpoint_save_us: registry.histogram("nsc_serve_checkpoint_save_us"),
             checkpoint_recover_us: registry.histogram("nsc_serve_checkpoint_recover_us"),
@@ -77,12 +81,15 @@ impl ServeMetrics {
         })
     }
 
-    /// Bridge the engine's cumulative cache counters onto the registry
-    /// (scrape-time only — the hot path never calls this).
-    pub fn bridge(&self, topk: &CacheStats) {
+    /// Bridge the engine's cumulative cache counters and its scan-mirror
+    /// size onto the registry (scrape-time only — the hot path never calls
+    /// this). The mirror is bridged rather than set where it is built
+    /// because an engine's metrics attach after its first mirror exists.
+    pub fn bridge(&self, topk: &CacheStats, scan_mirror_bytes: u64) {
         self.cache_hits.store(topk.hits);
         self.cache_misses.store(topk.misses);
         self.cache_evictions.store(topk.evictions);
+        self.scan_mirror_bytes.set(scan_mirror_bytes as f64);
     }
 }
 
@@ -98,14 +105,21 @@ mod tests {
         a.stale_invalidations.inc();
         assert_eq!(b.stale_invalidations.get(), 1, "same underlying counters");
 
-        a.bridge(&CacheStats {
-            hits: 10,
-            misses: 4,
-            evictions: 2,
-        });
+        a.bridge(
+            &CacheStats {
+                hits: 10,
+                misses: 4,
+                evictions: 2,
+            },
+            4096,
+        );
         assert_eq!(
             registry.counter_value("nsc_serve_cache_hits_total", &[("cache", "topk")]),
             Some(10)
+        );
+        assert_eq!(
+            registry.gauge_value("nsc_serve_scan_mirror_bytes", &[]),
+            Some(4096.0)
         );
     }
 }

@@ -1,0 +1,270 @@
+//! Decoding hostile snapshot payloads.
+//!
+//! The bit-flip sweeps in `snapshot_roundtrip.rs` are caught by the frame
+//! checksum before a section parser runs. Here every mutated payload is
+//! re-framed with a valid checksum, so the section parsers themselves meet
+//! it: byte flips, truncated sections, and length and count fields set to
+//! hostile values. Whatever the bytes, `load_model` (followed, when it
+//! decodes, by `into_model`, the serving reload path) and `load_checkpoint`
+//! must return a typed `SnapshotError` or a valid result — never panic and
+//! never abort on an allocation sized by a corrupt count.
+
+use nscaching::{NsCachingConfig, SamplerConfig};
+use nscaching_datagen::GeneratorConfig;
+use nscaching_kg::Dataset;
+use nscaching_models::{build_model, ModelConfig, ModelKind};
+use nscaching_optim::OptimizerConfig;
+use nscaching_serve::format::{fnv1a64, read_frame, FORMAT_VERSION, MAGIC};
+use nscaching_serve::{load_checkpoint, load_model, save_checkpoint, save_model};
+use nscaching_train::{TrainConfig, Trainer};
+use proptest::prelude::*;
+use proptest::TestRng;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+fn scratch_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("nscaching-snapshot-decode");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}.snap", std::process::id()))
+}
+
+/// Frame `payload` with a valid checksum (no fsync: nothing here needs
+/// durability).
+fn write_valid_frame(path: &Path, payload: &[u8]) {
+    let mut frame = Vec::with_capacity(payload.len() + 28);
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    std::fs::write(path, frame).unwrap();
+}
+
+fn dataset() -> Dataset {
+    let mut c = GeneratorConfig::small("decode");
+    c.num_entities = 16;
+    c.num_train = 40;
+    c.num_valid = 4;
+    c.num_test = 4;
+    c.seed = 2;
+    nscaching_datagen::generate(&c).unwrap()
+}
+
+/// Valid payloads to mutate: a model-only snapshot of every model kind, and
+/// checkpoints with each sampler-state variant and each optimizer state.
+struct Seeds {
+    models: Vec<Vec<u8>>,
+    checkpoints: Vec<Vec<u8>>,
+}
+
+fn seeds() -> &'static Seeds {
+    static SEEDS: OnceLock<Seeds> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let path = scratch_path("seed");
+        let models = ModelKind::ALL
+            .iter()
+            .map(|&kind| {
+                let model = build_model(&ModelConfig::new(kind).with_dim(2).with_seed(1), 5, 2);
+                save_model(&path, model.as_ref()).unwrap();
+                read_frame(&path).unwrap()
+            })
+            .collect();
+        let ds = dataset();
+        let runs = [
+            (
+                SamplerConfig::NsCaching(NsCachingConfig::new(2, 2)),
+                OptimizerConfig::adam(0.01),
+            ),
+            (SamplerConfig::Bernoulli, OptimizerConfig::adagrad(0.01)),
+            (
+                SamplerConfig::KbGan {
+                    generator: ModelKind::TransE,
+                    generator_dim: 2,
+                    candidate_size: 2,
+                    generator_lr: 0.01,
+                },
+                OptimizerConfig::sgd(0.01),
+            ),
+        ];
+        let checkpoints = runs
+            .into_iter()
+            .map(|(sampler, optimizer)| {
+                let model = build_model(
+                    &ModelConfig::new(ModelKind::TransE).with_dim(2).with_seed(3),
+                    ds.num_entities(),
+                    ds.num_relations(),
+                );
+                let sampler = nscaching::build_sampler(&sampler, &ds, 5);
+                let config = TrainConfig::new(1)
+                    .with_batch_size(16)
+                    .with_optimizer(optimizer)
+                    .with_seed(7)
+                    .with_shards(1);
+                let mut trainer = Trainer::new(model, sampler, &ds, config);
+                trainer.train_epoch();
+                save_checkpoint(&path, &trainer).unwrap();
+                read_frame(&path).unwrap()
+            })
+            .collect();
+        let _ = std::fs::remove_file(&path);
+        Seeds {
+            models,
+            checkpoints,
+        }
+    })
+}
+
+/// Values that hostile length and count fields take: zero, just past the
+/// data, powers of two around the 32-bit boundary, and the extremes.
+const HOSTILE: [u64; 9] = [
+    0,
+    1,
+    255,
+    1 << 31,
+    u32::MAX as u64,
+    1 << 32,
+    1 << 40,
+    1 << 62,
+    u64::MAX,
+];
+
+/// Offsets of every section header (tag byte) in a payload.
+fn section_offsets(payload: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    while at + 9 <= payload.len() {
+        offsets.push(at);
+        let len = u64::from_le_bytes(payload[at + 1..at + 9].try_into().unwrap());
+        at = match usize::try_from(len)
+            .ok()
+            .and_then(|l| (at + 9).checked_add(l))
+        {
+            Some(next) => next,
+            None => break,
+        };
+    }
+    offsets
+}
+
+/// Apply one to three random mutations to `payload`.
+fn mutate(rng: &mut TestRng, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = payload.to_vec();
+    let sections = section_offsets(payload);
+    for _ in 0..1 + rng.below(3) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.below(bytes.len() as u64) as usize;
+        match rng.below(5) {
+            // Flip one bit anywhere.
+            0 => bytes[at] ^= 1 << rng.below(8),
+            // Overwrite a u64 field with a hostile value. Section bodies
+            // start with their counts and dimensions, so aim near a
+            // section start half the time.
+            1 | 2 => {
+                let base = if rng.below(2) == 0 && !sections.is_empty() {
+                    let s = sections[rng.below(sections.len() as u64) as usize];
+                    (s + 9 + rng.below(48) as usize).min(bytes.len())
+                } else {
+                    at
+                };
+                let value = HOSTILE[rng.below(HOSTILE.len() as u64) as usize];
+                let width = if rng.below(2) == 0 { 8 } else { 4 };
+                let end = (base + width).min(bytes.len());
+                let le = value.to_le_bytes();
+                bytes[base..end].copy_from_slice(&le[..end - base]);
+            }
+            // Truncate the payload.
+            3 => bytes.truncate(at),
+            // Cut a section body short while keeping its declared length
+            // consistent, so the section parser runs out of bytes.
+            _ => {
+                if let Some(&s) = sections.get(rng.below(sections.len().max(1) as u64) as usize) {
+                    if s + 9 <= bytes.len() {
+                        let len = u64::from_le_bytes(bytes[s + 1..s + 9].try_into().unwrap());
+                        let cut = rng.below(len.max(1)) as usize;
+                        let start = s + 9 + cut;
+                        let end = (s + 9).saturating_add(len as usize).min(bytes.len());
+                        if start < end {
+                            bytes.drain(start..end);
+                            bytes[s + 1..s + 9].copy_from_slice(&(cut as u64).to_le_bytes());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    bytes
+}
+
+/// Feed one payload to every loader; a panic fails the test.
+fn decode_everything(path: &Path, payload: &[u8]) {
+    write_valid_frame(path, payload);
+    if let Ok(snapshot) = load_model(path) {
+        if let Ok(model) = snapshot.into_model() {
+            assert!(
+                model.num_entities() <= 1 << 20,
+                "a model larger than its file"
+            );
+        }
+    }
+    let _ = load_checkpoint(path);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    #[test]
+    fn mutated_payloads_decode_to_typed_errors_or_valid_values(
+        seed in any::<u64>(),
+        pick in any::<u32>(),
+    ) {
+        let seeds = seeds();
+        let all: Vec<&Vec<u8>> = seeds.models.iter().chain(&seeds.checkpoints).collect();
+        let payload = all[pick as usize % all.len()];
+        let mut rng = TestRng::new(seed);
+        let mutated = mutate(&mut rng, payload);
+        decode_everything(&scratch_path("fuzz"), &mutated);
+    }
+}
+
+#[test]
+fn every_hostile_value_in_every_header_word_is_refused_or_decoded() {
+    // Deterministic sweep: each hostile value at each of the first 96
+    // byte offsets of every section body, in both widths.
+    let path = scratch_path("sweep");
+    let seeds = seeds();
+    for payload in seeds.models.iter().chain(&seeds.checkpoints) {
+        for s in section_offsets(payload) {
+            for offset in 0..96 {
+                let base = s + 9 + offset;
+                for value in HOSTILE {
+                    for width in [4, 8] {
+                        if base + width > payload.len() {
+                            continue;
+                        }
+                        let mut bytes = payload.clone();
+                        bytes[base..base + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                        decode_everything(&path, &bytes);
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn unmutated_seeds_decode() {
+    let path = scratch_path("clean");
+    let seeds = seeds();
+    for payload in &seeds.models {
+        write_valid_frame(&path, payload);
+        load_model(&path).unwrap().into_model().unwrap();
+    }
+    for payload in &seeds.checkpoints {
+        write_valid_frame(&path, payload);
+        load_checkpoint(&path).unwrap();
+    }
+    let _ = std::fs::remove_file(path);
+}
