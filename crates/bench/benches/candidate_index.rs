@@ -12,7 +12,10 @@
 //! `topk_select` — over a **skewed relation profile** (candidate-set sizes
 //! falling harmonically from |E|/2 down to a few hundred, the shape typed
 //! schemas actually produce) and measures the same `top_k_into` miss path
-//! with and without the index bound.
+//! with and without the index bound. The served model is TransE, so both
+//! paths run the scan mirror's two passes: the full scan over the grid's
+//! 32-row blocks, the indexed path over the candidates' row-major grid rows
+//! (see `crates/serve/src/mirror.rs`).
 //!
 //! Records into the `candidate_index` section of `BENCH_serve.json`:
 //!

@@ -26,10 +26,12 @@
 //!
 //! A **design-point** phase gates the scan mirror at the served snapshot's
 //! shape (TransE, d = 64, |E| = 14,541, |R| = 237): uncached `top_k_into`
-//! (k = 10) and `rank` through the engine, which scan the `f32` mirror and
-//! rescore exactly only what its error bound cannot rule out, against the
-//! exact `f64` scan (`score_all_into` + `top_k_indices_into` / `rank_scan`)
-//! on an identical model. Every answer is first asserted bit-identical;
+//! (k = 10) and `rank` through the engine, which scan the 15-bit grid
+//! mirror and rescore exactly only what its error bound cannot rule out,
+//! against the exact `f64` scan (`score_all_into` + `top_k_indices_into` /
+//! `rank_scan`) on an identical model. Every answer is first asserted
+//! bit-identical, and the mean number of rows the exact pass rescored per
+//! top-10 and per rank (`nsc_serve_scan_rescored_rows_total`) is recorded;
 //! then alternated passes are timed, and the median exact/engine ratio of
 //! each query shape must reach `MIN_MIRROR_SPEEDUP` (1.25×). Both sides run
 //! on the same host in the same process, so the bound is the same locally
@@ -39,7 +41,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nscaching_kg::{CorruptionSide, Triple};
 use nscaching_math::{rank_scan, top_k_indices_into};
 use nscaching_models::{build_model, ModelConfig, ModelKind};
-use nscaching_serve::{BatchScratch, CacheConfig, KnowledgeServer, QueryScratch, TopKQuery};
+use nscaching_obs::MetricsRegistry;
+use nscaching_serve::{
+    BatchScratch, CacheConfig, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery,
+};
 use nscaching_train::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,11 +171,19 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// What the design-point phase measured, per query shape `(top-k, rank)`.
+struct DesignPoint {
+    /// Median exact/engine time ratio.
+    speedup: (f64, f64),
+    /// Median engine microseconds per query.
+    engine_us: (f64, f64),
+    /// Mean rows the exact pass rescored per query.
+    refined_rows: (f64, f64),
+}
+
 /// The design-point phase (see the module docs): the engine's two-pass
 /// scans against the exact `f64` scan on an identical TransE model.
-/// Returns the median exact/engine ratios `(top-k, rank)` and the median
-/// engine microseconds per query of each.
-fn design_point() -> ((f64, f64), (f64, f64)) {
+fn design_point() -> DesignPoint {
     let config = ModelConfig::new(ModelKind::TransE)
         .with_dim(DIM)
         .with_seed(7);
@@ -179,6 +192,13 @@ fn design_point() -> ((f64, f64), (f64, f64)) {
         engine.scan_mirror_bytes() > 0,
         "TransE is served with a mirror"
     );
+    let registry = MetricsRegistry::new();
+    engine.attach_metrics(ServeMetrics::register(&registry));
+    let rescored = || {
+        registry
+            .counter_value("nsc_serve_scan_rescored_rows_total", &[])
+            .expect("registered")
+    };
     let exact = build_model(&config, DESIGN_ENTITIES, DESIGN_RELATIONS);
     let mut rng = StdRng::seed_from_u64(9);
     let queries: Vec<TopKQuery> = (0..DESIGN_QUERIES)
@@ -236,6 +256,7 @@ fn design_point() -> ((f64, f64), (f64, f64)) {
         let got: Vec<(u32, u64)> = out.iter().map(|r| (r.entity, r.score.to_bits())).collect();
         assert_eq!(got, want, "design-point top-k {query:?}");
     }
+    let top_k_rescored = rescored();
     for (triple, side) in &ranks {
         let got = engine.rank(triple, *side, &mut scratch).unwrap();
         let want = exact_rank(triple, *side, &mut scores);
@@ -245,6 +266,8 @@ fn design_point() -> ((f64, f64), (f64, f64)) {
             "design-point rank {triple:?} {side:?}"
         );
     }
+    let rank_rescored = rescored() - top_k_rescored;
+    let per_query = |rows: u64| rows as f64 / DESIGN_QUERIES as f64;
 
     let (mut top_k_ratio, mut rank_ratio) = (Vec::new(), Vec::new());
     let (mut top_k_us, mut rank_us) = (Vec::new(), Vec::new());
@@ -277,10 +300,11 @@ fn design_point() -> ((f64, f64), (f64, f64)) {
         rank_ratio.push(exact_secs / engine_secs);
         rank_us.push(per_query_us(engine_secs));
     }
-    (
-        (median(top_k_ratio), median(rank_ratio)),
-        (median(top_k_us), median(rank_us)),
-    )
+    DesignPoint {
+        speedup: (median(top_k_ratio), median(rank_ratio)),
+        engine_us: (median(top_k_us), median(rank_us)),
+        refined_rows: (per_query(top_k_rescored), per_query(rank_rescored)),
+    }
 }
 
 /// Best-of-`samples` seconds for one full pass over the stream.
@@ -460,7 +484,11 @@ fn assert_serve_throughput(_c: &mut Criterion) {
     };
 
     // --- The scan mirror at the design point (bit-identity asserted inside).
-    let ((mirror_top_k, mirror_rank), (mirror_top_k_us, mirror_rank_us)) = design_point();
+    let DesignPoint {
+        speedup: (mirror_top_k, mirror_rank),
+        engine_us: (mirror_top_k_us, mirror_rank_us),
+        refined_rows: (refined_top_k, refined_rank),
+    } = design_point();
 
     let qps_uncached = stream.len() as f64 / secs_uncached;
     let qps_warm = stream.len() as f64 / secs_warm;
@@ -480,7 +508,8 @@ fn assert_serve_throughput(_c: &mut Criterion) {
          {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss); \
          design point |E|={DESIGN_ENTITIES}: scan mirror top-k {mirror_top_k_us:.0} us = \
          {mirror_top_k:.2}x the exact scan, rank {mirror_rank_us:.0} us = {mirror_rank:.2}x \
-         (min {MIN_MIRROR_SPEEDUP}x)",
+         (min {MIN_MIRROR_SPEEDUP}x); rows rescored per top-{K} {refined_top_k:.1}, \
+         per rank {refined_rank:.1}",
         hit_rate * 100.0,
         miss_allocations
             .iter()
@@ -498,7 +527,7 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         .collect();
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"mean_refined_rows_top_k\": {refined_top_k:.1},\n    \"mean_refined_rows_rank\": {refined_rank:.1},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
         stream.len(),
         4 * CACHE_CAPACITY / 2,
         miss_json.join(",\n    "),

@@ -11,6 +11,7 @@
 //! `nscaching-models` are stored contiguously and borrowed as slices, so no
 //! dedicated tensor type is needed.
 
+pub mod grid;
 pub mod init;
 pub mod rng;
 pub mod sample;
@@ -19,6 +20,7 @@ pub mod stats;
 pub mod topk;
 pub mod vecops;
 
+pub use grid::{grid_l1_block, grid_l1_row, L1Grid, GRID_BLOCK, GRID_MAX, GRID_MAX_DIM};
 pub use init::{constant_init, uniform_init, xavier_uniform};
 pub use rng::{rng_from_state, rng_state, seeded_rng, split_seed, SeedStream};
 pub use sample::{
@@ -32,7 +34,6 @@ pub use topk::{
     top_k_indices_sort_into, RankScan,
 };
 pub use vecops::{
-    add, add_scaled, dot, hadamard, l1_combine, l1_distance, l1_distance_f32,
-    l1_distance_f32_bound, l1_norm, l1_norm_upper, l1_sum, l2_distance, l2_norm, normalize_l2,
-    scale, sub, F32_L1_MAX_ABS,
+    add, add_scaled, dot, hadamard, l1_combine, l1_distance, l1_norm, l1_sum, l2_distance, l2_norm,
+    normalize_l2, scale, sub,
 };

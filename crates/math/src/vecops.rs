@@ -196,101 +196,6 @@ pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
     sum
 }
 
-/// `f32` accumulator lanes of [`l1_distance_f32`]: four 256-bit vectors.
-const LANES_F32: usize = 32;
-
-/// Largest magnitude of an input coordinate that [`l1_distance_f32_bound`]
-/// covers: `2^64`. Below it nothing overflows `f32` for any realistic
-/// dimension (the L1 of `d` differences stays below `d·2^65`, far under
-/// `f32::MAX ≈ 2^128`). `x.abs() <= F32_L1_MAX_ABS` is also false for NaN
-/// and ±∞, so the one comparison screens out every value the bound does not
-/// hold for.
-pub const F32_L1_MAX_ABS: f64 = 18_446_744_073_709_551_616.0;
-
-/// L1 distance `‖x − y‖₁` of two `f32` rows, summed in `f32`.
-///
-/// The approximate pass of the serving engine's full-vocabulary scans: an
-/// `f32` copy of an `f64` table is half the bytes, and those scans are bound
-/// by memory bandwidth. Thirty-two accumulator lanes (the shape LLVM turns
-/// into four 256-bit vector adds per step) fold pairwise, so the summation
-/// order differs from [`l1_distance`]'s; the result is only ever used
-/// through the rigorous error bound of [`l1_distance_f32_bound`], which
-/// holds for any summation order.
-#[inline]
-pub fn l1_distance_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut xc = x.chunks_exact(LANES_F32);
-    let mut yc = y.chunks_exact(LANES_F32);
-    let mut acc = [0.0f32; LANES_F32];
-    for (a, b) in (&mut xc).zip(&mut yc) {
-        for (lane, (p, q)) in acc.iter_mut().zip(a.iter().zip(b)) {
-            *lane += (p - q).abs();
-        }
-    }
-    // Fold the lanes pairwise: 32 → 16 → 8 → 4 → 1.
-    let mut h16 = [0.0f32; 16];
-    for i in 0..16 {
-        h16[i] = acc[i] + acc[i + 16];
-    }
-    let mut h8 = [0.0f32; 8];
-    for i in 0..8 {
-        h8[i] = h16[i] + h16[i + 8];
-    }
-    let mut h4 = [0.0f32; 4];
-    for i in 0..4 {
-        h4[i] = h8[i] + h8[i + 4];
-    }
-    let mut sum = (h4[0] + h4[2]) + (h4[1] + h4[3]);
-    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
-        sum += (a - b).abs();
-    }
-    sum
-}
-
-/// A bound `B` on `|â − s|`, where `s = l1_distance(e, q)` is the exact
-/// `f64` kernel's distance between an `f64` row `e` of dimension `dim` and
-/// an `f64` query `q`, and `â = l1_distance_f32(fl32(e), fl32(q))` is the
-/// approximate distance between their `f32` roundings (`x as f32`, round to
-/// nearest):
-///
-/// `B = 2·(d + 3)·2⁻²⁴·(max_row_l1 + query_l1) + 2⁻¹⁰⁰`
-///
-/// It holds whenever `max_row_l1 ≥ ‖e‖₁`, `query_l1 ≥ ‖q‖₁`, and every
-/// coordinate of `e` and `q` has magnitude at most [`F32_L1_MAX_ABS`].
-///
-/// Derivation, with `u = 2⁻²⁴` the unit roundoff of `f32`, `D = Σ|e_i − q_i|`
-/// the real distance and `N = ‖e‖₁ + ‖q‖₁ ≥ D`:
-///
-/// 1. Rounding the inputs: `fl32(x) = x(1 + δ)`, `|δ| ≤ u`, so each
-///    `|fl32(e_i) − fl32(q_i)|` is within `u(|e_i| + |q_i|)` of
-///    `|e_i − q_i|`: at most `u·N` over the row.
-/// 2. Each `f32` difference rounds once more: another `u·N(1 + u)`.
-/// 3. Summing `d` non-negative terms in `f32`, in any order, errs by at most
-///    `γ_{d−1} = (d − 1)u/(1 − (d − 1)u)` times their sum, `N(1 + u)²`.
-/// 4. The exact kernel's own `f64` sum errs by at most `(d − 1)·2⁻⁵³·D`.
-///
-/// To first order that is `(d + 1)·u·N + (d − 1)·2⁻⁵³·N ≤ (d + 3)·u·N`; the
-/// factor 2 covers the higher-order terms (below `d²u²N`, negligible for
-/// any `d` under `2^20`) and the rounding of whatever computes `B`, the
-/// norms and the comparisons against it (each a few `2⁻⁵³`-relative ulps
-/// of quantities at most `N`). Underflow is the one absolute error: a
-/// subnormal `f32` rounding errs by at most `2⁻¹⁵⁰` per operation, at most
-/// `4d·2⁻¹⁵⁰` over a row, which the `2⁻¹⁰⁰` term covers for any `d` under
-/// `2^40`. The magnitude cap rules out overflow (see [`F32_L1_MAX_ABS`]).
-#[inline]
-pub fn l1_distance_f32_bound(dim: usize, max_row_l1: f64, query_l1: f64) -> f64 {
-    const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64; // 2⁻²⁴
-    const UNDERFLOW: f64 = 1.0 / (1u128 << 100) as f64; // 2⁻¹⁰⁰
-    2.0 * (dim as f64 + 3.0) * F32_UNIT_ROUNDOFF * (max_row_l1 + query_l1) + UNDERFLOW
-}
-
-/// An upper bound on `‖x‖₁`: the `f64` sum of `|x_i|` scaled up by its
-/// worst-case relative rounding error, `(n − 1)·2⁻⁵³ ≤ n·ε/2`, twice over.
-#[inline]
-pub fn l1_norm_upper(x: &[f64]) -> f64 {
-    l1_norm(x) * (1.0 + x.len() as f64 * f64::EPSILON)
-}
-
 /// Translational sum norm `Σᵢ |x_i + y_i|`.
 ///
 /// The head-corruption dual of [`l1_distance`]: with a cached projection
@@ -509,72 +414,6 @@ mod tests {
                 "l1_sum at len {len}"
             );
         }
-    }
-
-    #[test]
-    fn f32_distance_covers_block_and_remainder_lengths() {
-        for len in [0usize, 3, 8, 15, 16, 23, 32, 41, 64] {
-            let x: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-            let y: Vec<f32> = (0..len).map(|i| (i as f32).cos()).collect();
-            let reference: f64 = x
-                .iter()
-                .zip(&y)
-                .map(|(a, b)| (*a as f64 - *b as f64).abs())
-                .sum();
-            let got = l1_distance_f32(&x, &y) as f64;
-            assert!((got - reference).abs() <= 1e-5, "len {len}");
-        }
-    }
-
-    #[test]
-    fn f32_distance_stays_within_its_bound_of_the_f64_kernel() {
-        // Rows and queries over six decades of magnitude, at dimensions
-        // that exercise every chunking path, including near-cancelling
-        // pairs where the difference is far smaller than either input.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for dim in [1usize, 7, 16, 33, 64, 100] {
-            for trial in 0..200 {
-                let scale = 10f64.powi(trial % 7 - 3);
-                let e: Vec<f64> = (0..dim).map(|_| (next() - 0.5) * scale).collect();
-                let q: Vec<f64> = e
-                    .iter()
-                    .map(|v| {
-                        if trial % 2 == 0 {
-                            v * (1.0 + 1e-9)
-                        } else {
-                            (next() - 0.5) * scale
-                        }
-                    })
-                    .collect();
-                let e32: Vec<f32> = e.iter().map(|&v| v as f32).collect();
-                let q32: Vec<f32> = q.iter().map(|&v| v as f32).collect();
-                let bound = l1_distance_f32_bound(dim, l1_norm_upper(&e), l1_norm_upper(&q));
-                let err = (l1_distance_f32(&e32, &q32) as f64 - l1_distance(&e, &q)).abs();
-                assert!(err <= bound, "dim {dim} trial {trial}: {err} > {bound}");
-            }
-        }
-        assert_eq!(l1_distance_f32_bound(0, 0.0, 0.0), 2f64.powi(-100));
-        assert_eq!(
-            l1_distance_f32_bound(1, 1.0, 0.0),
-            8.0 * 2f64.powi(-24) + 2f64.powi(-100)
-        );
-    }
-
-    #[test]
-    fn the_magnitude_cap_screens_out_non_finite_values() {
-        assert!(F32_L1_MAX_ABS == 2f64.powi(64));
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -2e19] {
-            let covered = bad.abs() <= F32_L1_MAX_ABS;
-            assert!(!covered, "{bad}");
-        }
-        assert!((-1.8e19f64).abs() <= F32_L1_MAX_ABS);
-        assert!(l1_norm_upper(&[0.1; 10]) >= 1.0);
     }
 
     #[test]

@@ -21,6 +21,20 @@ pub struct ComplEx {
 }
 
 impl ComplEx {
+    /// A ComplEx model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            dim,
+        }
+    }
+
     /// Create a Xavier-initialised ComplEx model with complex dimension `dim`
     /// (so `2·dim` real parameters per row).
     pub fn new<R: Rng + ?Sized>(

@@ -45,6 +45,23 @@ impl EmbeddingTable {
         }
     }
 
+    /// A table holding `data` (`rows × dim` values, row-major) as it is.
+    pub fn from_data(name: impl Into<String>, rows: usize, dim: usize, data: Vec<f64>) -> Self {
+        assert!(dim > 0, "embedding dimension must be positive");
+        assert_eq!(
+            Some(data.len()),
+            rows.checked_mul(dim),
+            "a {rows} x {dim} table"
+        );
+        Self {
+            name: name.into(),
+            rows,
+            dim,
+            data,
+            version: 1,
+        }
+    }
+
     /// Allocate a Xavier-uniform initialised table (the paper's initialiser).
     pub fn xavier<R: Rng + ?Sized>(
         name: impl Into<String>,

@@ -2,6 +2,7 @@
 
 use crate::complex::ComplEx;
 use crate::distmult::DistMult;
+use crate::embedding::EmbeddingTable;
 use crate::rescal::Rescal;
 use crate::scorer::{KgeModel, ModelKind};
 use crate::transd::TransD;
@@ -89,6 +90,49 @@ pub fn table_shapes(
     Some(shapes)
 }
 
+/// The names of the tables [`build_model`] allocates for `kind`, in
+/// `KgeModel::tables()` order.
+pub fn table_names(kind: ModelKind) -> &'static [&'static str] {
+    match kind {
+        ModelKind::TransE | ModelKind::DistMult | ModelKind::ComplEx => &["entity", "relation"],
+        ModelKind::TransH => &["entity", "relation", "relation_normal"],
+        ModelKind::TransD => &["entity", "relation", "entity_proj", "relation_proj"],
+        ModelKind::TransR => &["entity", "relation", "relation_matrix"],
+        ModelKind::Rescal => &["entity", "relation_matrix"],
+    }
+}
+
+/// A model of `config.kind` and `config.dim` holding `tables` as they are,
+/// in `KgeModel::tables()` order: nothing is initialised, projected or
+/// copied, so a snapshot loader pays only for its decoded tables. The
+/// tables must have [`table_names`] and [`table_shapes`] (for the
+/// vocabulary sizes their rows give); a loader checks both first, and this
+/// panics on a mismatch.
+pub fn model_from_tables(config: &ModelConfig, tables: Vec<EmbeddingTable>) -> Box<dyn KgeModel> {
+    let names: Vec<&str> = tables.iter().map(EmbeddingTable::name).collect();
+    assert_eq!(names, table_names(config.kind), "{:?} tables", config.kind);
+    let shapes: Vec<(usize, usize)> = tables.iter().map(|t| (t.rows(), t.dim())).collect();
+    let vocabulary = (tables[0].rows(), tables[1].rows());
+    assert_eq!(
+        Some(shapes),
+        table_shapes(config, vocabulary.0, vocabulary.1),
+        "{:?} table shapes",
+        config.kind
+    );
+    let d = config.dim;
+    let mut tables = tables.into_iter();
+    let mut next = || tables.next().expect("one table per name");
+    match config.kind {
+        ModelKind::TransE => Box::new(TransE::from_tables(next(), next(), d)),
+        ModelKind::TransH => Box::new(TransH::from_tables(next(), next(), next(), d)),
+        ModelKind::TransD => Box::new(TransD::from_tables(next(), next(), next(), next(), d)),
+        ModelKind::TransR => Box::new(TransR::from_tables(next(), next(), next(), d)),
+        ModelKind::DistMult => Box::new(DistMult::from_tables(next(), next(), d)),
+        ModelKind::ComplEx => Box::new(ComplEx::from_tables(next(), next(), d)),
+        ModelKind::Rescal => Box::new(Rescal::from_tables(next(), next(), d)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +146,8 @@ mod tests {
             let built: Vec<(usize, usize)> =
                 model.tables().iter().map(|t| (t.rows(), t.dim())).collect();
             assert_eq!(table_shapes(&config, 7, 2), Some(built), "{kind:?}");
+            let names: Vec<&str> = model.tables().iter().map(|t| t.name()).collect();
+            assert_eq!(table_names(kind), names, "{kind:?}");
         }
         let huge = ModelConfig::new(ModelKind::Rescal).with_dim(1 << 33);
         assert_eq!(table_shapes(&huge, 1, 1), None, "d² overflows");
@@ -122,6 +168,41 @@ mod tests {
             // scoring an arbitrary triple must be finite
             let s = model.score(&Triple::new(0, 0, 1));
             assert!(s.is_finite(), "{kind:?} produced a non-finite score");
+        }
+    }
+
+    #[test]
+    fn a_model_from_tables_scores_like_the_model_they_came_from() {
+        let triples = [
+            Triple::new(0, 0, 1),
+            Triple::new(4, 1, 2),
+            Triple::new(6, 1, 6),
+        ];
+        for kind in ModelKind::ALL {
+            let config = ModelConfig::new(kind).with_dim(4).with_seed(11);
+            let built = build_model(&config, 7, 2);
+            let tables = built
+                .tables()
+                .iter()
+                .map(|t| EmbeddingTable::from_data(t.name(), t.rows(), t.dim(), t.data().to_vec()))
+                .collect();
+            let rebuilt = model_from_tables(&config, tables);
+            assert_eq!(
+                (
+                    rebuilt.kind(),
+                    rebuilt.dim(),
+                    rebuilt.num_entities(),
+                    rebuilt.num_relations()
+                ),
+                (kind, 4, 7, 2)
+            );
+            for t in &triples {
+                assert_eq!(
+                    rebuilt.score(t).to_bits(),
+                    built.score(t).to_bits(),
+                    "{kind:?}"
+                );
+            }
         }
     }
 

@@ -48,7 +48,7 @@ pub use arena::{GradientArena, SparseRows, TableRun, TableRuns};
 pub use complex::ComplEx;
 pub use distmult::DistMult;
 pub use embedding::EmbeddingTable;
-pub use factory::{build_model, table_shapes, ModelConfig};
+pub use factory::{build_model, model_from_tables, table_names, table_shapes, ModelConfig};
 pub use gradient::{GradientBuffer, GradientSink, TableId};
 pub use loss::{default_loss, LogisticLoss, Loss, LossKind, MarginRankingLoss, PairGradient};
 pub use regularizer::L2Regularizer;

@@ -23,6 +23,20 @@ pub struct Rescal {
 }
 
 impl Rescal {
+    /// A RESCAL model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        matrices: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            matrices,
+            dim,
+        }
+    }
+
     /// Create a Xavier-initialised RESCAL model.
     pub fn new<R: Rng + ?Sized>(
         num_entities: usize,

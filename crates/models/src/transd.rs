@@ -58,6 +58,25 @@ impl Clone for TransD {
 }
 
 impl TransD {
+    /// A TransD model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        entity_proj: EmbeddingTable,
+        relation_proj: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            entity_proj,
+            relation_proj,
+            dim,
+            cache_id: next_projection_model_id(),
+        }
+    }
+
     /// Create a Xavier-initialised TransD model.
     pub fn new<R: Rng + ?Sized>(
         num_entities: usize,

@@ -17,6 +17,20 @@ pub struct TransE {
 }
 
 impl TransE {
+    /// A TransE model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            dim,
+        }
+    }
+
     /// Create a Xavier-initialised TransE model.
     pub fn new<R: Rng + ?Sized>(
         num_entities: usize,

@@ -23,6 +23,22 @@ pub struct TransH {
 }
 
 impl TransH {
+    /// A TransH model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        normals: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            normals,
+            dim,
+        }
+    }
+
     /// Create a Xavier-initialised TransH model. Relation normals are
     /// normalised to unit length immediately, as required by the model.
     pub fn new<R: Rng + ?Sized>(

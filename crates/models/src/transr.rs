@@ -77,6 +77,23 @@ impl Clone for TransR {
 }
 
 impl TransR {
+    /// A TransR model holding these tables as they are (a loaded
+    /// snapshot's; see `crate::model_from_tables`).
+    pub(crate) fn from_tables(
+        entities: EmbeddingTable,
+        relations: EmbeddingTable,
+        matrices: EmbeddingTable,
+        dim: usize,
+    ) -> Self {
+        Self {
+            entities,
+            relations,
+            matrices,
+            dim,
+            cache_id: next_projection_model_id(),
+        }
+    }
+
     /// Create a TransR model. Relation matrices are initialised to the
     /// identity (the standard warm start) plus small Xavier noise.
     pub fn new<R: Rng + ?Sized>(

@@ -18,10 +18,10 @@
 //!    cache-miss path selects its top-k in one bounded pass
 //!    (`nscaching_math::top_k_indices_into`: O(|E| + k log k), holding at
 //!    most `max(2k, k + 32)` indices) instead of a full sort; a TransE
-//!    model's full-vocabulary top-k and rank scan an `f32` mirror of its
-//!    entity table and rescore exactly only the rows the mirror's error
-//!    bound cannot rule out (answers bit-identical to the full scan, see
-//!    [`server`]); and with a
+//!    model's full-vocabulary top-k and rank scan a 15-bit fixed-point
+//!    mirror of its entity table and rescore exactly only the rows the
+//!    mirror's error bound cannot rule out (answers bit-identical to the
+//!    full scan, see [`server`]); and with a
 //!    bound per-relation [`CandidateIndex`] scores only
 //!    the query relation's observed candidate set instead of the full
 //!    vocabulary (see [`candidates`] for the answer semantics). Score, rank

@@ -27,33 +27,45 @@
 //!
 //! # Scan mirror
 //!
-//! A full-vocabulary scan is bound by memory bandwidth: it streams every
-//! `f64` entity row, although only the rows near the answer can change it.
-//! So a model whose scores are an L1 distance to a query vector
-//! ([`KgeModel::l1_scan_query`]; of this workspace's models, TransE) is
-//! served with an `f32` copy of its entity table, the *scan mirror*, built
-//! with the model under the same lock (`with_cache`, `reload`,
-//! `update_model`), so a reader never pairs a model with another version's
-//! mirror. Its memory is `4·|E|·d` bytes, half the table (3.7 MB for
-//! 14,541 entities at d = 64), reported as `nsc_serve_scan_mirror_bytes`.
-//! A table holding a non-finite value or one beyond `2^64` gets no mirror.
+//! A full-vocabulary scan streams every `f64` entity row, although only the
+//! rows near the answer can change it. So a model whose scores are an L1
+//! distance to a query vector ([`KgeModel::l1_scan_query`]; of this
+//! workspace's models, TransE) is served with a 15-bit fixed-point copy of
+//! its entity table, the *scan mirror*, built with the model under the same
+//! lock (`with_cache`, `reload`, `update_model`, and binding or clearing a
+//! [`CandidateIndex`]), so a reader never pairs a model with another
+//! version's mirror. Each value is stored on a grid of 32,768 levels that
+//! spans the table's `[lo, hi]`: `E = round((e − lo)·32767/(hi − lo))`.
+//! Fifteen bits, not sixteen, so that the sum of two grid differences
+//! (each at most 32767) fits a 16-bit lane, and the kernel adds dimension
+//! pairs in 16-bit lanes before widening. Its memory is `2·|E|·d` bytes, a
+//! quarter of the table (1.86 MB for 14,541 entities at d = 64, which fits
+//! a 2 MiB L2), reported as `nsc_serve_scan_mirror_bytes`; while a
+//! candidate index is bound it also keeps a row-major copy for the index's
+//! gathers, and the gauge reads twice that. A table holding a non-finite
+//! value, or whose range is not finite and positive, gets no mirror.
 //!
 //! Every full-vocabulary top-k and rank of a mirrored model then runs two
-//! passes: an approximate one over the mirror, whose error against the
-//! exact `f64` score has a rigorous bound `B`
-//! (`nscaching_math::l1_distance_f32_bound`), and an exact one that
-//! rescores with the model's own `f64` kernel only the rows `B` cannot rule
-//! out (on the served snapshot, 10.0 rows per top-10 and 5.3 per rank of a
-//! random triple). A row whose
-//! approximate score trails the `k`-th best by more than `2B` has at least
-//! `k` rows strictly ahead of it, so it can never enter the answer; the
-//! rest are rescored in ascending id order, so the selection's tie break is
-//! the full scan's. Every answer — ids, order, score bits, rank — is
-//! therefore the exact scan's, bit for bit (the derivation is in
-//! `crate::mirror`; `tests/scan_mirror.rs` checks it against the model's
-//! own scan). Models without an L1 form, queries a bound
-//! [`CandidateIndex`] shrinks, `k = 0`, `k ≥ |E|` and query vectors outside
-//! the bound's domain take the exact scan.
+//! passes: an approximate one that sums each row's integer L1 distance on
+//! the grid, exact there, with the query clamped into `[lo, hi]` and the
+//! clamped-away part added back as a per-query constant `C`; and an exact
+//! one that rescores with the model's own `f64` kernel only the rows the
+//! bound cannot rule out. The bound (`nscaching_math::L1Grid::bound`) is one
+//! grid step per dimension, `B ≈ d·(hi − lo)/32767`, plus a relative
+//! rounding term; both passes compare integer sums against the integer
+//! slack `L ≥ 2B/step`. A row whose sum trails the `k`-th smallest by more
+//! than `L` has at least `k` rows strictly ahead of it, so it can never
+//! enter the answer; the rest are rescored in ascending id order, so the
+//! selection's tie break is the full scan's. Every answer — ids, order,
+//! score bits, rank — is therefore the exact scan's, bit for bit (the
+//! derivation is in `crate::mirror`; `tests/scan_mirror.rs` checks it
+//! against the model's own scan). The rows rescored are counted in
+//! `nsc_serve_scan_rescored_rows_total`, so a model whose value range
+//! widens the grid shows up in `STATS`. The top-k of a bound
+//! [`CandidateIndex`]'s list runs the same two passes over that list. Models
+//! without an L1 form, `k = 0`, `k` at or beyond the vocabulary (or the
+//! candidate list), and non-finite or huge query vectors take the exact
+//! scan.
 //!
 //! # Cache contract
 //!
@@ -349,14 +361,16 @@ impl CacheConfig {
 /// can never pair a model with another version's mirror.
 struct Served {
     model: Box<dyn KgeModel>,
-    /// `Some` for a model with an L1 form whose entity values the mirror's
-    /// error bound covers; see [`crate::mirror`].
+    /// `Some` for a model with an L1 form whose entity values a grid
+    /// spans; see [`crate::mirror`].
     mirror: Option<ScanMirror>,
 }
 
 impl Served {
-    fn new(model: Box<dyn KgeModel>) -> Self {
-        let mirror = ScanMirror::build(model.as_ref());
+    /// `model` and its mirror, which also keeps its rows row-major when
+    /// `gather` (a candidate index is bound).
+    fn new(model: Box<dyn KgeModel>, gather: bool) -> Self {
+        let mirror = ScanMirror::build(model.as_ref(), gather);
         Self { model, mirror }
     }
 
@@ -406,7 +420,7 @@ impl KnowledgeServer {
     /// — capacity and eviction policy.
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
-        let served = Served::new(model);
+        let served = Served::new(model, false);
         Self {
             inner: Arc::new(ServerInner {
                 mirror_bytes: AtomicU64::new(served.mirror_bytes()),
@@ -441,8 +455,9 @@ impl KnowledgeServer {
         }
     }
 
-    /// Resident bytes of the served model's `f32` scan mirror: `4·|E|·d`
-    /// for a mirrored model, 0 for one without (see the module docs).
+    /// Resident bytes of the served model's scan mirror: `2·|E|·d` for a
+    /// mirrored model (twice that while a candidate index is bound), 0 for
+    /// one without (see the module docs).
     pub fn scan_mirror_bytes(&self) -> u64 {
         self.inner.mirror_bytes.load(Ordering::Relaxed)
     }
@@ -464,8 +479,12 @@ impl KnowledgeServer {
     /// answers displace them.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
         // The new scan mirror is built before the write lock is taken, so
-        // readers wait only for the swap.
-        let served = Served::new(load_model(path)?.into_model()?);
+        // readers wait only for the swap. An index bound or cleared in
+        // between leaves the row-major copy out of step until the next
+        // rebuild, which costs speed, never an answer: without the copy the
+        // candidate list is scored exactly.
+        let gather = self.candidate_index().is_some();
+        let served = Served::new(load_model(path)?.into_model()?, gather);
         let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
         *guard = served;
@@ -481,7 +500,8 @@ impl KnowledgeServer {
         let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
         update(guard.model.as_mut());
-        guard.mirror = ScanMirror::build(guard.model.as_ref());
+        let gather = self.candidate_index().is_some();
+        guard.mirror = ScanMirror::build(guard.model.as_ref(), gather);
         self.publish_served(&guard, generation);
     }
 
@@ -520,14 +540,13 @@ impl KnowledgeServer {
     fn swap_candidate_index(&self, index: Option<Arc<CandidateIndex>>) {
         // Same discipline as `update_model`: the swap happens under the
         // model write lock, so no reader can compute an answer while the
-        // stamp and the index disagree.
-        let guard = self.inner.served.write().expect("model lock");
+        // stamp and the index disagree. The mirror keeps its row-major copy
+        // exactly while an index is bound.
+        let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        guard.mirror = ScanMirror::build(guard.model.as_ref(), index.is_some());
         *self.inner.candidates.write().expect("candidate lock") = index;
-        self.inner.stamp.store(
-            stamp_of(guard.model.as_ref(), generation),
-            Ordering::Release,
-        );
+        self.publish_served(&guard, generation);
     }
 
     /// The bound candidate index, if any (diagnostics and benches).
@@ -623,9 +642,19 @@ impl KnowledgeServer {
         validate_ids(served.model.as_ref(), query.entity, query.relation)?;
         let index = self.inner.candidates.read().expect("candidate lock");
         let scanned = select_top_k(&served, index.as_deref(), query, scratch);
+        self.count_rescored(scanned, scratch);
         out.clear();
         out.extend(scratch.ranked(scanned));
         Ok(())
+    }
+
+    /// Add the rows a two-pass top-k rescored to the attached counter.
+    fn count_rescored(&self, scanned: Scanned<'_>, scratch: &QueryScratch) {
+        if let (Scanned::Refined, Some(metrics)) = (scanned, self.inner.metrics.get()) {
+            metrics
+                .scan_rescored_rows
+                .add(scratch.mirror.refined.len() as u64);
+        }
     }
 
     /// Answer a top-k query through the result cache: the lookup of
@@ -707,6 +736,7 @@ impl KnowledgeServer {
         let compute_started = self.inner.metrics.get().map(|_| Instant::now());
         let index = self.inner.candidates.read().expect("candidate lock");
         let scanned = select_top_k(served, index.as_deref(), query, scratch);
+        self.count_rescored(scanned, scratch);
         // One allocation, sized by what the kernel selected (`query.k` is an
         // untrusted wire value): the selection's exact length lets the `Arc`
         // be built in place from the scratch.
@@ -748,11 +778,14 @@ impl KnowledgeServer {
         let served = self.inner.served.read().expect("model lock");
         let model = served.model.as_ref();
         validate_triple(model, triple)?;
-        if let Some(scan) = served
+        if let Some((scan, rescored)) = served
             .mirror
             .as_ref()
             .and_then(|mirror| mirror.rank(model, triple, side, &mut scratch.mirror))
         {
+            if let Some(metrics) = self.inner.metrics.get() {
+                metrics.scan_rescored_rows.add(rescored as u64);
+            }
             return Ok(scan.rank());
         }
         model.score_all_into(triple, side, &mut scratch.scores);
@@ -835,9 +868,10 @@ impl KnowledgeServer {
 /// pass's lower-index tie break *is* the full scan's lower-entity-id tie
 /// break, and the ranking over the set is bit-identical to scanning it
 /// entity by entity (asserted against the restricted-scan oracle in the
-/// candidate-index tests). A full-vocabulary scan of a mirrored model runs
-/// the scan mirror's two passes, whose answer is the exact scan's (see the
-/// module docs); the exact scan answers everything else.
+/// candidate-index tests). For a mirrored model, the candidate list and a
+/// full-vocabulary scan both run the scan mirror's two passes, whose answer
+/// is the exact scan's (see the module docs); the exact scan answers
+/// everything else.
 fn select_top_k<'i>(
     served: &Served,
     index: Option<&'i CandidateIndex>,
@@ -850,6 +884,20 @@ fn select_top_k<'i>(
     if let Some(candidates) = index.and_then(|index| {
         index.shrinking_candidates(query.relation, query.direction, model.num_entities())
     }) {
+        if let Some(mirror) = &served.mirror {
+            if mirror.top_k_among(
+                model,
+                &anchor,
+                query.direction,
+                k,
+                candidates,
+                &mut scratch.mirror,
+                &mut scratch.scores,
+                &mut scratch.order,
+            ) {
+                return Scanned::Refined;
+            }
+        }
         model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores);
         top_k_indices_into(&scratch.scores, k, &mut scratch.order);
         return Scanned::Candidates(candidates);
@@ -1372,12 +1420,12 @@ mod tests {
             server.publish_metrics();
             registry.gauge_value("nsc_serve_scan_mirror_bytes", &[])
         };
-        // TransE at d = 8 over 40 entities: 4·40·8 bytes.
+        // TransE at d = 8 over 40 entities: 2·40·8 bytes.
         let registry = MetricsRegistry::new();
         let transe = server(ModelKind::TransE, 0);
         transe.attach_metrics(ServeMetrics::register(&registry));
-        assert_eq!(transe.scan_mirror_bytes(), 4 * 40 * 8);
-        assert_eq!(gauge(&transe, &registry), Some(1280.0));
+        assert_eq!(transe.scan_mirror_bytes(), 2 * 40 * 8);
+        assert_eq!(gauge(&transe, &registry), Some(640.0));
 
         // DistMult has no L1 form, so no mirror.
         let registry = MetricsRegistry::new();
@@ -1392,7 +1440,7 @@ mod tests {
         let model = build_model(&ModelConfig::new(ModelKind::TransE).with_dim(16), 25, 3);
         crate::snapshot::save_model(&path, model.as_ref()).unwrap();
         distmult.reload(&path).unwrap();
-        assert_eq!(gauge(&distmult, &registry), Some((4 * 25 * 16) as f64));
+        assert_eq!(gauge(&distmult, &registry), Some((2 * 25 * 16) as f64));
         let path_distmult = dir.join(format!("distmult-{}.snap", std::process::id()));
         let model = build_model(&ModelConfig::new(ModelKind::DistMult).with_dim(8), 30, 3);
         crate::snapshot::save_model(&path_distmult, model.as_ref()).unwrap();

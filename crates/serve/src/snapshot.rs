@@ -25,7 +25,9 @@ use nscaching::{
     CacheEntryState, CacheState, GeneratorKind, GeneratorState, GeneratorTableState,
     NegativeSampler, NsCachingShardState, NsCachingState, SamplerState,
 };
-use nscaching_models::{build_model, table_shapes, KgeModel, ModelConfig, ModelKind};
+use nscaching_models::{
+    model_from_tables, table_names, table_shapes, EmbeddingTable, KgeModel, ModelConfig, ModelKind,
+};
 use nscaching_optim::{
     AdaGradTableState, AdamTableState, OptimizerConfig, OptimizerKind, OptimizerState,
 };
@@ -96,16 +98,18 @@ impl ModelSnapshot {
 
     /// Rebuild a live model holding exactly the captured parameters.
     ///
-    /// Constructs the architecture through the regular factory, then
-    /// overwrites every table — validating name, row count and dimension
-    /// against the snapshot so a file from a different configuration fails
-    /// with [`SnapshotError::SchemaMismatch`] instead of scoring garbage.
+    /// The model is assembled from the decoded tables themselves
+    /// ([`model_from_tables`]): nothing is initialised and no value is
+    /// copied. Every table's name, row count and dimension is validated
+    /// against the architecture first, so a file from a different
+    /// configuration fails with [`SnapshotError::SchemaMismatch`] instead of
+    /// scoring garbage.
     pub fn into_model(self) -> Result<Box<dyn KgeModel>, SnapshotError> {
         let config = ModelConfig::new(self.kind).with_dim(self.dim);
-        // Check the shapes before building: the tables `build_model` would
-        // allocate must be exactly the ones the file holds, so a corrupt
-        // dimension or vocabulary size is refused here instead of sizing
-        // an allocation.
+        // Check the shapes before anything is built: the tables the
+        // architecture has must be exactly the ones the file holds, so a
+        // corrupt dimension or vocabulary size is refused here instead of
+        // reaching a model.
         if self.dim == 0 {
             return Err(SnapshotError::Corrupt("model dimension 0".into()));
         }
@@ -118,13 +122,11 @@ impl ModelSnapshot {
                 self.kind, self.dim, self.num_entities, self.num_relations
             )));
         }
-        let mut model = build_model(&config, self.num_entities, self.num_relations);
-        let mut tables = model.tables_mut();
-        for (table, snap) in tables.iter_mut().zip(&self.tables) {
-            if table.name() != snap.name {
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for (snap, &name) in self.tables.into_iter().zip(table_names(self.kind)) {
+            if snap.name != name {
                 return Err(SnapshotError::SchemaMismatch(format!(
-                    "table {:?} does not match snapshot table {:?}",
-                    table.name(),
+                    "table {name:?} does not match snapshot table {:?}",
                     snap.name
                 )));
             }
@@ -136,10 +138,11 @@ impl ModelSnapshot {
                     snap.rows * snap.dim
                 )));
             }
-            table.data_mut().copy_from_slice(&snap.data);
+            tables.push(EmbeddingTable::from_data(
+                snap.name, snap.rows, snap.dim, snap.data,
+            ));
         }
-        drop(tables);
-        Ok(model)
+        Ok(model_from_tables(&config, tables))
     }
 
     fn encode(&self, w: &mut Writer) {

@@ -14,7 +14,9 @@
 //!   onto the `nsc_serve_cache_*_total{cache="topk"}` counters at scrape
 //!   time by [`ServeMetrics::bridge`];
 //! * the compute histogram (`nsc_serve_topk_compute_us`) times only the
-//!   **miss path**, where a model scan dwarfs the clock reads;
+//!   **miss path**, where a model scan dwarfs the clock reads, and the
+//!   scan mirror's rescored rows (`nsc_serve_scan_rescored_rows_total`) are
+//!   added once per scan;
 //! * stale-entry invalidations are counted at the drop site (a cache-miss
 //!   shaped path) via [`ServeMetrics::stale_invalidations`];
 //! * checkpoint save/recover timings wrap whole filesystem operations.
@@ -44,9 +46,13 @@ pub struct ServeMetrics {
     cache_evictions: Arc<Counter>,
     /// Version-invalidated entries dropped at lookup (never served stale).
     pub(crate) stale_invalidations: Arc<Counter>,
-    /// Resident bytes of the served model's `f32` scan mirror (0 without
+    /// Resident bytes of the served model's grid scan mirror (0 without
     /// one), bridged at scrape.
     scan_mirror_bytes: Arc<Gauge>,
+    /// Rows the scan mirror's exact pass rescored, over every two-pass
+    /// top-k and rank: how much the grid's bound leaves to the exact
+    /// kernel. Counted once per scan, on the scan path.
+    pub(crate) scan_rescored_rows: Arc<Counter>,
     /// Miss-path top-k compute time (model scan + selection), microseconds.
     pub(crate) topk_compute_us: Arc<LatencyHistogram>,
     /// Whole [`CheckpointManager::save`](crate::CheckpointManager::save)
@@ -73,6 +79,7 @@ impl ServeMetrics {
             cache_evictions: cache("nsc_serve_cache_evictions_total", "topk"),
             stale_invalidations: registry.counter("nsc_serve_stale_invalidations_total"),
             scan_mirror_bytes: registry.gauge("nsc_serve_scan_mirror_bytes"),
+            scan_rescored_rows: registry.counter("nsc_serve_scan_rescored_rows_total"),
             topk_compute_us: registry.histogram("nsc_serve_topk_compute_us"),
             checkpoint_save_us: registry.histogram("nsc_serve_checkpoint_save_us"),
             checkpoint_recover_us: registry.histogram("nsc_serve_checkpoint_recover_us"),

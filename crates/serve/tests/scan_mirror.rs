@@ -1,9 +1,11 @@
 //! Bit-identity of the scan mirror's two-pass scans.
 //!
 //! A served TransE model answers full-vocabulary top-k and rank queries by
-//! scanning an `f32` copy of its entity table and rescoring exactly only
-//! the rows the copy's error bound cannot rule out. Every answer here is
-//! compared with the model's own exact scan — `score_all_into` followed by
+//! scanning a 15-bit fixed-point copy of its entity table and rescoring
+//! exactly only the rows the copy's error bound cannot rule out; a bound
+//! candidate index's top-k runs the same two passes over its list. Every
+//! answer here is compared with the model's own exact scan —
+//! `score_all_into` (or `score_candidates`) followed by
 //! `top_k_indices_sort_into` or `rank_scan` on an identical model — never
 //! with a second server, which would run the same mirror code. Entity ids,
 //! their order and the score bits must all match.
@@ -11,7 +13,10 @@
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{rank_scan, seeded_rng, top_k_indices_sort_into};
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
-use nscaching_serve::{save_model, KnowledgeServer, QueryScratch, TopKQuery};
+use nscaching_obs::MetricsRegistry;
+use nscaching_serve::{
+    save_model, CandidateIndex, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -139,6 +144,32 @@ fn near_tie_table(rng: &mut StdRng, rows: usize, dim: usize, scale: f64) -> Vec<
     data
 }
 
+/// Plant the grid's edge cases into `data`, keeping its `[lo, hi]`: rows
+/// whose grid values collide with another row's while their `f64` values
+/// differ (under half a grid step apart), rows exactly one grid step from
+/// another, and coordinates equal to `lo` or `hi`.
+fn plant_grid_cases(rng: &mut StdRng, data: &mut [f64], dim: usize) {
+    let lo = data.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let step = (hi - lo) / 32_767.0;
+    let rows = data.len() / dim;
+    for _ in 0..rows / 3 {
+        let from = rng.gen_range(0..rows);
+        let to = rng.gen_range(0..rows);
+        let kind = rng.gen_range(0..3);
+        for i in 0..dim {
+            let v = data[from * dim + i];
+            data[to * dim + i] = match kind {
+                0 => v + step * 0.45 * (rng.gen::<f64>() - 0.5),
+                1 => v + if rng.gen::<bool>() { step } else { -step },
+                _ if rng.gen::<bool>() => lo,
+                _ => hi,
+            }
+            .clamp(lo, hi);
+        }
+    }
+}
+
 /// Triples to rank: random ones, and ones whose target is a planted twin.
 fn rank_probes(rng: &mut StdRng, entities: &[f64], dim: usize, relations: usize) -> Vec<Triple> {
     let n = entities.len() / dim;
@@ -172,14 +203,18 @@ proptest! {
     #[test]
     fn near_ties_answer_like_the_exact_scan(seed in any::<u64>()) {
         let mut rng = seeded_rng(seed);
-        let dim = [1usize, 5, 8, 16, 23, 64][rng.gen_range(0..6usize)];
+        let dim = [1usize, 5, 8, 16, 23, 64, 65][rng.gen_range(0..7usize)];
         let n = rng.gen_range(12..160);
         let relations = rng.gen_range(1..4);
         let scale = 10f64.powi(rng.gen_range(-3..4));
-        let entities = near_tie_table(&mut rng, n, dim, scale);
-        let relation_rows = near_tie_table(&mut rng, relations, dim, scale);
+        let mut entities = near_tie_table(&mut rng, n, dim, scale);
+        plant_grid_cases(&mut rng, &mut entities, dim);
+        // Relation rows up to 4x the entity scale put query coordinates
+        // outside [lo, hi], exercising the clamped-away constant.
+        let relation_scale = scale * [1.0, 4.0][rng.gen_range(0..2usize)];
+        let relation_rows = near_tie_table(&mut rng, relations, dim, relation_scale);
         let server = KnowledgeServer::new(transe(dim, &entities, &relation_rows), 0);
-        prop_assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
+        prop_assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
         let oracle = transe(dim, &entities, &relation_rows);
         let triples = rank_probes(&mut rng, &entities, dim, relations);
         assert_answers_match(&server, oracle.as_ref(), &mut rng, &triples);
@@ -219,27 +254,40 @@ fn tables_outside_the_bound_take_the_exact_scan() {
     let mut rng = seeded_rng(11);
     let clean: Vec<f64> = (0..n * dim).map(|_| rng.gen::<f64>() - 0.5).collect();
     let relations: Vec<f64> = (0..3 * dim).map(|_| rng.gen::<f64>() - 0.5).collect();
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+    let triples = [
+        Triple::new(5, 0, 1),
+        Triple::new(2, 1, 5),
+        Triple::new(3, 2, 4),
+    ];
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let mut entities = clean.clone();
         entities[5 * dim + 3] = bad;
         let server = KnowledgeServer::new(transe(dim, &entities, &relations), 0);
         assert_eq!(server.scan_mirror_bytes(), 0, "{bad}: no mirror");
         let oracle = transe(dim, &entities, &relations);
-        let triples = [
-            Triple::new(5, 0, 1),
-            Triple::new(2, 1, 5),
-            Triple::new(3, 2, 4),
-        ];
         assert_answers_match(&server, oracle.as_ref(), &mut rng, &triples);
     }
-    // A relation row outside the bound leaves the mirror in place, but
-    // every query through that relation has a query vector outside the
-    // bound and scans exactly.
-    for bad in [f64::NAN, f64::INFINITY, 1e300] {
+    // A constant table spans no grid.
+    let constant = vec![0.125; n * dim];
+    let server = KnowledgeServer::new(transe(dim, &constant, &relations), 0);
+    assert_eq!(server.scan_mirror_bytes(), 0, "constant: no mirror");
+    assert_answers_match(
+        &server,
+        transe(dim, &constant, &relations).as_ref(),
+        &mut rng,
+        &triples,
+    );
+    // A relation row outside the bound's domain leaves the mirror in place,
+    // but every query through that relation has a non-finite query vector,
+    // or one whose bound no slack can hold, and scans exactly. At 1e14 the
+    // two passes run with a clamped-away constant so large that the exact
+    // kernel's own rounding spans many grid steps, and the bound grows
+    // with it.
+    for bad in [f64::NAN, f64::INFINITY, 1e300, 1e14] {
         let mut bad_relations = relations.clone();
         bad_relations[dim + 2] = bad;
         let server = KnowledgeServer::new(transe(dim, &clean, &bad_relations), 0);
-        assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
+        assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
         let oracle = transe(dim, &clean, &bad_relations);
         let mut scratch = QueryScratch::default();
         for k in [1, 3, 29] {
@@ -282,7 +330,7 @@ fn the_mirror_follows_update_model() {
             .collect();
         server.update_model(|model| model.tables_mut()[0].data_mut().copy_from_slice(&fresh));
         oracle.tables_mut()[0].data_mut().copy_from_slice(&fresh);
-        assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
+        assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
         assert_answers_match(&server, oracle.as_ref(), &mut rng, &triples);
         // The cached path computes through the same two passes.
         let mut scratch = QueryScratch::default();
@@ -302,7 +350,7 @@ fn the_mirror_follows_update_model() {
     assert_answers_match(&server, oracle.as_ref(), &mut rng, &triples);
     server.update_model(|model| model.tables_mut()[0].row_mut(7)[0] = 0.25);
     oracle.tables_mut()[0].row_mut(7)[0] = 0.25;
-    assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
+    assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
     assert_answers_match(&server, oracle.as_ref(), &mut rng, &triples);
 }
 
@@ -335,12 +383,12 @@ fn the_mirror_follows_reload() {
 
     let mut rng = seeded_rng(10);
     let server = KnowledgeServer::load(&path_a, 8).unwrap();
-    assert_eq!(server.scan_mirror_bytes(), 4 * 90 * 8);
+    assert_eq!(server.scan_mirror_bytes(), 2 * 90 * 8);
     let probes = [Triple::new(1, 0, 2), Triple::new(4, 1, 3)];
     assert_answers_match(&server, transe(8, &a.0, &a.1).as_ref(), &mut rng, &probes);
 
     server.reload(&path_b).unwrap();
-    assert_eq!(server.scan_mirror_bytes(), 4 * 140 * 24);
+    assert_eq!(server.scan_mirror_bytes(), 2 * 140 * 24);
     assert_answers_match(&server, transe(24, &b.0, &b.1).as_ref(), &mut rng, &probes);
 
     server.reload(&path_c).unwrap();
@@ -349,9 +397,131 @@ fn the_mirror_follows_reload() {
     assert_answers_match(&server, distmult.as_ref(), &mut rng, &probes);
 
     server.reload(&path_a).unwrap();
-    assert_eq!(server.scan_mirror_bytes(), 4 * 90 * 8);
+    assert_eq!(server.scan_mirror_bytes(), 2 * 90 * 8);
     assert_answers_match(&server, transe(8, &a.0, &a.1).as_ref(), &mut rng, &probes);
     for path in [path_a, path_b, path_c] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn a_huge_outlier_widens_the_grid_and_only_grows_the_refine_set() {
+    let dim = 16;
+    let n = 200;
+    let mut rng = seeded_rng(13);
+    let entities: Vec<f64> = (0..n * dim).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let relations: Vec<f64> = (0..3 * dim).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let triples: Vec<Triple> = (0..10).map(|i| Triple::new(i * 3, i % 3, i * 7)).collect();
+    let rescored = |entities: &[f64]| -> u64 {
+        let registry = MetricsRegistry::new();
+        let server = KnowledgeServer::new(transe(dim, entities, &relations), 0);
+        server.attach_metrics(ServeMetrics::register(&registry));
+        assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
+        let oracle = transe(dim, entities, &relations);
+        assert_answers_match(&server, oracle.as_ref(), &mut seeded_rng(14), &triples);
+        registry
+            .counter_value("nsc_serve_scan_rescored_rows_total", &[])
+            .expect("registered")
+    };
+    let narrow = rescored(&entities);
+    for outlier in [1e6, -1e300, 1e300] {
+        let mut wide = entities.clone();
+        wide[17 * dim + 5] = outlier;
+        let grown = rescored(&wide);
+        assert!(
+            grown > narrow,
+            "{outlier}: {grown} rows rescored, {narrow} without"
+        );
+    }
+}
+
+/// The exact scan of a bound index's list, from the model itself.
+fn oracle_top_k_among(
+    model: &dyn KgeModel,
+    query: &TopKQuery,
+    candidates: &[EntityId],
+) -> Vec<(EntityId, u64)> {
+    let anchor = match query.direction {
+        CorruptionSide::Tail => Triple::new(query.entity, query.relation, 0),
+        CorruptionSide::Head => Triple::new(0, query.relation, query.entity),
+    };
+    let mut scores = Vec::new();
+    model.score_candidates(&anchor, query.direction, candidates, &mut scores);
+    let mut order = Vec::new();
+    top_k_indices_sort_into(&scores, query.k as usize, &mut order);
+    bits(order.iter().map(|&i| (candidates[i], scores[i])))
+}
+
+#[test]
+fn a_bound_index_runs_the_two_passes_and_follows_update_model() {
+    let dim = 16;
+    let n = 300;
+    let relations = 4;
+    let mut rng = seeded_rng(17);
+    let mut entities = near_tie_table(&mut rng, n, dim, 1.0);
+    plant_grid_cases(&mut rng, &mut entities, dim);
+    let relation_rows = near_tie_table(&mut rng, relations, dim, 1.0);
+    // Relation r is observed with about n/(r + 2) entities on each side.
+    let observed: Vec<Triple> = (0..relations as u32)
+        .flat_map(|r| {
+            (0..n as u32 / (r + 2))
+                .map(move |j| Triple::new((j * 7 + r) % n as u32, r, (j * 13 + 5 * r) % n as u32))
+        })
+        .collect();
+    let index = CandidateIndex::build(&observed, relations);
+    let registry = MetricsRegistry::new();
+    let server = KnowledgeServer::new(transe(dim, &entities, &relation_rows), 0);
+    server.attach_metrics(ServeMetrics::register(&registry));
+    assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
+    server.bind_candidate_index(index.clone());
+    assert_eq!(
+        server.scan_mirror_bytes(),
+        (4 * n * dim) as u64,
+        "a row-major copy"
+    );
+    let mut oracle = transe(dim, &entities, &relation_rows);
+
+    let check = |server: &KnowledgeServer, oracle: &dyn KgeModel, rng: &mut StdRng| {
+        let mut scratch = QueryScratch::default();
+        for r in 0..relations as u32 {
+            for direction in SIDES {
+                let candidates = index.candidates(r, direction);
+                let len = candidates.len() as u32;
+                for k in [1, 3, 10, len - 1, len, len + 2] {
+                    let query = TopKQuery {
+                        relation: r,
+                        entity: rng.gen_range(0..n as u32),
+                        direction,
+                        k,
+                    };
+                    assert_eq!(
+                        served_top_k(server, &query, &mut scratch),
+                        oracle_top_k_among(oracle, &query, candidates),
+                        "{query:?}"
+                    );
+                }
+            }
+        }
+    };
+    let rescored = || {
+        registry
+            .counter_value("nsc_serve_scan_rescored_rows_total", &[])
+            .expect("registered")
+    };
+    check(&server, oracle.as_ref(), &mut rng);
+    assert!(rescored() > 0, "the candidate lists ran the two passes");
+    for round in 1..4 {
+        // Fresh values on a wider range move every grid value: a stale
+        // row-major copy would pick the refine set from the old table.
+        let fresh: Vec<f64> = (0..n * dim)
+            .map(|_| (rng.gen::<f64>() - 0.5) * round as f64)
+            .collect();
+        server.update_model(|model| model.tables_mut()[0].data_mut().copy_from_slice(&fresh));
+        oracle.tables_mut()[0].data_mut().copy_from_slice(&fresh);
+        assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
+        check(&server, oracle.as_ref(), &mut rng);
+    }
+    server.clear_candidate_index();
+    assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
+    assert_answers_match(&server, oracle.as_ref(), &mut rng, &[Triple::new(1, 2, 3)]);
 }
