@@ -1,6 +1,6 @@
 //! Criterion bench: score and gradient cost of every scoring function
-//! (supports the per-triplet `O(d)` / `O(d²)` terms in Table I), plus the
-//! batched candidate-scoring fast path against the naive per-triple loop.
+//! (supports the per-triplet `O(d)` terms in Table I), plus the batched
+//! candidate-scoring fast path against the naive per-triple loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
@@ -72,14 +72,8 @@ fn bench_gradient(c: &mut Criterion) {
 fn bench_candidate_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_scoring");
     for kind in ModelKind::ALL {
-        // TransR/RESCAL carry d×d matrices; keep their tables small enough
-        // to build quickly while scoring identically per candidate.
-        let dim = match kind {
-            ModelKind::TransR | ModelKind::Rescal => 64,
-            _ => BATCH_DIM,
-        };
         let model = build_model(
-            &ModelConfig::new(kind).with_dim(dim).with_seed(1),
+            &ModelConfig::new(kind).with_dim(BATCH_DIM).with_seed(1),
             NUM_ENTITIES,
             NUM_RELATIONS,
         );

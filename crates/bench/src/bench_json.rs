@@ -1,7 +1,7 @@
 //! Multi-section bench result files.
 //!
 //! Several benches record their headline numbers into one JSON file (e.g.
-//! `pool_overhead` and `transr_projection` both write `BENCH_pool.json`), and
+//! `topk_select` and `serve_throughput` both write `BENCH_serve.json`), and
 //! each bench may run on its own — so a writer must preserve the sections it
 //! does not own. [`update_bench_section`] implements that as a
 //! read-modify-write over a fixed two-level layout:

@@ -27,7 +27,7 @@ fn main() {
     let models: Vec<ModelKind> = settings.select_models(if settings.smoke {
         vec![ModelKind::TransE]
     } else {
-        ModelKind::PAPER.to_vec()
+        ModelKind::ALL.to_vec()
     });
 
     let mut report = TsvReport::new(

@@ -129,8 +129,8 @@ pub fn scaled_cache_size(num_entities: usize) -> usize {
 /// overriding the `NSC_SHARDS` / available-parallelism defaults.
 pub fn standard_train_config(kind: ModelKind, settings: &ExperimentSettings) -> TrainConfig {
     let learning_rate = match kind {
-        ModelKind::TransE | ModelKind::TransH | ModelKind::TransD | ModelKind::TransR => 0.02,
-        ModelKind::DistMult | ModelKind::ComplEx | ModelKind::Rescal => 0.05,
+        ModelKind::TransE | ModelKind::TransH | ModelKind::TransD => 0.02,
+        ModelKind::DistMult | ModelKind::ComplEx => 0.05,
     };
     let mut config = TrainConfig::new(settings.epochs)
         .with_batch_size(256)

@@ -138,22 +138,12 @@ impl ExperimentSettings {
                     settings.threads = Some(threads);
                 }
                 "--datasets" => {
-                    settings.datasets = Some(
-                        next_value(arg)?
-                            .split(',')
-                            .map(|s| s.trim().to_lowercase())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    )
+                    let valid = nscaching_datagen::BenchmarkFamily::ALL.map(|f| f.name());
+                    settings.datasets = Some(parse_names(arg, &next_value(arg)?, &valid)?)
                 }
                 "--models" => {
-                    settings.models = Some(
-                        next_value(arg)?
-                            .split(',')
-                            .map(|s| s.trim().to_lowercase())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    )
+                    let valid = nscaching_models::ModelKind::ALL.map(|m| m.name());
+                    settings.models = Some(parse_names(arg, &next_value(arg)?, &valid)?)
                 }
                 "--checkpoint-every" => {
                     settings.checkpoint_every = next_value(arg)?
@@ -257,6 +247,27 @@ impl ExperimentSettings {
     /// Output directory as a path.
     pub fn out_dir(&self) -> &Path {
         &self.out_dir
+    }
+}
+
+/// Split a comma-separated `flag` value into trimmed lowercase names,
+/// refusing any name that is not one of `valid` (compared lowercased), so a
+/// typo fails instead of filtering every run away.
+fn parse_names(flag: &str, value: &str, valid: &[&str]) -> Result<Vec<String>, String> {
+    let names: Vec<String> = value
+        .split(',')
+        .map(|s| s.trim().to_lowercase())
+        .filter(|s| !s.is_empty())
+        .collect();
+    match names
+        .iter()
+        .find(|n| !valid.iter().any(|v| v.to_lowercase() == **n))
+    {
+        Some(unknown) => Err(format!(
+            "unknown {flag} name {unknown:?}; valid names: {}",
+            valid.join(", ")
+        )),
+        None => Ok(names),
     }
 }
 
@@ -376,7 +387,7 @@ mod filter_tests {
             families,
             vec![BenchmarkFamily::Wn18, BenchmarkFamily::Fb15k237]
         );
-        let models = s.select_models(ModelKind::PAPER.to_vec());
+        let models = s.select_models(ModelKind::ALL.to_vec());
         assert_eq!(models, vec![ModelKind::TransE, ModelKind::ComplEx]);
     }
 
@@ -384,6 +395,20 @@ mod filter_tests {
     fn no_filter_keeps_the_default() {
         let s = ExperimentSettings::default();
         assert_eq!(s.select_families(BenchmarkFamily::ALL.to_vec()).len(), 4);
-        assert_eq!(s.select_models(ModelKind::PAPER.to_vec()).len(), 5);
+        assert_eq!(s.select_models(ModelKind::ALL.to_vec()).len(), 5);
+    }
+
+    #[test]
+    fn unknown_names_are_refused_with_the_valid_ones_listed() {
+        for models in ["transe,transf", "TransR", "rescal"] {
+            let err = ExperimentSettings::parse(["--models", models]).unwrap_err();
+            assert!(
+                err.contains("TransE, TransH, TransD, DistMult, ComplEx"),
+                "{err}"
+            );
+        }
+        let err = ExperimentSettings::parse(["--datasets", "wn18,wn18rrr"]).unwrap_err();
+        assert!(err.contains("\"wn18rrr\""), "{err}");
+        assert!(err.contains("wn18, wn18rr, fb15k, fb15k237"), "{err}");
     }
 }

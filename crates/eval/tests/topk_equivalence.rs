@@ -16,7 +16,7 @@ proptest! {
     #[test]
     fn early_termination_ranks_equal_full_scan_ranks(
         seed in any::<u64>(),
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         num_entities in 5usize..60,
         query_heads in prop::collection::vec(0u32..60, 1..12),
         filter_triples in prop::collection::vec((0u32..60, 0u32..3, 0u32..60), 0..80),

@@ -88,7 +88,7 @@ mod lanes {
 ///
 /// Two explicit 8-lane blocks per iteration (sixteen independent accumulator
 /// lanes); this is the innermost kernel of the batched candidate-scoring
-/// fast path and of the TransR projection fill.
+/// fast path and of TransD's per-candidate projection.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -168,8 +168,7 @@ pub fn l2_norm(x: &[f64]) -> f64 {
 /// L1 distance `‖x − y‖₁`.
 ///
 /// Unrolled like [`dot`]; the per-candidate kernel of the translational
-/// models' batched scoring path and of the warm tail-corruption path of the
-/// TransR/TransD projection cache.
+/// models' batched scoring path, TransD's tail corruption included.
 #[inline]
 pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -198,9 +197,9 @@ pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
 
 /// Translational sum norm `Σᵢ |x_i + y_i|`.
 ///
-/// The head-corruption dual of [`l1_distance`]: with a cached projection
-/// `p = M_r·e` (or TransD's `e + (w_e·e)·w_r`) and a precomputed query
-/// `q = r − M_r·t`, a candidate head scores `−Σᵢ |p_i + q_i|`. Same explicit
+/// The head-corruption dual of [`l1_distance`]: with TransD's projection
+/// `p = e + (w_e·e)·w_r` of a candidate head and a precomputed query
+/// `q = r − t⊥`, the candidate scores `−Σᵢ |p_i + q_i|`. Same explicit
 /// 8-lane block layout as the other kernels.
 #[inline]
 pub fn l1_sum(x: &[f64], y: &[f64]) -> f64 {
@@ -230,11 +229,11 @@ pub fn l1_sum(x: &[f64], y: &[f64]) -> f64 {
 
 /// Fused translational residual norm `Σᵢ |q_i + sign·e_i + c·w_i|`.
 ///
-/// The per-candidate kernel of the batched TransH/TransD fast paths: with a
-/// precomputed query vector `q`, the hyperplane / dynamic-projection residual
-/// of a candidate row `e` has exactly this shape (`sign = ∓1` for tail/head
-/// corruption, `c` folding the candidate's projection scalar). Unrolled to
-/// sixteen lanes like [`dot`].
+/// The per-candidate kernel of the batched TransH fast path: with a
+/// precomputed query vector `q`, the hyperplane residual of a candidate row
+/// `e` has exactly this shape (`sign = ∓1` for tail/head corruption, `c`
+/// folding the candidate's projection scalar). Unrolled to sixteen lanes
+/// like [`dot`].
 #[inline]
 pub fn l1_combine(q: &[f64], e: &[f64], w: &[f64], sign: f64, c: f64) -> f64 {
     debug_assert_eq!(q.len(), e.len());

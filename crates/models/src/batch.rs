@@ -19,8 +19,9 @@
 //!
 //! The query context lives in a thread-local `Vec<f64>` so that `&self`
 //! scoring methods stay allocation-free in steady state: the buffer grows to
-//! the largest query context ever needed on the thread (at most `2·d` for
-//! ComplEx) and is reused forever after. [`with_query_scratch`] hands out a
+//! the largest query context ever needed on the thread (at most `2·d`:
+//! ComplEx's query, or TransD's query plus one candidate projection) and is
+//! reused forever after. [`with_query_scratch`] hands out a
 //! zeroed slice; nesting calls on one thread is not supported (and never
 //! happens — model kernels do not call back into batched scoring).
 //!

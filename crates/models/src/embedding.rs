@@ -15,14 +15,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// The table carries a monotone [`version`](Self::version) counter, bumped on
 /// every mutable data access (`row_mut`, `data_mut` and everything built on
-/// them). Derived caches — the TransR/TransD relation-projection cache in
-/// `projcache` — stamp their entries with the versions of the tables they
-/// were computed from and treat any mismatch as an invalidation, so a cache
-/// can never serve values from before an optimizer step. The counter is
-/// deliberately coarse (any mutation invalidates everything derived from the
-/// table): precision would need per-row dirty tracking on the optimizer's
-/// hottest write path, while the coarse bump is a single integer increment
-/// and still leaves batches, and the whole of evaluation, fully warm.
+/// them). The serving engine's answer cache stamps each answer with the sum
+/// of the model's table versions (`stamp_of` in `nscaching_serve`) and
+/// treats any mismatch as an invalidation, so it can never serve an answer
+/// from before an optimizer step. The counter is deliberately coarse (any
+/// mutation invalidates everything derived from the table): precision would
+/// need per-row dirty tracking on the optimizer's hottest write path, while
+/// the coarse bump is a single integer increment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EmbeddingTable {
     name: String,

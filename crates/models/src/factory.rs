@@ -3,12 +3,10 @@
 use crate::complex::ComplEx;
 use crate::distmult::DistMult;
 use crate::embedding::EmbeddingTable;
-use crate::rescal::Rescal;
 use crate::scorer::{KgeModel, ModelKind};
 use crate::transd::TransD;
 use crate::transe::TransE;
 use crate::transh::TransH;
-use crate::transr::TransR;
 use nscaching_math::seeded_rng;
 use serde::{Deserialize, Serialize};
 
@@ -58,10 +56,8 @@ pub fn build_model(
         ModelKind::TransE => Box::new(TransE::new(num_entities, num_relations, d, &mut rng)),
         ModelKind::TransH => Box::new(TransH::new(num_entities, num_relations, d, &mut rng)),
         ModelKind::TransD => Box::new(TransD::new(num_entities, num_relations, d, &mut rng)),
-        ModelKind::TransR => Box::new(TransR::new(num_entities, num_relations, d, &mut rng)),
         ModelKind::DistMult => Box::new(DistMult::new(num_entities, num_relations, d, &mut rng)),
         ModelKind::ComplEx => Box::new(ComplEx::new(num_entities, num_relations, d, &mut rng)),
-        ModelKind::Rescal => Box::new(Rescal::new(num_entities, num_relations, d, &mut rng)),
     }
 }
 
@@ -80,9 +76,7 @@ pub fn table_shapes(
         ModelKind::TransE | ModelKind::DistMult => vec![(e, d), (r, d)],
         ModelKind::TransH => vec![(e, d), (r, d), (r, d)],
         ModelKind::TransD => vec![(e, d), (r, d), (e, d), (r, d)],
-        ModelKind::TransR => vec![(e, d), (r, d), (r, d.checked_mul(d)?)],
         ModelKind::ComplEx => vec![(e, d.checked_mul(2)?), (r, d.checked_mul(2)?)],
-        ModelKind::Rescal => vec![(e, d), (r, d.checked_mul(d)?)],
     };
     for &(rows, dim) in &shapes {
         rows.checked_mul(dim)?;
@@ -97,8 +91,6 @@ pub fn table_names(kind: ModelKind) -> &'static [&'static str] {
         ModelKind::TransE | ModelKind::DistMult | ModelKind::ComplEx => &["entity", "relation"],
         ModelKind::TransH => &["entity", "relation", "relation_normal"],
         ModelKind::TransD => &["entity", "relation", "entity_proj", "relation_proj"],
-        ModelKind::TransR => &["entity", "relation", "relation_matrix"],
-        ModelKind::Rescal => &["entity", "relation_matrix"],
     }
 }
 
@@ -126,10 +118,8 @@ pub fn model_from_tables(config: &ModelConfig, tables: Vec<EmbeddingTable>) -> B
         ModelKind::TransE => Box::new(TransE::from_tables(next(), next(), d)),
         ModelKind::TransH => Box::new(TransH::from_tables(next(), next(), next(), d)),
         ModelKind::TransD => Box::new(TransD::from_tables(next(), next(), next(), next(), d)),
-        ModelKind::TransR => Box::new(TransR::from_tables(next(), next(), next(), d)),
         ModelKind::DistMult => Box::new(DistMult::from_tables(next(), next(), d)),
         ModelKind::ComplEx => Box::new(ComplEx::from_tables(next(), next(), d)),
-        ModelKind::Rescal => Box::new(Rescal::from_tables(next(), next(), d)),
     }
 }
 
@@ -149,8 +139,8 @@ mod tests {
             let names: Vec<&str> = model.tables().iter().map(|t| t.name()).collect();
             assert_eq!(table_names(kind), names, "{kind:?}");
         }
-        let huge = ModelConfig::new(ModelKind::Rescal).with_dim(1 << 33);
-        assert_eq!(table_shapes(&huge, 1, 1), None, "d² overflows");
+        let huge = ModelConfig::new(ModelKind::ComplEx).with_dim(usize::MAX / 2 + 1);
+        assert_eq!(table_shapes(&huge, 1, 1), None, "2·d overflows");
         let wide = ModelConfig::new(ModelKind::TransE).with_dim(1 << 40);
         assert_eq!(table_shapes(&wide, 1 << 30, 1), None, "|E|·d overflows");
     }

@@ -3,8 +3,7 @@
 //! The paper evaluates NSCaching on five scoring functions (its Table III):
 //! the translational-distance models TransE, TransH and TransD, and the
 //! semantic-matching models DistMult and ComplEx. This crate implements those
-//! five plus TransR and RESCAL as extensions, behind a single [`KgeModel`]
-//! trait that exposes:
+//! five behind a single [`KgeModel`] trait that exposes:
 //!
 //! * `score(h, r, t)` — the plausibility of a triple (larger = more
 //!   plausible; translational models return the *negative* distance so the
@@ -12,10 +11,8 @@
 //! * `score_candidates` / `score_all_into` — the batched candidate-scoring
 //!   fast path: query-side work is computed once per call and each candidate
 //!   then costs one fused, allocation-free pass over the dimension (see the
-//!   [`batch`] module docs for the invariants). The projection models
-//!   (TransR, TransD) additionally memoise their per-`(relation, entity)`
-//!   projections in the generation-stamped [`projcache`], turning the
-//!   per-candidate cost from `O(d²)` into a warm `O(d)` lookup;
+//!   [`batch`] module docs for the invariants). TransD also projects each
+//!   candidate there, at `O(d)` per candidate;
 //! * `accumulate_score_gradient` — adds `coeff · ∂score/∂θ` into a sparse
 //!   [`GradientSink`]: the slab-backed [`GradientArena`] on the training hot
 //!   path (its sorted-slot view is what the optimizers in `nscaching-optim`
@@ -35,14 +32,11 @@ pub mod embedding;
 pub mod factory;
 pub mod gradient;
 pub mod loss;
-pub mod projcache;
 pub mod regularizer;
-pub mod rescal;
 pub mod scorer;
 pub mod transd;
 pub mod transe;
 pub mod transh;
-pub mod transr;
 
 pub use arena::{GradientArena, SparseRows, TableRun, TableRuns};
 pub use complex::ComplEx;
@@ -52,9 +46,7 @@ pub use factory::{build_model, model_from_tables, table_names, table_shapes, Mod
 pub use gradient::{GradientBuffer, GradientSink, TableId};
 pub use loss::{default_loss, LogisticLoss, Loss, LossKind, MarginRankingLoss, PairGradient};
 pub use regularizer::L2Regularizer;
-pub use rescal::Rescal;
 pub use scorer::{KgeModel, LossType, ModelKind};
 pub use transd::TransD;
 pub use transe::TransE;
 pub use transh::TransH;
-pub use transr::TransR;

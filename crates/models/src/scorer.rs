@@ -10,8 +10,8 @@ pub const ENTITY_TABLE: TableId = 0;
 /// Index of the relation-embedding table in every model's `tables()` list.
 pub const RELATION_TABLE: TableId = 1;
 
-/// The scoring functions implemented by this crate (Table III of the paper
-/// plus the TransR and RESCAL extensions).
+/// The scoring functions implemented by this crate: the five of the paper's
+/// Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ModelKind {
     /// `‖h + r − t‖₁` (negated) — Bordes et al., 2013.
@@ -20,30 +20,15 @@ pub enum ModelKind {
     TransH,
     /// Dynamic-mapping-matrix projection — Ji et al., 2015.
     TransD,
-    /// Relation-specific projection matrix — Lin et al., 2015.
-    TransR,
     /// `h · diag(r) · t` — Yang et al., 2015.
     DistMult,
     /// `Re(h · diag(r) · conj(t))` — Trouillon et al., 2016.
     ComplEx,
-    /// `hᵀ M_r t` — Nickel et al., 2011.
-    Rescal,
 }
 
 impl ModelKind {
     /// All model kinds, in the order used by the experiment tables.
-    pub const ALL: [ModelKind; 7] = [
-        ModelKind::TransE,
-        ModelKind::TransH,
-        ModelKind::TransD,
-        ModelKind::TransR,
-        ModelKind::DistMult,
-        ModelKind::ComplEx,
-        ModelKind::Rescal,
-    ];
-
-    /// The five scoring functions used in the paper's evaluation.
-    pub const PAPER: [ModelKind; 5] = [
+    pub const ALL: [ModelKind; 5] = [
         ModelKind::TransE,
         ModelKind::TransH,
         ModelKind::TransD,
@@ -57,10 +42,8 @@ impl ModelKind {
             ModelKind::TransE => "TransE",
             ModelKind::TransH => "TransH",
             ModelKind::TransD => "TransD",
-            ModelKind::TransR => "TransR",
             ModelKind::DistMult => "DistMult",
             ModelKind::ComplEx => "ComplEx",
-            ModelKind::Rescal => "RESCAL",
         }
     }
 
@@ -69,10 +52,8 @@ impl ModelKind {
     /// paper.
     pub fn loss_type(&self) -> LossType {
         match self {
-            ModelKind::TransE | ModelKind::TransH | ModelKind::TransD | ModelKind::TransR => {
-                LossType::MarginRanking
-            }
-            ModelKind::DistMult | ModelKind::ComplEx | ModelKind::Rescal => LossType::Logistic,
+            ModelKind::TransE | ModelKind::TransH | ModelKind::TransD => LossType::MarginRanking,
+            ModelKind::DistMult | ModelKind::ComplEx => LossType::Logistic,
         }
     }
 }
@@ -200,12 +181,13 @@ pub trait KgeModel: Send + Sync {
     /// `−nscaching_math::l1_distance(table.row(e), q)`, **bit for bit**. The
     /// returned table is the same for every `triple` and `side`.
     ///
-    /// The serving engine keeps an `f32` copy of that table and answers
-    /// full-vocabulary top-k and rank queries by scanning the copy, then
-    /// rescoring exactly, with this `q`, only the rows the copy's error
-    /// bound cannot rule out; the bit-for-bit contract is what makes those
-    /// answers equal the full scan's. The default answers no (`None`),
-    /// which leaves every scan on [`Self::score_all_into`].
+    /// The serving engine keeps that table on a 15-bit fixed-point grid
+    /// (`nscaching_math::L1Grid`) and answers full-vocabulary top-k and rank
+    /// queries by scanning the grid, then rescoring exactly, with this `q`,
+    /// only the rows the grid's error bound cannot rule out; the bit-for-bit
+    /// contract is what makes those answers equal the full scan's. The
+    /// default answers no (`None`), which leaves every scan on
+    /// [`Self::score_all_into`].
     fn l1_scan_query(
         &self,
         _triple: &Triple,
@@ -240,22 +222,18 @@ mod tests {
         assert_eq!(ModelKind::TransE.loss_type(), LossType::MarginRanking);
         assert_eq!(ModelKind::TransH.loss_type(), LossType::MarginRanking);
         assert_eq!(ModelKind::TransD.loss_type(), LossType::MarginRanking);
-        assert_eq!(ModelKind::TransR.loss_type(), LossType::MarginRanking);
         assert_eq!(ModelKind::DistMult.loss_type(), LossType::Logistic);
         assert_eq!(ModelKind::ComplEx.loss_type(), LossType::Logistic);
-        assert_eq!(ModelKind::Rescal.loss_type(), LossType::Logistic);
     }
 
     #[test]
     fn names_are_the_paper_names() {
         assert_eq!(ModelKind::TransE.name(), "TransE");
         assert_eq!(ModelKind::ComplEx.name(), "ComplEx");
-        assert_eq!(ModelKind::Rescal.name(), "RESCAL");
     }
 
     #[test]
     fn paper_subset_is_five_models() {
-        assert_eq!(ModelKind::PAPER.len(), 5);
-        assert_eq!(ModelKind::ALL.len(), 7);
+        assert_eq!(ModelKind::ALL.len(), 5);
     }
 }

@@ -6,23 +6,17 @@
 //! to equal entity/relation dimensions, which is the configuration the paper
 //! (and the original TransD code) uses.
 //!
-//! Batched scoring memoises the projected entity `e⊥ = e + (w_e·e)·w_r` per
-//! `(relation, entity)` in [`crate::projcache`] under the same
-//! generation-stamped invalidation contract as TransR (see the module docs
-//! in [`crate::transr`]): the entry version is the sum of the entity,
-//! entity-projection and relation-projection table versions, so any
-//! parameter update lazily invalidates every cached vector.
+//! Batched scoring projects the query entity once, then each candidate
+//! `e⊥ = e + (w_e·e)·w_r` inline into thread-local scratch, and scores it
+//! with one L1 pass; nothing is cached across calls, so no update can leave
+//! a stale projection behind.
 
 use crate::batch::with_query_scratch;
 use crate::embedding::EmbeddingTable;
 use crate::gradient::{GradientSink, TableId};
-use crate::projcache::{
-    next_projection_model_id, projection_panel, query_from_projection, translational_score,
-    with_panel_scratch, PanelGuard,
-};
 use crate::scorer::{KgeModel, ModelKind, ENTITY_TABLE, RELATION_TABLE};
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
-use nscaching_math::vecops::{dot, l1_combine, signum};
+use nscaching_math::vecops::{dot, l1_distance, l1_sum, signum};
 use rand::Rng;
 
 /// Index of the per-entity projection table `w_e` in [`TransD::tables`].
@@ -31,30 +25,13 @@ pub const ENTITY_PROJ_TABLE: TableId = 2;
 pub const RELATION_PROJ_TABLE: TableId = 3;
 
 /// TransD with L1 dissimilarity.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TransD {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
     entity_proj: EmbeddingTable,
     relation_proj: EmbeddingTable,
     dim: usize,
-    /// Projection-cache identity; unique per instance (clones re-draw it).
-    cache_id: u64,
-}
-
-impl Clone for TransD {
-    fn clone(&self) -> Self {
-        Self {
-            entities: self.entities.clone(),
-            relations: self.relations.clone(),
-            entity_proj: self.entity_proj.clone(),
-            relation_proj: self.relation_proj.clone(),
-            dim: self.dim,
-            // A clone diverges from the original on its first update, so it
-            // must never share cached projections with it.
-            cache_id: next_projection_model_id(),
-        }
-    }
 }
 
 impl TransD {
@@ -73,7 +50,6 @@ impl TransD {
             entity_proj,
             relation_proj,
             dim,
-            cache_id: next_projection_model_id(),
         }
     }
 
@@ -90,7 +66,6 @@ impl TransD {
             entity_proj: EmbeddingTable::xavier("entity_proj", num_entities, dim, rng),
             relation_proj: EmbeddingTable::xavier("relation_proj", num_relations, dim, rng),
             dim,
-            cache_id: next_projection_model_id(),
         };
         for i in 0..num_entities {
             model.entities.project_row(i);
@@ -115,64 +90,7 @@ impl TransD {
         Residual { u, wh_h, wt_t }
     }
 
-    /// Project the query side once.
-    ///
-    /// Tail corruption: `q_i = h_i + (w_h·h)·w_{r,i} + r_i`, residual of
-    /// candidate `t` is `q − t − (w_t·t)·w_r`. Head corruption:
-    /// `q_i = r_i − t_i − (w_t·t)·w_{r,i}`, residual of candidate `h` is
-    /// `h + (w_h·h)·w_r + q`.
-    fn fill_query(&self, t: &Triple, side: CorruptionSide, q: &mut [f64]) {
-        let r = self.relations.row(t.relation as usize);
-        let wr = self.relation_proj.row(t.relation as usize);
-        match side {
-            CorruptionSide::Tail => {
-                let h = self.entities.row(t.head as usize);
-                let wh = self.entity_proj.row(t.head as usize);
-                let wh_h = dot(wh, h);
-                for i in 0..q.len() {
-                    q[i] = h[i] + wh_h * wr[i] + r[i];
-                }
-            }
-            CorruptionSide::Head => {
-                let tl = self.entities.row(t.tail as usize);
-                let wt = self.entity_proj.row(t.tail as usize);
-                let wt_t = dot(wt, tl);
-                for i in 0..q.len() {
-                    q[i] = r[i] - tl[i] - wt_t * wr[i];
-                }
-            }
-        }
-    }
-
-    /// Fused per-candidate kernel of the uncached reference path: one dot
-    /// with the candidate's projection vector, then one vectorised residual
-    /// pass.
-    #[inline]
-    fn candidate_score_uncached(
-        q: &[f64],
-        wr: &[f64],
-        row: &[f64],
-        proj: &[f64],
-        side: CorruptionSide,
-    ) -> f64 {
-        let s = dot(proj, row);
-        match side {
-            CorruptionSide::Tail => -l1_combine(q, row, wr, -1.0, -s),
-            CorruptionSide::Head => -l1_combine(q, row, wr, 1.0, s),
-        }
-    }
-
-    /// Combined source-table version the projection cache stamps against.
-    /// The relation-embedding table is excluded on purpose: `r` enters the
-    /// query side only, never the cached `e⊥`.
-    #[inline]
-    fn projection_version(&self) -> u64 {
-        self.entities.version() + self.entity_proj.version() + self.relation_proj.version()
-    }
-
-    /// `e⊥ = e + (w_e·e)·w_r` into `out` — exactly the panel fill's
-    /// arithmetic, so the loser-fallback inline projection is bit-identical
-    /// to a warm panel row.
+    /// `e⊥ = e + (w_e·e)·w_r` into `out`.
     #[inline]
     fn project_row_into(&self, wr: &[f64], e: usize, out: &mut [f64]) {
         let row = self.entities.row(e);
@@ -183,38 +101,66 @@ impl TransD {
         }
     }
 
-    /// Fill every slot this thread claimed with `e⊥ = e + (w_e·e)·w_r`,
-    /// then publish the batch, making it warm for every thread.
-    fn fill_claimed(&self, panel: &PanelGuard, wr: &[f64], cold: &[EntityId]) {
-        for &e in cold {
-            // SAFETY: `cold` holds exactly the slots this thread won via
-            // `claim_cold`, still unpublished.
-            let slot = unsafe { panel.claimed_slot(e as usize) };
-            self.project_row_into(wr, e as usize, slot);
-        }
-        panel.publish(cold);
-    }
-
-    /// The retired fused batched path, kept as the equivalence oracle for
-    /// the projection cache's tests.
-    pub fn score_candidates_uncached(
+    /// Score each entity of `candidates` substituted at `side` of `t` into
+    /// `out` (cleared first). The query entity is projected once into
+    /// `q = e⊥ + r` (tail) or `q = r − e⊥` (head); each candidate is then
+    /// projected into `p = e⊥` and scores `−‖q − p‖₁` (tail) or
+    /// `−Σᵢ |p_i + q_i|` (head). Both buffers share one `2·d` scratch.
+    fn score_projected(
         &self,
         t: &Triple,
         side: CorruptionSide,
-        candidates: &[EntityId],
+        candidates: impl ExactSizeIterator<Item = usize>,
         out: &mut Vec<f64>,
     ) {
         out.clear();
         out.reserve(candidates.len());
+        let d = self.dim;
+        let r = self.relations.row(t.relation as usize);
         let wr = self.relation_proj.row(t.relation as usize);
-        with_query_scratch(self.dim, |q| {
-            self.fill_query(t, side, q);
-            for &e in candidates {
-                let row = self.entities.row(e as usize);
-                let proj = self.entity_proj.row(e as usize);
-                out.push(Self::candidate_score_uncached(q, wr, row, proj, side));
+        let query_entity = match side {
+            CorruptionSide::Tail => t.head,
+            CorruptionSide::Head => t.tail,
+        };
+        with_query_scratch(2 * d, |scratch| {
+            let (q, p) = scratch.split_at_mut(d);
+            self.project_row_into(wr, query_entity as usize, p);
+            query_from_projection(side, p, r, q);
+            for e in candidates {
+                self.project_row_into(wr, e, p);
+                out.push(translational_score(side, q, p));
             }
         });
+    }
+}
+
+/// The query context from the query entity's projection `p` and the
+/// relation embedding `r`: `q = p + r` for tail corruption, `q = r − p` for
+/// head corruption.
+#[inline]
+fn query_from_projection(side: CorruptionSide, p: &[f64], r: &[f64], q: &mut [f64]) {
+    match side {
+        CorruptionSide::Tail => {
+            for i in 0..q.len() {
+                q[i] = p[i] + r[i];
+            }
+        }
+        CorruptionSide::Head => {
+            for i in 0..q.len() {
+                q[i] = r[i] - p[i];
+            }
+        }
+    }
+}
+
+/// The score of a candidate with projection `p` against the query context
+/// `q`: `−‖q − p‖₁` under tail corruption, `−Σᵢ |p_i + q_i|` under head
+/// corruption.
+#[inline]
+fn translational_score(side: CorruptionSide, q: &[f64], p: &[f64]) -> f64 {
+    match side {
+        CorruptionSide::Tail => -l1_distance(q, p),
+        CorruptionSide::Head => -l1_sum(p, q),
     }
 }
 
@@ -252,74 +198,11 @@ impl KgeModel for TransD {
         candidates: &[EntityId],
         out: &mut Vec<f64>,
     ) {
-        out.clear();
-        out.reserve(candidates.len());
-        let wr = self.relation_proj.row(t.relation as usize);
-        let query_entity = match side {
-            CorruptionSide::Tail => t.head,
-            CorruptionSide::Head => t.tail,
-        };
-        with_query_scratch(self.dim, |q| {
-            with_panel_scratch(self.dim, |cold, fallback| {
-                let panel = projection_panel(
-                    self.cache_id,
-                    t.relation,
-                    self.entities.rows(),
-                    self.dim,
-                    self.projection_version(),
-                );
-                panel.claim_cold(
-                    std::iter::once(query_entity).chain(candidates.iter().copied()),
-                    cold,
-                );
-                self.fill_claimed(&panel, wr, cold);
-                let r = self.relations.row(t.relation as usize);
-                let p = panel.row_or_compute(query_entity as usize, fallback, |buf| {
-                    self.project_row_into(wr, query_entity as usize, buf)
-                });
-                query_from_projection(side, p, r, q);
-                for &e in candidates {
-                    let p = panel.row_or_compute(e as usize, fallback, |buf| {
-                        self.project_row_into(wr, e as usize, buf)
-                    });
-                    out.push(translational_score(side, q, p));
-                }
-            });
-        });
+        self.score_projected(t, side, candidates.iter().map(|&e| e as usize), out);
     }
 
     fn score_all_into(&self, t: &Triple, side: CorruptionSide, out: &mut Vec<f64>) {
-        out.clear();
-        let n = self.entities.rows();
-        out.reserve(n);
-        let wr = self.relation_proj.row(t.relation as usize);
-        let query_entity = match side {
-            CorruptionSide::Tail => t.head,
-            CorruptionSide::Head => t.tail,
-        };
-        with_query_scratch(self.dim, |q| {
-            with_panel_scratch(self.dim, |cold, fallback| {
-                let panel = projection_panel(
-                    self.cache_id,
-                    t.relation,
-                    n,
-                    self.dim,
-                    self.projection_version(),
-                );
-                panel.claim_cold(0..n as EntityId, cold);
-                self.fill_claimed(&panel, wr, cold);
-                let r = self.relations.row(t.relation as usize);
-                let p = panel.row_or_compute(query_entity as usize, fallback, |buf| {
-                    self.project_row_into(wr, query_entity as usize, buf)
-                });
-                query_from_projection(side, p, r, q);
-                for e in 0..n {
-                    let p =
-                        panel.row_or_compute(e, fallback, |buf| self.project_row_into(wr, e, buf));
-                    out.push(translational_score(side, q, p));
-                }
-            });
-        });
+        self.score_projected(t, side, 0..self.entities.rows(), out);
     }
 
     fn accumulate_score_gradient(&self, t: &Triple, coeff: f64, grads: &mut dyn GradientSink) {
@@ -469,27 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_scoring_matches_the_uncached_reference() {
-        let m = tiny_model();
-        let candidates: Vec<u32> = vec![0, 2, 2, 5, 1];
-        let mut cached = Vec::new();
-        let mut reference = Vec::new();
-        for side in [CorruptionSide::Tail, CorruptionSide::Head] {
-            for pass in 0..2 {
-                let t = Triple::new(0, 1, 3);
-                m.score_candidates(&t, side, &candidates, &mut cached);
-                m.score_candidates_uncached(&t, side, &candidates, &mut reference);
-                for (i, (c, r)) in cached.iter().zip(&reference).enumerate() {
-                    assert!(
-                        (c - r).abs() <= 1e-12,
-                        "pass {pass} {side:?} candidate {i}: cached {c} vs uncached {r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn projection_update_invalidates_cached_projections() {
         let mut m = tiny_model();
         let t = Triple::new(0, 0, 1);
@@ -497,8 +359,8 @@ mod tests {
         let mut before = Vec::new();
         m.score_candidates(&t, CorruptionSide::Tail, &candidates, &mut before);
 
-        // w_e and w_r feed the cached e⊥ but live in tables of their own —
-        // the invalidation must fire for them too, not only for entities.
+        // w_e and w_r feed e⊥ but live in tables of their own: batched
+        // scores must follow updates to them too, not only to entities.
         let dim = m.dim();
         m.tables_mut()[ENTITY_PROJ_TABLE].set_row(4, &vec![0.3; dim]);
         m.tables_mut()[RELATION_PROJ_TABLE].set_row(0, &vec![-0.2; dim]);
@@ -510,7 +372,7 @@ mod tests {
             let scalar = m.score(&t.corrupted(CorruptionSide::Tail, e));
             assert!(
                 (score - scalar).abs() <= 1e-12,
-                "candidate {e}: cached {score} vs scalar {scalar}"
+                "candidate {e}: batched {score} vs scalar {scalar}"
             );
         }
     }

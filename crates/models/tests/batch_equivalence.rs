@@ -55,7 +55,7 @@ proptest! {
 
     #[test]
     fn score_candidates_matches_scalar_score(
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         dim in 1usize..20,
         num_entities in 2usize..40,
         seed in any::<u64>(),
@@ -88,7 +88,7 @@ proptest! {
 
     #[test]
     fn score_all_matches_scalar_score(
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         dim in 1usize..16,
         num_entities in 2usize..30,
         seed in any::<u64>(),
@@ -119,7 +119,7 @@ proptest! {
 
     #[test]
     fn empty_candidate_list_yields_empty_scores(
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         dim in 1usize..8,
         seed in any::<u64>(),
     ) {

@@ -89,11 +89,6 @@ fn transd_gradients_match_finite_differences() {
 }
 
 #[test]
-fn transr_gradients_match_finite_differences() {
-    check_model(ModelKind::TransR, 104);
-}
-
-#[test]
 fn distmult_gradients_match_finite_differences() {
     check_model(ModelKind::DistMult, 105);
 }
@@ -101,11 +96,6 @@ fn distmult_gradients_match_finite_differences() {
 #[test]
 fn complex_gradients_match_finite_differences() {
     check_model(ModelKind::ComplEx, 106);
-}
-
-#[test]
-fn rescal_gradients_match_finite_differences() {
-    check_model(ModelKind::Rescal, 107);
 }
 
 #[test]

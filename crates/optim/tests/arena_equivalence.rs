@@ -2,7 +2,7 @@
 //! dense-slab optimizers) is bit-identical to the retired `HashMap` engine
 //! (`GradientBuffer` + per-row-`HashMap`-state optimizers) across
 //!
-//! * all 7 scoring functions (their `accumulate_score_gradient` emission
+//! * all 5 scoring functions (their `accumulate_score_gradient` emission
 //!   drives both sinks through the shared `GradientSink` trait),
 //! * ragged per-shard touch sets merged in ascending shard order at
 //!   shards ∈ {1, 2, 4},
@@ -152,7 +152,7 @@ proptest! {
 
     #[test]
     fn accumulate_merge_apply_is_bit_identical_to_the_hashmap_engine(
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         shards_idx in 0usize..3,
         opt_kind in 0usize..3,
         model_seed in 0u64..1000,

@@ -70,7 +70,7 @@
 //! restores them exactly. At an epoch boundary a sampler's *transient* state
 //! (per-shard REINFORCE buffers, scratch) is empty by construction, so the
 //! sampler section's caches/generator/baseline are the whole of it.
-//! `tests/exact_resume.rs` proves the guarantee for all 7 models × 3
+//! `tests/exact_resume.rs` proves the guarantee for all 5 models × 3
 //! optimizers with Bernoulli, plus NSCaching, KBGAN and IGAN, at
 //! shards ∈ {1, 4}.
 //!

@@ -10,11 +10,10 @@
 //!   and a direction, the `k` most plausible entities for the open slot —
 //!   `(h, r, ?)` for [`CorruptionSide::Tail`], `(?, r, t)` for
 //!   [`CorruptionSide::Head`]. Scoring streams the whole entity table through
-//!   the batched `score_all_into` fast path (which for TransR/TransD rides
-//!   the relation-projection cache), then selects with the bounded one-pass
-//!   kernel `top_k_indices_into` — all into caller-owned [`QueryScratch`],
-//!   so the uncached steady state allocates nothing. A mirrored model scans
-//!   in two passes instead (see *Scan mirror* below).
+//!   the batched `score_all_into` fast path, then selects with the bounded
+//!   one-pass kernel `top_k_indices_into` — all into caller-owned
+//!   [`QueryScratch`], so the uncached steady state allocates nothing. A
+//!   mirrored model scans in two passes instead (see *Scan mirror* below).
 //! * **Rank** ([`KnowledgeServer::rank`]): the competition rank of a known
 //!   triple among all corruptions of one side, from the counts of one
 //!   count-only `rank_scan` over the scored entities (no contender indices

@@ -1,6 +1,6 @@
 //! The exact-resume proof: a run checkpointed mid-training and resumed from
 //! disk produces **bit-for-bit** the same embeddings and evaluation metrics
-//! as the uninterrupted run — for all 7 scoring functions × 3 optimizers at
+//! as the uninterrupted run — for all 5 scoring functions × 3 optimizers at
 //! shards ∈ {1, 4} (the sequential paper-exact engine and the pooled
 //! parallel engine), and for every *stateful* sampler (NSCaching, KBGAN,
 //! IGAN), whose evolving state rides in the checkpoint's sampler section.

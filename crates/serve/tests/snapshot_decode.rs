@@ -15,7 +15,7 @@ use nscaching_kg::Dataset;
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
 use nscaching_serve::format::{fnv1a64, read_frame, FORMAT_VERSION, MAGIC};
-use nscaching_serve::{load_checkpoint, load_model, save_checkpoint, save_model};
+use nscaching_serve::{load_checkpoint, load_model, save_checkpoint, save_model, SnapshotError};
 use nscaching_train::{TrainConfig, Trainer};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -247,6 +247,41 @@ fn every_hostile_value_in_every_header_word_is_refused_or_decoded() {
                         bytes[base..base + width].copy_from_slice(&value.to_le_bytes()[..width]);
                         decode_everything(&path, &bytes);
                     }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn removed_model_tags_are_a_schema_mismatch() {
+    // Kind tags 3 and 6 were TransR and RESCAL. A saved snapshot or
+    // checkpoint of either is refused as a schema mismatch that names the
+    // model; any other unknown tag is still corruption.
+    let path = scratch_path("removed");
+    let seeds = seeds();
+    for payload in [&seeds.models[0], &seeds.checkpoints[0]] {
+        let model_section = section_offsets(payload)
+            .into_iter()
+            .find(|&s| payload[s] == 1)
+            .expect("a model section");
+        for (tag, name) in [(3, Some("TransR")), (6, Some("RESCAL")), (7, None)] {
+            let mut bytes = payload.clone();
+            // The model section's body opens with the kind tag.
+            bytes[model_section + 9] = tag;
+            write_valid_frame(&path, &bytes);
+            let errors = [
+                load_model(&path).unwrap_err(),
+                load_checkpoint(&path).unwrap_err(),
+            ];
+            for err in errors {
+                match (name, &err) {
+                    (Some(name), SnapshotError::SchemaMismatch(what)) => {
+                        assert!(what.contains(name), "tag {tag}: {what}")
+                    }
+                    (None, SnapshotError::Corrupt(_)) => {}
+                    _ => panic!("tag {tag}: {err:?}"),
                 }
             }
         }

@@ -475,7 +475,7 @@ proptest! {
     // come back bit-for-bit.
     #[test]
     fn random_checkpoints_round_trip_bitwise(
-        kind_idx in 0usize..7,
+        kind_idx in 0..ModelKind::ALL.len(),
         opt in 0usize..3,
         data_seed in 0u64..50,
         epochs in 1usize..3,

@@ -29,10 +29,7 @@
 //!    accumulators) plus its own scratch buffers, so the pool workers share
 //!    nothing mutable and need no locks. The embedding model is shared
 //!    read-only through the thread-safe batched scoring API (`&self` +
-//!    thread-local scratch; the TransR/TransD projection panels live in the
-//!    process-wide shared registry of `nscaching_models::projcache`, whose
-//!    lock-free claim/publish protocol lets one worker's warm panel serve
-//!    every other worker, with bit-identical inline fallback).
+//!    thread-local scratch).
 //! 2. **RNG streams.** The master stream (seeded from
 //!    [`TrainConfig::seed`]) keeps its historical role — epoch shuffling,
 //!    and *all* sampling when `shards = 1`. Each worker draws from its own

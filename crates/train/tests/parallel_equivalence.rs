@@ -344,7 +344,7 @@ fn trainer_epoch_losses(
 }
 
 #[test]
-fn one_shard_reproduces_the_sequential_trainer_for_all_seven_models() {
+fn one_shard_reproduces_the_sequential_trainer_for_every_model() {
     let ds = dataset();
     let sampler = SamplerConfig::NsCaching(NsCachingConfig::new(8, 8));
     for kind in ModelKind::ALL {
@@ -385,7 +385,7 @@ fn one_shard_reproduces_the_sequential_trainer_for_feedback_samplers() {
 }
 
 #[test]
-fn pool_engine_reproduces_the_scoped_engine_for_all_seven_models() {
+fn pool_engine_reproduces_the_scoped_engine_for_every_model() {
     // The tentpole contract of the persistent-pool runtime: at every shard
     // count, for every scoring function, the trainer (now pool-backed) must
     // replay the retired per-batch thread::scope engine bit-for-bit.
