@@ -12,10 +12,7 @@
 //!   cache. The gated headline (`NSC_SERVE_LRU_MIN`, ≥ 5× locally; CI
 //!   relaxes it on shared runners like the other bench gates) is the
 //!   warm-hit/uncached throughput ratio on the Zipf stream — the design
-//!   point of serving skewed production traffic from a small hot cache;
-//! * **pooled batch fan-out** — the stream answered through
-//!   `top_k_batch` over a 4-worker `WorkerPool` (recorded, not gated — on a
-//!   1-core container the pool adds only dispatch overhead).
+//!   point of serving skewed production traffic from a small hot cache.
 //!
 //! The bench also asserts the allocation contract: after warm-up,
 //! steady-state queries perform **zero heap allocations** — on the uncached
@@ -42,10 +39,7 @@ use nscaching_kg::{CorruptionSide, Triple};
 use nscaching_math::{rank_scan, top_k_indices_into};
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_obs::MetricsRegistry;
-use nscaching_serve::{
-    BatchScratch, CacheConfig, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery,
-};
-use nscaching_train::WorkerPool;
+use nscaching_serve::{CacheConfig, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -471,18 +465,6 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         (secs, hits as f64 / lookups as f64)
     };
 
-    // --- Pooled batch fan-out (recorded, not gated).
-    let secs_batch = {
-        let server = server();
-        let mut pool = WorkerPool::new(4);
-        let mut batch = BatchScratch::default();
-        let mut out = Vec::new();
-        best_pass_seconds(samples, || {
-            server.top_k_batch(&mut pool, &stream, &mut batch, &mut out);
-            black_box(out.len());
-        })
-    };
-
     // --- The scan mirror at the design point (bit-identity asserted inside).
     let DesignPoint {
         speedup: (mirror_top_k, mirror_rank),
@@ -492,7 +474,6 @@ fn assert_serve_throughput(_c: &mut Criterion) {
 
     let qps_uncached = stream.len() as f64 / secs_uncached;
     let qps_warm = stream.len() as f64 / secs_warm;
-    let qps_batch = stream.len() as f64 / secs_batch;
     let speedup = qps_warm / qps_uncached;
     let min_speedup: f64 = std::env::var("NSC_SERVE_LRU_MIN")
         .ok()
@@ -503,7 +484,7 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         "serve_throughput TransE d={DIM} |E|={ENTITIES} k={K} zipf(s={ZIPF_S}) \
          {DISTINCT_QUERIES} distinct / {CACHE_CAPACITY} cache slots: \
          uncached {qps_uncached:.0} q/s, warm LRU {qps_warm:.0} q/s = {speedup:.1}x \
-         (min {min_speedup}x, hit rate {:.1}%), pool(4) batch {qps_batch:.0} q/s; \
+         (min {min_speedup}x, hit rate {:.1}%); \
          steady-state allocations: uncached {uncached_allocations}, hits {hit_allocations}, \
          {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss); \
          design point |E|={DESIGN_ENTITIES}: scan mirror top-k {mirror_top_k_us:.0} us = \
@@ -527,7 +508,7 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         .collect();
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0},\n    \"pool4_batch_topk\": {qps_batch:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"mean_refined_rows_top_k\": {refined_top_k:.1},\n    \"mean_refined_rows_rank\": {refined_rank:.1},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream; the pooled batch number is dispatch-bound on narrow hosts — see available_parallelism\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"mean_refined_rows_top_k\": {refined_top_k:.1},\n    \"mean_refined_rows_rank\": {refined_rank:.1},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream\"\n}}",
         stream.len(),
         4 * CACHE_CAPACITY / 2,
         miss_json.join(",\n    "),

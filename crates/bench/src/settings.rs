@@ -45,10 +45,10 @@ pub struct ExperimentSettings {
     pub threads: Option<usize>,
     /// Smoke mode: shrink everything so the binary finishes in seconds.
     pub smoke: bool,
-    /// Restrict grid experiments to these dataset families (comma-separated
+    /// Run grid experiments on these dataset families (comma-separated
     /// `--datasets wn18,fb15k237`); None = the experiment's default.
     pub datasets: Option<Vec<String>>,
-    /// Restrict grid experiments to these scoring functions (comma-separated
+    /// Run grid experiments with these scoring functions (comma-separated
     /// `--models TransE,ComplEx`); None = the experiment's default.
     pub models: Option<Vec<String>>,
     /// Save a checkpoint every this many epochs (0 = never).
@@ -206,28 +206,32 @@ impl ExperimentSettings {
             .unwrap_or_else(|| self.out_dir.join("checkpoints"))
     }
 
-    /// Filter a default list of benchmark families by `--datasets`.
+    /// The benchmark families `--datasets` names, in
+    /// [`BenchmarkFamily::ALL`](nscaching_datagen::BenchmarkFamily::ALL)
+    /// order, or the binary's `default` list when the flag is absent.
     pub fn select_families(
         &self,
         default: Vec<nscaching_datagen::BenchmarkFamily>,
     ) -> Vec<nscaching_datagen::BenchmarkFamily> {
         match &self.datasets {
             None => default,
-            Some(wanted) => default
+            Some(wanted) => nscaching_datagen::BenchmarkFamily::ALL
                 .into_iter()
                 .filter(|f| wanted.iter().any(|w| w == f.name()))
                 .collect(),
         }
     }
 
-    /// Filter a default list of scoring functions by `--models`.
+    /// The scoring functions `--models` names, in
+    /// [`ModelKind::ALL`](nscaching_models::ModelKind::ALL) order, or the
+    /// binary's `default` list when the flag is absent.
     pub fn select_models(
         &self,
         default: Vec<nscaching_models::ModelKind>,
     ) -> Vec<nscaching_models::ModelKind> {
         match &self.models {
             None => default,
-            Some(wanted) => default
+            Some(wanted) => nscaching_models::ModelKind::ALL
                 .into_iter()
                 .filter(|m| wanted.iter().any(|w| w == &m.name().to_lowercase()))
                 .collect(),
@@ -251,14 +255,21 @@ impl ExperimentSettings {
 }
 
 /// Split a comma-separated `flag` value into trimmed lowercase names,
-/// refusing any name that is not one of `valid` (compared lowercased), so a
-/// typo fails instead of filtering every run away.
+/// refusing any name that is not one of `valid` (compared lowercased), and
+/// a value that names nothing, so a typo fails instead of filtering every
+/// run away.
 fn parse_names(flag: &str, value: &str, valid: &[&str]) -> Result<Vec<String>, String> {
     let names: Vec<String> = value
         .split(',')
         .map(|s| s.trim().to_lowercase())
         .filter(|s| !s.is_empty())
         .collect();
+    if names.is_empty() {
+        return Err(format!(
+            "{flag} {value:?} names nothing; valid names: {}",
+            valid.join(", ")
+        ));
+    }
     match names
         .iter()
         .find(|n| !valid.iter().any(|v| v.to_lowercase() == **n))
@@ -389,6 +400,31 @@ mod filter_tests {
         );
         let models = s.select_models(ModelKind::ALL.to_vec());
         assert_eq!(models, vec![ModelKind::TransE, ModelKind::ComplEx]);
+    }
+
+    #[test]
+    fn named_runs_outside_the_default_list_are_selected() {
+        // The smoke defaults of exp_table4 and exp_table5.
+        let s = ExperimentSettings::parse(["--smoke", "--models", "distmult"]).unwrap();
+        assert_eq!(
+            s.select_models(vec![ModelKind::TransE]),
+            vec![ModelKind::DistMult]
+        );
+        let s = ExperimentSettings::parse(["--smoke", "--datasets", "fb15k"]).unwrap();
+        assert_eq!(
+            s.select_families(vec![BenchmarkFamily::Wn18rr]),
+            vec![BenchmarkFamily::Fb15k]
+        );
+    }
+
+    #[test]
+    fn a_value_that_names_nothing_is_refused() {
+        for flag in ["--models", "--datasets"] {
+            for value in [",", "", " , "] {
+                let err = ExperimentSettings::parse([flag, value]).unwrap_err();
+                assert!(err.contains("names nothing"), "{flag} {value:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! A 15-bit fixed-point grid for approximate L1 scans, its integer kernels,
-//! and the error bound that lets a caller rescore exactly only the rows the
-//! approximation cannot rule out.
+//! A 15-bit fixed-point grid for approximate L1 scans, its integer block
+//! kernel, and the error bound that lets a caller rescore exactly only the
+//! rows the approximation cannot rule out.
 //!
 //! [`L1Grid::spanning`] maps every value of a table onto the integers
 //! `0..=GRID_MAX` by `E = round((e − lo)·32767/(hi − lo))` (to nearest,
@@ -25,7 +25,7 @@ pub const GRID_MAX: u16 = 32_767;
 /// Rows per block of [`grid_l1_block`]'s dimension-major layout.
 pub const GRID_BLOCK: usize = 32;
 
-/// Largest dimension whose row sums fit the kernels' `u32` accumulators:
+/// Largest dimension whose row sums fit the kernel's `u32` accumulators:
 /// `d·GRID_MAX ≤ u32::MAX`.
 pub const GRID_MAX_DIM: usize = (u32::MAX / GRID_MAX as u32) as usize;
 
@@ -211,18 +211,6 @@ fn full_block(block: &[u16], query: &[u16]) -> [u32; GRID_BLOCK] {
     acc
 }
 
-/// Integer L1 distance `Σ_j |row[j] − query[j]|` of one row-major grid row:
-/// the kernel of gathers, where the rows are not contiguous blocks. Same
-/// preconditions as [`grid_l1_block`].
-#[inline]
-pub fn grid_l1_row(row: &[u16], query: &[u16]) -> u32 {
-    debug_assert_eq!(row.len(), query.len());
-    row.iter()
-        .zip(query)
-        .map(|(&v, &q)| u32::from(v.abs_diff(q)))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +233,14 @@ mod tests {
         (0..dim)
             .flat_map(|j| rows.iter().map(move |row| row[j]))
             .collect()
+    }
+
+    /// The grid sum of one row: [`grid_l1_block`] over a one-row block,
+    /// which is the row itself.
+    fn row_sum(row: &[u16], query: &[u16]) -> u32 {
+        let mut sum = [0u32; 1];
+        grid_l1_block(row, query, &mut sum);
+        sum[0]
     }
 
     struct XorShift(u64);
@@ -283,7 +279,7 @@ mod tests {
                 let got: Vec<u64> = sums.iter().map(|&s| u64::from(s)).collect();
                 assert_eq!(got, want, "block d={dim} w={width}");
                 for (row, &want) in rows.iter().zip(&want) {
-                    assert_eq!(u64::from(grid_l1_row(row, &query)), want, "row d={dim}");
+                    assert_eq!(u64::from(row_sum(row, &query)), want, "row d={dim}");
                 }
             }
         }
@@ -307,7 +303,7 @@ mod tests {
             let mut tail = [0u32; 3];
             grid_l1_block(&block[..3 * dim], &query, &mut tail);
             assert_eq!(tail, [want; 3]);
-            assert_eq!(grid_l1_row(&block[..dim], &query), want);
+            assert_eq!(row_sum(&block[..dim], &query), want);
         }
     }
 
@@ -338,7 +334,7 @@ mod tests {
                     let mut grid_q = Vec::new();
                     let outside = grid.quantize_query(&q, &mut grid_q);
                     let grid_row: Vec<u16> = row.iter().map(|&v| grid.quantize(v)).collect();
-                    let sum = grid_l1_row(&grid_row, &grid_q);
+                    let sum = row_sum(&grid_row, &grid_q);
                     let approx = f64::from(sum) * grid.step + outside;
                     let bound = grid.bound(dim, outside);
                     let err = (approx - l1_distance(row, &q)).abs();

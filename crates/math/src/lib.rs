@@ -20,7 +20,7 @@ pub mod stats;
 pub mod topk;
 pub mod vecops;
 
-pub use grid::{grid_l1_block, grid_l1_row, L1Grid, GRID_BLOCK, GRID_MAX, GRID_MAX_DIM};
+pub use grid::{grid_l1_block, L1Grid, GRID_BLOCK, GRID_MAX, GRID_MAX_DIM};
 pub use init::{constant_init, uniform_init, xavier_uniform};
 pub use rng::{rng_from_state, rng_state, seeded_rng, split_seed, SeedStream};
 pub use sample::{

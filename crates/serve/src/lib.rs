@@ -13,19 +13,14 @@
 //!    triplet-classification queries through the workspace's batched scoring
 //!    fast paths, fronted by one version-invalidated top-k result cache
 //!    behind one lock, with a pluggable eviction policy ([`PolicyKind`]: LRU
-//!    or SLRU, selected from trace-driven simulation, see [`policy`]), and
-//!    fanned out over the existing worker pool for batch traffic. The
+//!    or SLRU, selected from trace-driven simulation, see [`policy`]). The
 //!    cache-miss path selects its top-k in one bounded pass
 //!    (`nscaching_math::top_k_indices_into`: O(|E| + k log k), holding at
-//!    most `max(2k, k + 32)` indices) instead of a full sort; a TransE
-//!    model's full-vocabulary top-k and rank scan a 15-bit fixed-point
-//!    mirror of its entity table and rescore exactly only the rows the
-//!    mirror's error bound cannot rule out (answers bit-identical to the
-//!    full scan, see [`server`]); and with a
-//!    bound per-relation [`CandidateIndex`] scores only
-//!    the query relation's observed candidate set instead of the full
-//!    vocabulary (see [`candidates`] for the answer semantics). Score, rank
-//!    and classification queries are not cached.
+//!    most `max(2k, k + 32)` indices) instead of a full sort, and a TransE
+//!    model's top-k and rank scan a 15-bit fixed-point mirror of its entity
+//!    table and rescore exactly only the rows the mirror's error bound
+//!    cannot rule out (answers bit-identical to the full scan, see
+//!    [`server`]). Score, rank and classification queries are not cached.
 //!
 //! # On-disk format
 //!
@@ -102,7 +97,6 @@
 //! [`server`] for the full reasoning.
 
 pub mod cache;
-pub mod candidates;
 pub mod crash;
 pub mod error;
 pub mod format;
@@ -114,13 +108,10 @@ pub mod snapshot;
 pub mod telemetry;
 
 pub use cache::{CacheStats, PolicyCache};
-pub use candidates::CandidateIndex;
 pub use error::SnapshotError;
 pub use manager::{CheckpointEntry, CheckpointManager, Recovery, VerifiedEntry};
 pub use policy::{EvictionPolicy, LruPolicy, PolicyKind, SlruPolicy};
-pub use server::{
-    BatchScratch, CacheConfig, KnowledgeServer, QueryError, QueryScratch, RankedEntity, TopKQuery,
-};
+pub use server::{CacheConfig, KnowledgeServer, QueryError, QueryScratch, RankedEntity, TopKQuery};
 pub use snapshot::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, Checkpoint,
     CheckpointMeta, ModelSnapshot, TableData,

@@ -47,21 +47,10 @@
 //! horizontal fold per row. Measured single-threaded on a 2-vCPU Xeon host over
 //! 14,541 × 64 random grid rows, that pass took 72–89 µs per query against
 //! 138–156 µs for a row-major layout that folds each row.
-//!
-//! A bound [`CandidateIndex`](crate::CandidateIndex) instead gathers its
-//! candidates' rows, and a row of a block is 64 cache lines apart: in the
-//! same probe, gathering 1,200 of 20,000 such rows took 251 µs, longer than
-//! the exact `f64` gather (132 µs), while a row-major copy took 18 µs. So
-//! while an index is bound, and only then, the mirror also keeps its values
-//! row-major, and the candidate list runs the same two passes over them
-//! ([`grid_l1_row`]). In the `candidate_index` bench the indexed path took
-//! 5.13 ms per query mix with that copy and 13.65 ms scoring its
-//! candidates exactly, against 26.7–27.9 ms for the full scan.
 
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{
-    grid_l1_block, grid_l1_row, l1_distance, top_k_indices_into, L1Grid, RankScan, GRID_BLOCK,
-    GRID_MAX_DIM,
+    grid_l1_block, l1_distance, top_k_indices_into, L1Grid, RankScan, GRID_BLOCK, GRID_MAX_DIM,
 };
 use nscaching_models::{EmbeddingTable, KgeModel};
 
@@ -77,9 +66,6 @@ pub(crate) struct ScanMirror {
     /// `GRID_BLOCK·d·b + w·j + r`, with `w` the block's width (32, or
     /// `|E| mod 32` for the last block).
     blocks: Vec<u16>,
-    /// The same values row-major, kept only while a candidate index is
-    /// bound (see the module docs).
-    by_row: Option<Vec<u16>>,
 }
 
 /// The per-caller buffers of the two passes (part of `QueryScratch`).
@@ -104,12 +90,11 @@ struct Pass<'m> {
 }
 
 impl ScanMirror {
-    /// The mirror of `model`'s entity table, row-major as well when `gather`
-    /// (a candidate index is bound), or `None` when the model has no L1
-    /// form, an empty vocabulary, rows wider than [`GRID_MAX_DIM`], or
+    /// The mirror of `model`'s entity table, or `None` when the model has no
+    /// L1 form, an empty vocabulary, rows wider than [`GRID_MAX_DIM`], or
     /// values no grid spans (non-finite, or a range that is not finite and
     /// positive).
-    pub(crate) fn build(model: &dyn KgeModel, gather: bool) -> Option<Self> {
+    pub(crate) fn build(model: &dyn KgeModel) -> Option<Self> {
         if model.num_entities() == 0 || model.num_relations() == 0 {
             return None;
         }
@@ -130,21 +115,17 @@ impl ScanMirror {
                 }
             }
         }
-        let by_row = gather.then(|| table.data().iter().map(|&v| grid.quantize(v)).collect());
         Some(Self {
             grid,
             rows,
             dim,
             blocks,
-            by_row,
         })
     }
 
-    /// Resident bytes of the grid values: `2·|E|·d`, twice that while a
-    /// candidate index is bound.
+    /// Resident bytes of the grid values: `2·|E|·d`.
     pub(crate) fn bytes(&self) -> usize {
-        let values = self.blocks.len() + self.by_row.as_ref().map_or(0, Vec::len);
-        values * std::mem::size_of::<u16>()
+        self.blocks.len() * std::mem::size_of::<u16>()
     }
 
     /// Fill `buf.query` through the model's hook and `buf.grid_query` with
@@ -196,47 +177,6 @@ impl ScanMirror {
             let sums = &mut sums[..block.len() / self.dim];
             grid_l1_block(block, &buf.grid_query, sums);
             near.offer(sums, |r| (b * GRID_BLOCK + r) as EntityId);
-        }
-        near.finish(&mut buf.refined, self.rows);
-        rescore_and_select(&pass, k, buf, scores, order);
-        true
-    }
-
-    /// [`Self::top_k`] over a bound index's ascending `candidates` instead
-    /// of the whole vocabulary, through the row-major copy: the answer of
-    /// `score_candidates` + `top_k_indices_into` over the list, with
-    /// `buf.refined` holding entity ids. `false` when the exact path must
-    /// answer (no row-major copy, `k = 0`, `k ≥` the list's length, or a
-    /// query outside the bound's domain).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn top_k_among(
-        &self,
-        model: &dyn KgeModel,
-        anchor: &Triple,
-        side: CorruptionSide,
-        k: usize,
-        candidates: &[EntityId],
-        buf: &mut MirrorScratch,
-        scores: &mut Vec<f64>,
-        order: &mut Vec<usize>,
-    ) -> bool {
-        let Some(by_row) = &self.by_row else {
-            return false;
-        };
-        if k == 0 || k >= candidates.len() {
-            return false;
-        }
-        let Some(pass) = self.pass(model, anchor, side, buf) else {
-            return false;
-        };
-        let mut near = Near::new(k, pass.slack, &mut buf.near, self.rows);
-        let mut sums = [0u32; GRID_BLOCK];
-        for ids in candidates.chunks(GRID_BLOCK) {
-            for (sum, &e) in sums.iter_mut().zip(ids) {
-                let row = &by_row[e as usize * self.dim..][..self.dim];
-                *sum = grid_l1_row(row, &buf.grid_query);
-            }
-            near.offer(&sums[..ids.len()], |r| ids[r]);
         }
         near.finish(&mut buf.refined, self.rows);
         rescore_and_select(&pass, k, buf, scores, order);

@@ -1,5 +1,5 @@
-//! The online query engine: a read-mostly model behind an `Arc`, one bounded
-//! top-k result cache in front of it, and batched fan-out over a worker pool.
+//! The online query engine: a read-mostly model behind an `Arc`, and one
+//! bounded top-k result cache in front of it.
 //!
 //! # Query model
 //!
@@ -31,22 +31,21 @@
 //! distance to a query vector ([`KgeModel::l1_scan_query`]; of this
 //! workspace's models, TransE) is served with a 15-bit fixed-point copy of
 //! its entity table, the *scan mirror*, built with the model under the same
-//! lock (`with_cache`, `reload`, `update_model`, and binding or clearing a
-//! [`CandidateIndex`]), so a reader never pairs a model with another
-//! version's mirror. Each value is stored on a grid of 32,768 levels that
-//! spans the table's `[lo, hi]`: `E = round((e − lo)·32767/(hi − lo))`.
-//! Fifteen bits, not sixteen, so that the sum of two grid differences
-//! (each at most 32767) fits a 16-bit lane, and the kernel adds dimension
-//! pairs in 16-bit lanes before widening. Its memory is `2·|E|·d` bytes, a
-//! quarter of the table (1.86 MB for 14,541 entities at d = 64, which fits
-//! a 2 MiB L2), reported as `nsc_serve_scan_mirror_bytes`; while a
-//! candidate index is bound it also keeps a row-major copy for the index's
-//! gathers, and the gauge reads twice that. A table holding a non-finite
+//! lock (`with_cache`, `reload`, `update_model`), so a reader never pairs a
+//! model with another version's mirror. Each value is stored on a grid of
+//! 32,768 levels that spans the table's `[lo, hi]`:
+//! `E = round((e − lo)·32767/(hi − lo))`. Fifteen bits, not sixteen, so
+//! that the sum of two grid differences (each at most 32767) fits a 16-bit
+//! lane, and the kernel adds dimension pairs in 16-bit lanes before
+//! widening. The values are kept in one layout, blocks of 32 rows stored
+//! dimension-major, and their memory is `2·|E|·d` bytes, a quarter of the
+//! table (1.86 MB for 14,541 entities at d = 64, which fits a 2 MiB L2),
+//! reported as `nsc_serve_scan_mirror_bytes`. A table holding a non-finite
 //! value, or whose range is not finite and positive, gets no mirror.
 //!
-//! Every full-vocabulary top-k and rank of a mirrored model then runs two
-//! passes: an approximate one that sums each row's integer L1 distance on
-//! the grid, exact there, with the query clamped into `[lo, hi]` and the
+//! Every top-k and rank of a mirrored model then runs two passes: an
+//! approximate one that sums each row's integer L1 distance on the grid,
+//! exact there, with the query clamped into `[lo, hi]` and the
 //! clamped-away part added back as a per-query constant `C`; and an exact
 //! one that rescores with the model's own `f64` kernel only the rows the
 //! bound cannot rule out. The bound (`nscaching_math::L1Grid::bound`) is one
@@ -60,11 +59,9 @@
 //! derivation is in `crate::mirror`; `tests/scan_mirror.rs` checks it
 //! against the model's own scan). The rows rescored are counted in
 //! `nsc_serve_scan_rescored_rows_total`, so a model whose value range
-//! widens the grid shows up in `STATS`. The top-k of a bound
-//! [`CandidateIndex`]'s list runs the same two passes over that list. Models
-//! without an L1 form, `k = 0`, `k` at or beyond the vocabulary (or the
-//! candidate list), and non-finite or huge query vectors take the exact
-//! scan.
+//! widens the grid shows up in `STATS`. Models without an L1 form, `k = 0`,
+//! `k` at or beyond the vocabulary, and non-finite or huge query vectors
+//! take the exact scan.
 //!
 //! # Cache contract
 //!
@@ -89,8 +86,9 @@
 //!
 //! # Threading
 //!
-//! The server is `Sync` and cheap to clone (`Arc` inside); concurrent
-//! callers share the model under a read lock and the cache under one mutex.
+//! Callers share one server across threads: it is `Sync` and cheap to
+//! clone (`Arc` inside), and each thread brings its own [`QueryScratch`].
+//! They share the model under a read lock and the cache under one mutex.
 //! The mutex is held only for a lookup or an insert, never across the model
 //! scan of a miss, so a miss does not block other callers' hits. Lock order
 //! is always model → cache. [`KnowledgeServer::top_k`] is also available as
@@ -98,13 +96,8 @@
 //! [`KnowledgeServer::top_k_miss`] (compute and insert, no second lookup),
 //! so a caller can answer hits on one thread and run the scans on another
 //! while counting each request once.
-//! [`KnowledgeServer::top_k_batch`] / [`KnowledgeServer::score_batch`] fan a
-//! query set out across an existing [`WorkerPool`] in contiguous chunks, one
-//! per worker, each worker reusing its own scratch from the caller's
-//! [`BatchScratch`].
 
 use crate::cache::{CacheStats, PolicyCache};
-use crate::candidates::CandidateIndex;
 use crate::error::SnapshotError;
 use crate::mirror::{MirrorScratch, ScanMirror};
 use crate::policy::PolicyKind;
@@ -113,7 +106,6 @@ use crate::telemetry::ServeMetrics;
 use nscaching_kg::{CorruptionSide, EntityId, RelationId, Triple};
 use nscaching_math::{rank_scan, split_seed, top_k_indices_into};
 use nscaching_models::{KgeModel, ModelKind};
-use nscaching_train::WorkerPool;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
@@ -180,8 +172,7 @@ pub struct RankedEntity {
 /// A query referencing ids outside the served model's vocabularies.
 ///
 /// Serving traffic is untrusted: a single malformed id must produce a typed
-/// rejection, never a slice-out-of-bounds panic on the scoring path (which,
-/// through the batch fan-out, would take the whole caller down).
+/// rejection, never a slice-out-of-bounds panic on the scoring path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
     /// An entity id at or beyond `num_entities`.
@@ -250,11 +241,12 @@ fn validate_triple(model: &dyn KgeModel, triple: &Triple) -> Result<(), QueryErr
 /// Per-caller reusable query buffers. All hot paths write into these instead
 /// of allocating; after the first few queries establish the high-water marks,
 /// a steady-state query performs no heap allocation (asserted in the
-/// `serve_throughput` bench).
+/// `serve_throughput` bench). Each thread that queries a shared server
+/// keeps its own.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Score buffer: every entity's (`score_all_into` target), a candidate
-    /// set's, or the rows a two-pass scan rescored.
+    /// Score buffer: every entity's (`score_all_into` target), or the rows a
+    /// two-pass scan rescored.
     scores: Vec<f64>,
     /// Index buffer of the top-k selection.
     order: Vec<usize>,
@@ -264,11 +256,9 @@ pub struct QueryScratch {
 
 /// Which entities the indices [`select_top_k`] selected point at.
 #[derive(Debug, Clone, Copy)]
-enum Scanned<'i> {
+enum Scanned {
     /// The whole vocabulary, scanned exactly: indices are entity ids.
     Vocabulary,
-    /// A bound candidate index's list.
-    Candidates(&'i [EntityId]),
     /// The rows the scan mirror's exact pass rescored
     /// (`QueryScratch::mirror.refined`).
     Refined,
@@ -277,23 +267,15 @@ enum Scanned<'i> {
 impl QueryScratch {
     /// The selection [`select_top_k`] left in this scratch, best first.
     /// `scanned` is what it returned.
-    fn ranked<'a>(&'a self, scanned: Scanned<'a>) -> impl Iterator<Item = RankedEntity> + 'a {
+    fn ranked(&self, scanned: Scanned) -> impl Iterator<Item = RankedEntity> + '_ {
         self.order.iter().map(move |&i| RankedEntity {
             entity: match scanned {
                 Scanned::Vocabulary => i as EntityId,
-                Scanned::Candidates(candidates) => candidates[i],
                 Scanned::Refined => self.mirror.refined[i],
             },
             score: self.scores[i],
         })
     }
-}
-
-/// Per-batch worker scratch: one [`QueryScratch`] per pool worker, reused
-/// across batches.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    scratches: Vec<QueryScratch>,
 }
 
 /// A cached top-k answer plus the model stamp it was computed under.
@@ -366,10 +348,9 @@ struct Served {
 }
 
 impl Served {
-    /// `model` and its mirror, which also keeps its rows row-major when
-    /// `gather` (a candidate index is bound).
-    fn new(model: Box<dyn KgeModel>, gather: bool) -> Self {
-        let mirror = ScanMirror::build(model.as_ref(), gather);
+    /// `model` and its mirror.
+    fn new(model: Box<dyn KgeModel>) -> Self {
+        let mirror = ScanMirror::build(model.as_ref());
         Self { model, mirror }
     }
 
@@ -380,10 +361,6 @@ impl Served {
 
 struct ServerInner {
     served: RwLock<Served>,
-    /// Optional per-relation candidate index for the top-k miss path; see
-    /// [`CandidateIndex`] for the answer semantics. Written only under the
-    /// model write lock (lock order: model → candidates → cache).
-    candidates: RwLock<Option<Arc<CandidateIndex>>>,
     /// The top-k result cache. Locked only around a lookup or an insert.
     cache: Mutex<PolicyCache<TopKQuery, CachedAnswer>>,
     /// Current model stamp; see the module docs for the invalidation
@@ -419,12 +396,11 @@ impl KnowledgeServer {
     /// — capacity and eviction policy.
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
-        let served = Served::new(model, false);
+        let served = Served::new(model);
         Self {
             inner: Arc::new(ServerInner {
                 mirror_bytes: AtomicU64::new(served.mirror_bytes()),
                 served: RwLock::new(served),
-                candidates: RwLock::new(None),
                 cache: Mutex::new(PolicyCache::new(config.capacity, config.policy)),
                 stamp: AtomicU64::new(stamp),
                 generation: AtomicU64::new(1),
@@ -455,8 +431,7 @@ impl KnowledgeServer {
     }
 
     /// Resident bytes of the served model's scan mirror: `2·|E|·d` for a
-    /// mirrored model (twice that while a candidate index is bound), 0 for
-    /// one without (see the module docs).
+    /// mirrored model, 0 for one without (see the module docs).
     pub fn scan_mirror_bytes(&self) -> u64 {
         self.inner.mirror_bytes.load(Ordering::Relaxed)
     }
@@ -478,12 +453,8 @@ impl KnowledgeServer {
     /// answers displace them.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
         // The new scan mirror is built before the write lock is taken, so
-        // readers wait only for the swap. An index bound or cleared in
-        // between leaves the row-major copy out of step until the next
-        // rebuild, which costs speed, never an answer: without the copy the
-        // candidate list is scored exactly.
-        let gather = self.candidate_index().is_some();
-        let served = Served::new(load_model(path)?.into_model()?, gather);
+        // readers wait only for the swap.
+        let served = Served::new(load_model(path)?.into_model()?);
         let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
         *guard = served;
@@ -499,8 +470,7 @@ impl KnowledgeServer {
         let mut guard = self.inner.served.write().expect("model lock");
         let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
         update(guard.model.as_mut());
-        let gather = self.candidate_index().is_some();
-        guard.mirror = ScanMirror::build(guard.model.as_ref(), gather);
+        guard.mirror = ScanMirror::build(guard.model.as_ref());
         self.publish_served(&guard, generation);
     }
 
@@ -514,47 +484,6 @@ impl KnowledgeServer {
         self.inner
             .mirror_bytes
             .store(served.mirror_bytes(), Ordering::Relaxed);
-    }
-
-    /// Bind a per-relation [`CandidateIndex`]: subsequent top-k misses score
-    /// only the query relation's observed candidate set (falling back to the
-    /// full-|E| scan whenever the index cannot shrink it — see
-    /// [`CandidateIndex::shrinking_candidates`]).
-    ///
-    /// Binding **changes the answer set** of indexed queries (entities never
-    /// observed with the relation disappear from answers), so it bumps the
-    /// model stamp exactly like a model mutation: every previously cached
-    /// answer is version-invalidated and can never be served alongside
-    /// index-computed ones.
-    pub fn bind_candidate_index(&self, index: CandidateIndex) {
-        self.swap_candidate_index(Some(Arc::new(index)));
-    }
-
-    /// Drop the bound candidate index, restoring full-vocabulary answers.
-    /// Bumps the model stamp for the same reason binding does.
-    pub fn clear_candidate_index(&self) {
-        self.swap_candidate_index(None);
-    }
-
-    fn swap_candidate_index(&self, index: Option<Arc<CandidateIndex>>) {
-        // Same discipline as `update_model`: the swap happens under the
-        // model write lock, so no reader can compute an answer while the
-        // stamp and the index disagree. The mirror keeps its row-major copy
-        // exactly while an index is bound.
-        let mut guard = self.inner.served.write().expect("model lock");
-        let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        guard.mirror = ScanMirror::build(guard.model.as_ref(), index.is_some());
-        *self.inner.candidates.write().expect("candidate lock") = index;
-        self.publish_served(&guard, generation);
-    }
-
-    /// The bound candidate index, if any (diagnostics and benches).
-    pub fn candidate_index(&self) -> Option<Arc<CandidateIndex>> {
-        self.inner
-            .candidates
-            .read()
-            .expect("candidate lock")
-            .clone()
     }
 
     /// The served scoring function.
@@ -639,8 +568,7 @@ impl KnowledgeServer {
     ) -> Result<(), QueryError> {
         let served = self.inner.served.read().expect("model lock");
         validate_ids(served.model.as_ref(), query.entity, query.relation)?;
-        let index = self.inner.candidates.read().expect("candidate lock");
-        let scanned = select_top_k(&served, index.as_deref(), query, scratch);
+        let scanned = select_top_k(&served, query, scratch);
         self.count_rescored(scanned, scratch);
         out.clear();
         out.extend(scratch.ranked(scanned));
@@ -648,7 +576,7 @@ impl KnowledgeServer {
     }
 
     /// Add the rows a two-pass top-k rescored to the attached counter.
-    fn count_rescored(&self, scanned: Scanned<'_>, scratch: &QueryScratch) {
+    fn count_rescored(&self, scanned: Scanned, scratch: &QueryScratch) {
         if let (Scanned::Refined, Some(metrics)) = (scanned, self.inner.metrics.get()) {
             metrics
                 .scan_rescored_rows
@@ -733,8 +661,7 @@ impl KnowledgeServer {
         // one serve path that gets timed per call (the hit path stays
         // clock-free — see the telemetry module's overhead contract).
         let compute_started = self.inner.metrics.get().map(|_| Instant::now());
-        let index = self.inner.candidates.read().expect("candidate lock");
-        let scanned = select_top_k(served, index.as_deref(), query, scratch);
+        let scanned = select_top_k(served, query, scratch);
         self.count_rescored(scanned, scratch);
         // One allocation, sized by what the kernel selected (`query.k` is an
         // untrusted wire value): the selection's exact length lets the `Arc`
@@ -791,116 +718,19 @@ impl KnowledgeServer {
         let true_entity = triple.entity_at(side) as usize;
         Ok(rank_scan(&scratch.scores, scratch.scores[true_entity], true_entity).rank())
     }
-
-    /// Answer a batch of top-k queries across `pool`, one contiguous chunk
-    /// per worker, through the shared result cache. `out[i]` receives the answer
-    /// to `queries[i]` — per-query, so one malformed query in a batch yields
-    /// one `Err` slot and every other answer still lands.
-    pub fn top_k_batch(
-        &self,
-        pool: &mut WorkerPool,
-        queries: &[TopKQuery],
-        batch: &mut BatchScratch,
-        out: &mut Vec<Result<Arc<[RankedEntity]>, QueryError>>,
-    ) {
-        let workers = pool.workers();
-        batch.scratches.resize_with(workers, QueryScratch::default);
-        let empty: Arc<[RankedEntity]> = Arc::new([]);
-        out.clear();
-        out.resize(queries.len(), Ok(empty));
-        let chunk = queries.len().div_ceil(workers).max(1);
-        let jobs = queries
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .zip(&mut batch.scratches)
-            .enumerate()
-            .map(|(worker, ((queries, slots), scratch))| {
-                let server = self;
-                let job = Box::new(move || {
-                    for (query, slot) in queries.iter().zip(slots) {
-                        *slot = server.top_k(query, scratch);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>;
-                (worker, job)
-            });
-        pool.run_round(jobs);
-    }
-
-    /// Score a batch of triples across `pool` (the bulk half of triplet
-    /// classification). `out[i]` receives the score of `triples[i]`, per
-    /// triple, so malformed ids fail their own slot only.
-    pub fn score_batch(
-        &self,
-        pool: &mut WorkerPool,
-        triples: &[Triple],
-        out: &mut Vec<Result<f64, QueryError>>,
-    ) {
-        let workers = pool.workers();
-        out.clear();
-        out.resize(triples.len(), Ok(0.0));
-        let chunk = triples.len().div_ceil(workers).max(1);
-        let jobs = triples
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate()
-            .map(|(worker, (triples, slots))| {
-                let server = self;
-                let job = Box::new(move || {
-                    let served = server.inner.served.read().expect("model lock");
-                    for (triple, slot) in triples.iter().zip(slots) {
-                        *slot = score_triple(served.model.as_ref(), triple);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>;
-                (worker, job)
-            });
-        pool.run_round(jobs);
-    }
 }
 
 /// Score the open slot of `query` and leave the indices of its top `k` in
 /// `scratch.order`, best first, ties towards the lower index. Returns which
 /// entities those indices point at; [`QueryScratch::ranked`] maps them.
 ///
-/// Candidate-index fast path: when a bound `index` shrinks the scan, only
-/// the relation's observed entities are scored, through the batched gather
-/// kernel. The candidate list is sorted ascending, so the bounded top-k
-/// pass's lower-index tie break *is* the full scan's lower-entity-id tie
-/// break, and the ranking over the set is bit-identical to scanning it
-/// entity by entity (asserted against the restricted-scan oracle in the
-/// candidate-index tests). For a mirrored model, the candidate list and a
-/// full-vocabulary scan both run the scan mirror's two passes, whose answer
-/// is the exact scan's (see the module docs); the exact scan answers
-/// everything else.
-fn select_top_k<'i>(
-    served: &Served,
-    index: Option<&'i CandidateIndex>,
-    query: &TopKQuery,
-    scratch: &mut QueryScratch,
-) -> Scanned<'i> {
+/// A mirrored model runs the scan mirror's two passes, whose answer is the
+/// exact scan's (see the module docs); the exact scan answers everything
+/// else.
+fn select_top_k(served: &Served, query: &TopKQuery, scratch: &mut QueryScratch) -> Scanned {
     let model = served.model.as_ref();
     let anchor = query.anchor();
     let k = query.k as usize;
-    if let Some(candidates) = index.and_then(|index| {
-        index.shrinking_candidates(query.relation, query.direction, model.num_entities())
-    }) {
-        if let Some(mirror) = &served.mirror {
-            if mirror.top_k_among(
-                model,
-                &anchor,
-                query.direction,
-                k,
-                candidates,
-                &mut scratch.mirror,
-                &mut scratch.scores,
-                &mut scratch.order,
-            ) {
-                return Scanned::Refined;
-            }
-        }
-        model.score_candidates(&anchor, query.direction, candidates, &mut scratch.scores);
-        top_k_indices_into(&scratch.scores, k, &mut scratch.order);
-        return Scanned::Candidates(candidates);
-    }
     if let Some(mirror) = &served.mirror {
         if mirror.top_k(
             model,
@@ -1033,15 +863,6 @@ mod tests {
             assert_eq!(answer.len(), server.num_entities(), "{query:?}");
             assert_eq!(&*answer, sort_oracle_top_k(&server, query).as_slice());
         }
-        let mut pool = WorkerPool::new(2);
-        let mut batch = BatchScratch::default();
-        let mut out = Vec::new();
-        server.top_k_batch(&mut pool, &queries, &mut batch, &mut out);
-        for (query, answer) in queries.iter().zip(&out) {
-            let answer = answer.as_ref().unwrap();
-            assert_eq!(answer.len(), server.num_entities(), "{query:?}");
-            assert_eq!(&**answer, sort_oracle_top_k(&server, query).as_slice());
-        }
     }
 
     #[test]
@@ -1118,42 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_fan_out_matches_sequential_answers() {
-        let server = server(ModelKind::TransH, 256);
-        let mut pool = WorkerPool::new(4);
-        let queries: Vec<TopKQuery> = (0..23)
-            .map(|i| {
-                if i % 2 == 0 {
-                    TopKQuery::tails(i % 7, (i % 5) as RelationId, 4)
-                } else {
-                    TopKQuery::heads(i % 11, (i % 5) as RelationId, 4)
-                }
-            })
-            .collect();
-        let mut batch = BatchScratch::default();
-        let mut out = Vec::new();
-        server.top_k_batch(&mut pool, &queries, &mut batch, &mut out);
-        assert_eq!(out.len(), queries.len());
-        let mut scratch = QueryScratch::default();
-        let mut expected = Vec::new();
-        for (query, got) in queries.iter().zip(&out) {
-            server
-                .top_k_into(query, &mut scratch, &mut expected)
-                .unwrap();
-            assert_eq!(&**got.as_ref().unwrap(), expected.as_slice(), "{query:?}");
-        }
-        // Scores fan out too.
-        let triples: Vec<Triple> = (0..13)
-            .map(|i| Triple::new(i, i % 5, (i + 3) % 11))
-            .collect();
-        let mut scores = Vec::new();
-        server.score_batch(&mut pool, &triples, &mut scores);
-        for (triple, score) in triples.iter().zip(&scores) {
-            assert_eq!(score.as_ref().unwrap(), &server.score(triple).unwrap());
-        }
-    }
-
-    #[test]
     fn out_of_range_ids_are_rejected_not_panics() {
         let server = server(ModelKind::TransE, 16);
         let mut scratch = QueryScratch::default();
@@ -1177,25 +962,6 @@ mod tests {
             .rank(&Triple::new(0, r, 1), CorruptionSide::Tail, &mut scratch)
             .is_err());
         assert_eq!(server.cache_len(), 0, "rejected queries are never cached");
-
-        // In a batch, one bad query fails its own slot only.
-        let mut pool = WorkerPool::new(2);
-        let queries = vec![
-            TopKQuery::tails(0, 0, 3),
-            TopKQuery::tails(n, 0, 3),
-            TopKQuery::tails(1, 0, 3),
-        ];
-        let mut batch = BatchScratch::default();
-        let mut answers = Vec::new();
-        server.top_k_batch(&mut pool, &queries, &mut batch, &mut answers);
-        assert!(answers[0].is_ok());
-        assert!(answers[1].is_err());
-        assert!(answers[2].is_ok());
-        let triples = vec![Triple::new(0, 0, 1), Triple::new(0, r, 1)];
-        let mut scores = Vec::new();
-        server.score_batch(&mut pool, &triples, &mut scores);
-        assert!(scores[0].is_ok());
-        assert!(scores[1].is_err());
     }
 
     #[test]
@@ -1254,150 +1020,6 @@ mod tests {
             .top_k_miss(&TopKQuery::tails(n, 0, 3), &mut scratch)
             .is_err());
         assert_eq!(server.cache_len(), 1, "rejected queries are never cached");
-    }
-
-    /// The restricted-scan oracle: full scalar scoring of exactly the
-    /// candidate set, sorted with the production total order.
-    fn reference_top_k_over(
-        server: &KnowledgeServer,
-        query: &TopKQuery,
-        candidates: &[EntityId],
-    ) -> Vec<RankedEntity> {
-        let mut scored: Vec<RankedEntity> = candidates
-            .iter()
-            .map(|&e| {
-                let anchor = query.anchor();
-                RankedEntity {
-                    entity: e,
-                    score: server.score(&anchor.corrupted(query.direction, e)).unwrap(),
-                }
-            })
-            .collect();
-        scored.sort_unstable_by(|a, b| {
-            nscaching_math::cmp_desc(a.score, b.score).then(a.entity.cmp(&b.entity))
-        });
-        scored.truncate(query.k as usize);
-        scored
-    }
-
-    /// A skewed observed-triple set: relation 0 only ever uses a small
-    /// entity slice, relation 1 covers everything, relation 2 is unobserved.
-    fn skewed_triples(num_entities: u32) -> Vec<Triple> {
-        let mut triples = Vec::new();
-        for e in 0..6u32 {
-            triples.push(Triple::new(e, 0, (e + 1) % 6));
-        }
-        for e in 0..num_entities {
-            triples.push(Triple::new(e, 1, (e + 1) % num_entities));
-        }
-        triples
-    }
-
-    #[test]
-    fn candidate_index_answers_match_the_restricted_scan_oracle() {
-        for kind in ModelKind::ALL {
-            let server = server(kind, 0);
-            let n = server.num_entities() as u32;
-            let index = CandidateIndex::build(&skewed_triples(n), server.num_relations());
-            server.bind_candidate_index(index);
-            let bound = server.candidate_index().expect("index bound");
-            let mut scratch = QueryScratch::default();
-            let mut out = Vec::new();
-            for query in [TopKQuery::tails(3, 0, 4), TopKQuery::heads(2, 0, 4)] {
-                let candidates = bound.candidates(query.relation, query.direction);
-                assert!(
-                    !candidates.is_empty() && candidates.len() < n as usize,
-                    "precondition: the skewed relation must shrink the scan"
-                );
-                server.top_k_into(&query, &mut scratch, &mut out).unwrap();
-                let oracle = reference_top_k_over(&server, &query, candidates);
-                assert_eq!(out.len(), oracle.len(), "{kind:?} {query:?}");
-                for (got, want) in out.iter().zip(&oracle) {
-                    assert_eq!(got.entity, want.entity, "{kind:?} {query:?}");
-                    assert!(
-                        (got.score - want.score).abs() <= 1e-12,
-                        "{kind:?} {query:?}: {} vs {}",
-                        got.score,
-                        want.score
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_index_falls_back_to_the_full_scan_when_it_cannot_shrink() {
-        let server = server(ModelKind::TransE, 0);
-        let n = server.num_entities() as u32;
-        let mut scratch = QueryScratch::default();
-        let mut unbound = Vec::new();
-        let full_coverage = TopKQuery::tails(1, 1, 5);
-        let unobserved = TopKQuery::tails(1, 2, 5);
-        let mut expected_full = Vec::new();
-        let mut expected_unobserved = Vec::new();
-        server
-            .top_k_into(&full_coverage, &mut scratch, &mut expected_full)
-            .unwrap();
-        server
-            .top_k_into(&unobserved, &mut scratch, &mut expected_unobserved)
-            .unwrap();
-
-        server.bind_candidate_index(CandidateIndex::build(
-            &skewed_triples(n),
-            server.num_relations(),
-        ));
-        // Relation 1 covers every entity, relation 2 was never observed:
-        // both must take the full-scan path and answer bit-identically to
-        // the unbound server.
-        server
-            .top_k_into(&full_coverage, &mut scratch, &mut unbound)
-            .unwrap();
-        assert_eq!(unbound, expected_full);
-        server
-            .top_k_into(&unobserved, &mut scratch, &mut unbound)
-            .unwrap();
-        assert_eq!(unbound, expected_unobserved);
-    }
-
-    #[test]
-    fn binding_and_clearing_the_index_invalidate_cached_answers() {
-        let server = server(ModelKind::DistMult, 64);
-        let n = server.num_entities() as u32;
-        let mut scratch = QueryScratch::default();
-        let query = TopKQuery::tails(3, 0, 4);
-        let full = server.top_k(&query, &mut scratch).unwrap();
-        let stamp_unbound = server.stamp();
-
-        server.bind_candidate_index(CandidateIndex::build(
-            &skewed_triples(n),
-            server.num_relations(),
-        ));
-        assert_ne!(server.stamp(), stamp_unbound, "bind must move the stamp");
-        let indexed = server.top_k(&query, &mut scratch).unwrap();
-        assert!(
-            !Arc::ptr_eq(&full, &indexed),
-            "a full-scan answer must not survive the bind"
-        );
-        let candidates: Vec<EntityId> = server
-            .candidate_index()
-            .unwrap()
-            .candidates(query.relation, query.direction)
-            .to_vec();
-        assert!(
-            indexed.iter().all(|r| candidates.contains(&r.entity)),
-            "indexed answers draw only from the candidate set"
-        );
-
-        server.clear_candidate_index();
-        let restored = server.top_k(&query, &mut scratch).unwrap();
-        assert!(
-            !Arc::ptr_eq(&indexed, &restored),
-            "an indexed answer must not survive the clear"
-        );
-        assert_eq!(
-            &*restored, &*full,
-            "clearing restores full-vocabulary answers"
-        );
     }
 
     #[test]

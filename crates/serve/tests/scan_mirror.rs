@@ -1,11 +1,9 @@
 //! Bit-identity of the scan mirror's two-pass scans.
 //!
-//! A served TransE model answers full-vocabulary top-k and rank queries by
-//! scanning a 15-bit fixed-point copy of its entity table and rescoring
-//! exactly only the rows the copy's error bound cannot rule out; a bound
-//! candidate index's top-k runs the same two passes over its list. Every
-//! answer here is compared with the model's own exact scan —
-//! `score_all_into` (or `score_candidates`) followed by
+//! A served TransE model answers top-k and rank queries by scanning a 15-bit
+//! fixed-point copy of its entity table and rescoring exactly only the rows
+//! the copy's error bound cannot rule out. Every answer here is compared
+//! with the model's own exact scan — `score_all_into` followed by
 //! `top_k_indices_sort_into` or `rank_scan` on an identical model — never
 //! with a second server, which would run the same mirror code. Entity ids,
 //! their order and the score bits must all match.
@@ -14,9 +12,7 @@ use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{rank_scan, seeded_rng, top_k_indices_sort_into};
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_obs::MetricsRegistry;
-use nscaching_serve::{
-    save_model, CandidateIndex, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery,
-};
+use nscaching_serve::{save_model, KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -433,95 +429,4 @@ fn a_huge_outlier_widens_the_grid_and_only_grows_the_refine_set() {
             "{outlier}: {grown} rows rescored, {narrow} without"
         );
     }
-}
-
-/// The exact scan of a bound index's list, from the model itself.
-fn oracle_top_k_among(
-    model: &dyn KgeModel,
-    query: &TopKQuery,
-    candidates: &[EntityId],
-) -> Vec<(EntityId, u64)> {
-    let anchor = match query.direction {
-        CorruptionSide::Tail => Triple::new(query.entity, query.relation, 0),
-        CorruptionSide::Head => Triple::new(0, query.relation, query.entity),
-    };
-    let mut scores = Vec::new();
-    model.score_candidates(&anchor, query.direction, candidates, &mut scores);
-    let mut order = Vec::new();
-    top_k_indices_sort_into(&scores, query.k as usize, &mut order);
-    bits(order.iter().map(|&i| (candidates[i], scores[i])))
-}
-
-#[test]
-fn a_bound_index_runs_the_two_passes_and_follows_update_model() {
-    let dim = 16;
-    let n = 300;
-    let relations = 4;
-    let mut rng = seeded_rng(17);
-    let mut entities = near_tie_table(&mut rng, n, dim, 1.0);
-    plant_grid_cases(&mut rng, &mut entities, dim);
-    let relation_rows = near_tie_table(&mut rng, relations, dim, 1.0);
-    // Relation r is observed with about n/(r + 2) entities on each side.
-    let observed: Vec<Triple> = (0..relations as u32)
-        .flat_map(|r| {
-            (0..n as u32 / (r + 2))
-                .map(move |j| Triple::new((j * 7 + r) % n as u32, r, (j * 13 + 5 * r) % n as u32))
-        })
-        .collect();
-    let index = CandidateIndex::build(&observed, relations);
-    let registry = MetricsRegistry::new();
-    let server = KnowledgeServer::new(transe(dim, &entities, &relation_rows), 0);
-    server.attach_metrics(ServeMetrics::register(&registry));
-    assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
-    server.bind_candidate_index(index.clone());
-    assert_eq!(
-        server.scan_mirror_bytes(),
-        (4 * n * dim) as u64,
-        "a row-major copy"
-    );
-    let mut oracle = transe(dim, &entities, &relation_rows);
-
-    let check = |server: &KnowledgeServer, oracle: &dyn KgeModel, rng: &mut StdRng| {
-        let mut scratch = QueryScratch::default();
-        for r in 0..relations as u32 {
-            for direction in SIDES {
-                let candidates = index.candidates(r, direction);
-                let len = candidates.len() as u32;
-                for k in [1, 3, 10, len - 1, len, len + 2] {
-                    let query = TopKQuery {
-                        relation: r,
-                        entity: rng.gen_range(0..n as u32),
-                        direction,
-                        k,
-                    };
-                    assert_eq!(
-                        served_top_k(server, &query, &mut scratch),
-                        oracle_top_k_among(oracle, &query, candidates),
-                        "{query:?}"
-                    );
-                }
-            }
-        }
-    };
-    let rescored = || {
-        registry
-            .counter_value("nsc_serve_scan_rescored_rows_total", &[])
-            .expect("registered")
-    };
-    check(&server, oracle.as_ref(), &mut rng);
-    assert!(rescored() > 0, "the candidate lists ran the two passes");
-    for round in 1..4 {
-        // Fresh values on a wider range move every grid value: a stale
-        // row-major copy would pick the refine set from the old table.
-        let fresh: Vec<f64> = (0..n * dim)
-            .map(|_| (rng.gen::<f64>() - 0.5) * round as f64)
-            .collect();
-        server.update_model(|model| model.tables_mut()[0].data_mut().copy_from_slice(&fresh));
-        oracle.tables_mut()[0].data_mut().copy_from_slice(&fresh);
-        assert_eq!(server.scan_mirror_bytes(), (4 * n * dim) as u64);
-        check(&server, oracle.as_ref(), &mut rng);
-    }
-    server.clear_candidate_index();
-    assert_eq!(server.scan_mirror_bytes(), (2 * n * dim) as u64);
-    assert_answers_match(&server, oracle.as_ref(), &mut rng, &[Triple::new(1, 2, 3)]);
 }

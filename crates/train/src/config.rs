@@ -59,9 +59,9 @@ pub struct TrainConfig {
 ///   Algorithms 1 and 2;
 /// * the **pool engine** — the sharded-parallel pipeline (per-shard RNG
 ///   streams, batch-end feedback merge) on the trainer's persistent
-///   [`WorkerPool`](crate::WorkerPool). For a fixed `(seed, shards)` it
-///   replays the retired per-batch `thread::scope` engine bit-for-bit
-///   (asserted in `tests/parallel_equivalence.rs`).
+///   `WorkerPool`. For a fixed `(seed, shards)` it replays the retired
+///   per-batch `thread::scope` engine bit-for-bit (asserted in
+///   `tests/parallel_equivalence.rs`).
 ///
 /// [`Auto`](TrainRuntime::Auto) picks by shard count. [`Pool`](TrainRuntime::Pool)
 /// runs the pool engine even at `shards = 1`, where `Auto` would run the

@@ -48,7 +48,7 @@
 //!
 //! ## Pool lifecycle
 //!
-//! The shard stage executes on a persistent [`WorkerPool`] owned by the
+//! The shard stage executes on a persistent `WorkerPool` owned by the
 //! [`Trainer`]:
 //!
 //! * **Spawn point.** The pool's `S` threads are spawned lazily on the first
@@ -67,7 +67,8 @@
 //!   job channels; every worker's `recv()` errors, the thread exits, and
 //!   the pool's `Drop` joins them all. A panicking shard job is caught on
 //!   the worker, re-thrown on the main thread after the round drains, and
-//!   leaves the pool reusable. See [`pool`] for the full protocol.
+//!   leaves the pool reusable. See the private `pool` module for the full
+//!   protocol.
 //!
 //! ## Engines
 //!
@@ -94,7 +95,7 @@ pub mod batcher;
 pub mod config;
 pub mod data;
 pub mod instrument;
-pub mod pool;
+mod pool;
 pub mod pretrain;
 pub mod snapshots;
 pub mod telemetry;
@@ -104,7 +105,6 @@ pub use batcher::Batcher;
 pub use config::{TrainConfig, TrainRuntime};
 pub use data::TrainData;
 pub use instrument::{EpochStats, RepeatTracker};
-pub use pool::WorkerPool;
 pub use pretrain::pretrain_model;
 pub use snapshots::{Snapshot, TrainingHistory};
 pub use telemetry::TrainMetrics;

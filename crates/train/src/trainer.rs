@@ -318,7 +318,7 @@ impl Trainer {
     /// feedback, which is exactly the sequential trainer of Algorithms 1
     /// and 2 — bit-for-bit, so the paper's tables and figures are unaffected.
     /// With `shards > 1` the shard stage runs on the trainer's persistent
-    /// [`WorkerPool`]. [`TrainRuntime::Pool`] forces the pool engine at
+    /// `WorkerPool`. [`TrainRuntime::Pool`] forces the pool engine at
     /// `shards = 1` too, which runs the parallel pipeline (shard RNG
     /// streams), a *different* trajectory than the sequential engine; see
     /// [`TrainRuntime`] for the contract.

@@ -11,20 +11,22 @@
 //!    continue it bit-for-bit from disk;
 //! 2. `save_model` → `KnowledgeServer::load` — the serving artifact;
 //! 3. single top-k / rank / classification queries with reusable scratch;
-//! 4. batched fan-out over a `WorkerPool`;
+//! 4. concurrent callers: threads share one server, each with its own
+//!    `QueryScratch`;
 //! 5. the version-invalidated LRU: warm hits, then a model update retiring
 //!    every cached answer.
 
 use nscaching_suite::datagen::GeneratorConfig;
-use nscaching_suite::kg::{CorruptionSide, Triple};
+use nscaching_suite::kg::CorruptionSide;
 use nscaching_suite::models::{build_model, ModelConfig, ModelKind};
 use nscaching_suite::optim::OptimizerConfig;
 use nscaching_suite::sampling::{build_sampler, SamplerConfig};
 use nscaching_suite::serve::{
-    load_checkpoint, resume_trainer, save_checkpoint, save_model, BatchScratch, KnowledgeServer,
-    QueryScratch, TopKQuery,
+    load_checkpoint, resume_trainer, save_checkpoint, save_model, KnowledgeServer, QueryScratch,
+    RankedEntity, TopKQuery,
 };
-use nscaching_suite::train::{TrainConfig, Trainer, WorkerPool};
+use nscaching_suite::train::{TrainConfig, Trainer};
+use std::sync::Arc;
 
 fn main() {
     let dir = std::env::temp_dir().join("nscaching-serve-example");
@@ -124,45 +126,76 @@ fn main() {
         server.classify(&probe, threshold).expect("valid triple")
     );
 
-    // 6. Batched fan-out across a worker pool (how bulk traffic is served).
-    let mut pool = WorkerPool::new(4);
+    // 6. Concurrent callers: threads share the server (and so its model and
+    //    answer cache), each with its own scratch. Which thread computes a
+    //    repeated key first depends on scheduling, so only the answers,
+    //    never the cache counters, are printed.
+    const THREADS: usize = 4;
     let queries: Vec<TopKQuery> = dataset
         .test
         .iter()
         .take(64)
         .map(|t| TopKQuery::tails(t.head, t.relation, 3))
         .collect();
-    let mut batch = BatchScratch::default();
-    let mut answers = Vec::new();
-    server.top_k_batch(&mut pool, &queries, &mut batch, &mut answers);
-    let stats = server.cache_stats();
+    let answers: Vec<Arc<[RankedEntity]>> = std::thread::scope(|scope| {
+        let callers: Vec<_> = queries
+            .chunks(queries.len().div_ceil(THREADS))
+            .map(|chunk| {
+                let server = &server;
+                scope.spawn(move || {
+                    let mut scratch = QueryScratch::default();
+                    chunk
+                        .iter()
+                        .map(|q| server.top_k(q, &mut scratch).expect("valid query"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .flat_map(|caller| caller.join().expect("query thread"))
+            .collect()
+    });
+    let mut expected = Vec::new();
+    let agree = queries.iter().zip(&answers).all(|(q, answer)| {
+        server
+            .top_k_into(q, &mut scratch, &mut expected)
+            .expect("valid query");
+        answer[..] == expected[..]
+    });
     println!(
-        "\nanswered {} batched queries (cache: {} hits / {} misses so far)",
-        answers.len(),
-        stats.hits,
-        stats.misses
+        "\nanswered {} queries from {THREADS} threads sharing one server; \
+         every answer matches the single-threaded scan: {agree}",
+        answers.len()
     );
 
     // 7. Repeat traffic is served from the LRU; a model update invalidates it.
-    let _ = server.top_k(&query, &mut scratch).expect("valid query");
-    let hits_before = server.cache_stats().hits;
+    let warm = server.top_k(&query, &mut scratch).expect("valid query");
+    println!(
+        "the repeated top-5 query is a cache hit: {}",
+        Arc::ptr_eq(&answer, &warm)
+    );
     server.update_model(|model| {
         // e.g. one online fine-tuning step; here just touch a row.
         model.tables_mut()[0].normalize_row(0);
     });
     let fresh = server.top_k(&query, &mut scratch).expect("valid query");
     println!(
-        "after a model update the same query recomputes (hits stayed near {hits_before}, \
+        "after a model update the same query recomputes (cached answer reused: {}, \
          answer still has {} entries) — stale answers can never be served",
+        Arc::ptr_eq(&warm, &fresh),
         fresh.len()
     );
 
-    let triples: Vec<Triple> = dataset.test.iter().take(32).copied().collect();
-    let mut scores = Vec::new();
-    server.score_batch(&mut pool, &triples, &mut scores);
+    let scores: Vec<f64> = dataset
+        .test
+        .iter()
+        .take(32)
+        .map(|triple| server.score(triple).expect("valid triple"))
+        .collect();
     println!(
         "bulk-scored {} triples for classification; first = {:.3}",
         scores.len(),
-        scores[0].as_ref().expect("valid triple")
+        scores[0]
     );
 }
