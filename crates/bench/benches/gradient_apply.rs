@@ -12,21 +12,16 @@
 //!    (TransE-shaped emission: head/relation/tail per example),
 //! 2. merge the shards into the batch sink in ascending shard order,
 //! 3. take the gradient norm (`record_batch_gradient`),
-//! 4. apply one optimizer step.
+//! 4. apply one Adam step.
 //!
 //! Workload: d = 128, 512 examples per batch touching 1024 distinct entity
-//! rows + 64 relation rows. Numbers recorded into `BENCH_gradients.json` at
-//! the workspace root:
-//!
-//! * **Adam-cycle speedup** — the gated headline (`NSC_GRAD_APPLY_MIN`,
-//!   ≥ 2× locally; CI relaxes it on shared runners like the other bench
-//!   gates). Adam is the paper's optimizer, and the one the trainer builds by
-//!   default; its per-row state is where the engines differ most (dense
-//!   moment slabs walked in sorted row order vs a `HashMap` lookup plus two
-//!   scattered `Vec`s per row).
-//! * **SGD-cycle speedup** — recorded, not gated. SGD has no state, so its
-//!   cycle is dominated by the accumulate/merge plumbing (per-row heap
-//!   churn + SipHash on every add vs slab writes).
+//! rows + 64 relation rows. The Adam-cycle speedup is recorded into
+//! `BENCH_gradients.json` at the workspace root and gated
+//! (`NSC_GRAD_APPLY_MIN`, ≥ 2× locally; CI relaxes it on shared runners like
+//! the other bench gates). The engines differ in the accumulate/merge
+//! plumbing (per-row heap churn + SipHash on every add vs slab writes) and
+//! in Adam's per-row state (dense moment slabs walked in sorted row order vs
+//! a `HashMap` lookup plus two scattered `Vec`s per row).
 //!
 //! The bench also asserts the tentpole's allocation contract: after warm-up,
 //! a steady-state arena cycle performs **zero heap allocations** (counted by
@@ -38,7 +33,7 @@ use nscaching_models::{
     build_model, GradientArena, GradientBuffer, GradientSink, KgeModel, ModelConfig, ModelKind,
     TableId,
 };
-use nscaching_optim::{Adam, Optimizer, Sgd};
+use nscaching_optim::Adam;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -136,70 +131,49 @@ fn model() -> Box<dyn KgeModel> {
     )
 }
 
-/// The retired `HashMap`-engine optimizers, verbatim (stateless SGD and
-/// per-row-state lazy Adam over `GradientBuffer`) — the bench baseline.
-enum HashMapOptimizer {
-    Sgd,
-    Adam {
-        state: HashMap<(TableId, usize), AdamRowState>,
-    },
+/// The retired `HashMap`-engine lazy Adam over `GradientBuffer`, verbatim
+/// — the bench baseline.
+#[derive(Default)]
+struct HashMapAdam {
+    state: HashMap<(TableId, usize), AdamRowState>,
 }
 
-impl HashMapOptimizer {
+impl HashMapAdam {
     fn step(&mut self, model: &mut dyn KgeModel, grads: &GradientBuffer) -> Vec<(TableId, usize)> {
         let lr = 0.01;
         let mut tables = model.tables_mut();
         let mut touched = Vec::with_capacity(grads.len());
-        match self {
-            HashMapOptimizer::Sgd => {
-                for (&(table, row), grad) in grads.iter() {
-                    let params = tables[table].row_mut(row);
-                    for (p, g) in params.iter_mut().zip(grad) {
-                        *p -= lr * g;
-                    }
-                    touched.push((table, row));
-                }
+        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        for (&(table, row), grad) in grads.iter() {
+            let (m, v, t) = self
+                .state
+                .entry((table, row))
+                .or_insert_with(|| (vec![0.0; grad.len()], vec![0.0; grad.len()], 0));
+            *t += 1;
+            let bias1 = 1.0 - b1.powi(*t as i32);
+            let bias2 = 1.0 - b2.powi(*t as i32);
+            let params = tables[table].row_mut(row);
+            for i in 0..grad.len() {
+                let g = grad[i];
+                m[i] = b1 * m[i] + (1.0 - b1) * g;
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+                params[i] -= lr * (m[i] / bias1) / ((v[i] / bias2).sqrt() + eps);
             }
-            HashMapOptimizer::Adam { state } => {
-                let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-                for (&(table, row), grad) in grads.iter() {
-                    let (m, v, t) = state
-                        .entry((table, row))
-                        .or_insert_with(|| (vec![0.0; grad.len()], vec![0.0; grad.len()], 0));
-                    *t += 1;
-                    let bias1 = 1.0 - b1.powi(*t as i32);
-                    let bias2 = 1.0 - b2.powi(*t as i32);
-                    let params = tables[table].row_mut(row);
-                    for i in 0..grad.len() {
-                        let g = grad[i];
-                        m[i] = b1 * m[i] + (1.0 - b1) * g;
-                        v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                        params[i] -= lr * (m[i] / bias1) / ((v[i] / bias2).sqrt() + eps);
-                    }
-                    touched.push((table, row));
-                }
-            }
+            touched.push((table, row));
         }
         touched
     }
 }
 
 /// Reused buffers of one `HashMap`-engine pipeline.
+#[derive(Default)]
 struct HashMapPipeline {
-    shards: Vec<GradientBuffer>,
+    shards: [GradientBuffer; SHARDS],
     merged: GradientBuffer,
-    opt: HashMapOptimizer,
+    opt: HashMapAdam,
 }
 
 impl HashMapPipeline {
-    fn new(opt: HashMapOptimizer) -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| GradientBuffer::new()).collect(),
-            merged: GradientBuffer::new(),
-            opt,
-        }
-    }
-
     /// One batch gradient cycle on the retired engine: per-shard accumulate,
     /// ascending-shard-order merge, norm, optimizer step. Returns the touched
     /// rows (consumed by the constraints stage outside the timed cycle).
@@ -221,11 +195,14 @@ impl HashMapPipeline {
 struct ArenaPipeline {
     shards: Vec<GradientArena>,
     merged: GradientArena,
-    opt: Box<dyn Optimizer>,
+    opt: Adam,
 }
 
 impl ArenaPipeline {
-    fn new(opt: Box<dyn Optimizer>) -> Self {
+    /// A pipeline whose Adam is bound to `model`.
+    fn new(model: &dyn KgeModel) -> Self {
+        let mut opt = Adam::new(0.01);
+        opt.bind(model);
         Self {
             shards: (0..SHARDS).map(|_| GradientArena::new()).collect(),
             merged: GradientArena::new(),
@@ -270,32 +247,14 @@ fn bench_cycles(c: &mut Criterion) {
 
     {
         let mut m = model();
-        let mut pipe = HashMapPipeline::new(HashMapOptimizer::Sgd);
-        group.bench_function(BenchmarkId::from_parameter("sgd_hashmap"), |b| {
-            b.iter(|| pipe.cycle(&workload, black_box(m.as_mut())))
-        });
-    }
-    {
-        let mut m = model();
-        let mut pipe = ArenaPipeline::new(Box::new(Sgd::new(0.01)));
-        group.bench_function(BenchmarkId::from_parameter("sgd_arena"), |b| {
-            b.iter(|| pipe.cycle(&workload, black_box(m.as_mut())))
-        });
-    }
-    {
-        let mut m = model();
-        let mut pipe = HashMapPipeline::new(HashMapOptimizer::Adam {
-            state: HashMap::new(),
-        });
+        let mut pipe = HashMapPipeline::default();
         group.bench_function(BenchmarkId::from_parameter("adam_hashmap"), |b| {
             b.iter(|| pipe.cycle(&workload, black_box(m.as_mut())))
         });
     }
     {
         let mut m = model();
-        let mut opt = Adam::new(0.01);
-        opt.bind(m.as_ref());
-        let mut pipe = ArenaPipeline::new(Box::new(opt));
+        let mut pipe = ArenaPipeline::new(m.as_ref());
         group.bench_function(BenchmarkId::from_parameter("adam_arena"), |b| {
             b.iter(|| pipe.cycle(&workload, black_box(m.as_mut())))
         });
@@ -315,12 +274,8 @@ fn assert_gradient_apply(_c: &mut Criterion) {
     {
         let mut arena_model = model();
         let mut hashmap_model = model();
-        let mut arena_opt = Adam::new(0.01);
-        arena_opt.bind(arena_model.as_ref());
-        let mut arena_pipe = ArenaPipeline::new(Box::new(arena_opt));
-        let mut hashmap_pipe = HashMapPipeline::new(HashMapOptimizer::Adam {
-            state: HashMap::new(),
-        });
+        let mut arena_pipe = ArenaPipeline::new(arena_model.as_ref());
+        let mut hashmap_pipe = HashMapPipeline::default();
         for _ in 0..3 {
             arena_pipe.cycle(&workload, arena_model.as_mut());
             arena_model.apply_constraints(arena_pipe.merged.touched());
@@ -343,9 +298,7 @@ fn assert_gradient_apply(_c: &mut Criterion) {
     //     constraints stage, which reads the arena's touched list).
     let allocations = {
         let mut m = model();
-        let mut opt = Adam::new(0.01);
-        opt.bind(m.as_ref());
-        let mut pipe = ArenaPipeline::new(Box::new(opt));
+        let mut pipe = ArenaPipeline::new(m.as_ref());
         for _ in 0..3 {
             pipe.cycle(&workload, m.as_mut());
             m.apply_constraints(pipe.merged.touched());
@@ -359,36 +312,19 @@ fn assert_gradient_apply(_c: &mut Criterion) {
     };
 
     // --- Timed cycles.
-    let secs_sgd_hashmap = {
-        let mut m = model();
-        let mut pipe = HashMapPipeline::new(HashMapOptimizer::Sgd);
-        best_seconds(samples, rounds, || {
-            black_box(pipe.cycle(&workload, m.as_mut()));
-        })
-    };
-    let secs_sgd_arena = {
-        let mut m = model();
-        let mut pipe = ArenaPipeline::new(Box::new(Sgd::new(0.01)));
-        best_seconds(samples, rounds, || pipe.cycle(&workload, m.as_mut()))
-    };
     let secs_adam_hashmap = {
         let mut m = model();
-        let mut pipe = HashMapPipeline::new(HashMapOptimizer::Adam {
-            state: HashMap::new(),
-        });
+        let mut pipe = HashMapPipeline::default();
         best_seconds(samples, rounds, || {
             black_box(pipe.cycle(&workload, m.as_mut()));
         })
     };
     let secs_adam_arena = {
         let mut m = model();
-        let mut opt = Adam::new(0.01);
-        opt.bind(m.as_ref());
-        let mut pipe = ArenaPipeline::new(Box::new(opt));
+        let mut pipe = ArenaPipeline::new(m.as_ref());
         best_seconds(samples, rounds, || pipe.cycle(&workload, m.as_mut()))
     };
 
-    let speedup_sgd = secs_sgd_hashmap / secs_sgd_arena;
     let speedup_adam = secs_adam_hashmap / secs_adam_arena;
     let min_speedup: f64 = std::env::var("NSC_GRAD_APPLY_MIN")
         .ok()
@@ -398,22 +334,17 @@ fn assert_gradient_apply(_c: &mut Criterion) {
     println!(
         "gradient_apply d={DIM} examples={EXAMPLES} touched_rows={} shards={SHARDS}: \
          adam {:.1} µs (hashmap) vs {:.1} µs (arena) = {speedup_adam:.2}x (min {min_speedup}x); \
-         sgd {:.1} µs vs {:.1} µs = {speedup_sgd:.2}x; \
          steady-state arena allocations over 10 cycles: {allocations}",
         workload.touched_rows(),
         secs_adam_hashmap * 1e6,
         secs_adam_arena * 1e6,
-        secs_sgd_hashmap * 1e6,
-        secs_sgd_arena * 1e6,
     );
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"dim\": {DIM},\n    \"examples_per_batch\": {EXAMPLES},\n    \"touched_rows\": {},\n    \"entity_rows\": {ENTITIES},\n    \"relation_rows\": {RELATIONS},\n    \"shards\": {SHARDS},\n    \"emission\": \"TransE-shaped: (-v, -v, +v) on (head, relation, tail)\"\n  }},\n  \"cycle\": \"per-shard accumulate -> ascending-shard merge -> norm -> optimizer step\",\n  \"cycle_micros\": {{\n    \"adam_hashmap\": {:.3},\n    \"adam_arena\": {:.3},\n    \"sgd_hashmap\": {:.3},\n    \"sgd_arena\": {:.3}\n  }},\n  \"speedup_adam_cycle\": {speedup_adam:.3},\n  \"speedup_sgd_cycle\": {speedup_sgd:.3},\n  \"min_required_speedup\": {min_speedup},\n  \"steady_state_allocations_per_10_cycles\": {allocations},\n  \"note\": \"the Adam cycle (the paper's optimizer) carries the NSC_GRAD_APPLY_MIN gate; the engines differ in gradient plumbing (per-row heap churn + SipHash vs slab writes) and optimizer-state access (HashMap lookup + two scattered Vecs per row vs dense slabs walked in sorted row order); model emission math and constraint projection are engine-independent and excluded\"\n}}",
+        "{{\n  \"workload\": {{\n    \"dim\": {DIM},\n    \"examples_per_batch\": {EXAMPLES},\n    \"touched_rows\": {},\n    \"entity_rows\": {ENTITIES},\n    \"relation_rows\": {RELATIONS},\n    \"shards\": {SHARDS},\n    \"emission\": \"TransE-shaped: (-v, -v, +v) on (head, relation, tail)\"\n  }},\n  \"cycle\": \"per-shard accumulate -> ascending-shard merge -> norm -> Adam step\",\n  \"cycle_micros\": {{\n    \"adam_hashmap\": {:.3},\n    \"adam_arena\": {:.3}\n  }},\n  \"speedup_adam_cycle\": {speedup_adam:.3},\n  \"min_required_speedup\": {min_speedup},\n  \"steady_state_allocations_per_10_cycles\": {allocations},\n  \"note\": \"the Adam cycle (the paper's optimizer) carries the NSC_GRAD_APPLY_MIN gate; the engines differ in gradient plumbing (per-row heap churn + SipHash vs slab writes) and optimizer-state access (HashMap lookup + two scattered Vecs per row vs dense slabs walked in sorted row order); model emission math and constraint projection are engine-independent and excluded\"\n}}",
         workload.touched_rows(),
         secs_adam_hashmap * 1e6,
         secs_adam_arena * 1e6,
-        secs_sgd_hashmap * 1e6,
-        secs_sgd_arena * 1e6,
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -82,7 +82,7 @@ fn provisioned_config() -> NetServerConfig {
 
 /// The moderate-phase request mix: mostly top-k (the serving workload the
 /// paper's cache targets), with score/rank/ping traffic mixed in. All ids in
-/// range; k small enough that the LRU sees realistic reuse.
+/// range; k small enough that the cache sees realistic reuse.
 fn request_for(rng: &mut StdRng) -> Request {
     let entity = rng.gen_range(0u32..ENTITIES as u32);
     let relation = rng.gen_range(0u32..RELATIONS as u32);
@@ -242,7 +242,7 @@ fn bench_round_trip(c: &mut Criterion) {
         b.iter(|| black_box(client.call(&Request::Ping).unwrap()))
     });
     let hot = Request::TopK(TopKQuery::tails(3, 1, 10));
-    client.call(&hot).unwrap(); // warm the LRU entry
+    client.call(&hot).unwrap(); // warm the cache entry
     group.bench_function("warm_topk", |b| {
         b.iter(|| black_box(client.call(&hot).unwrap()))
     });
@@ -333,7 +333,7 @@ fn assert_net_load(_c: &mut Criterion) {
                     let mut rng = StdRng::seed_from_u64(c);
                     let (mut served, mut shed) = (0u64, 0u64);
                     for _ in 0..40 {
-                        // Random k defeats the LRU: every admitted request
+                        // Random k defeats the cache: every admitted request
                         // pays a full 20k-entity scan.
                         let query = TopKQuery::tails(
                             rng.gen_range(0u32..20_000),

@@ -8,7 +8,7 @@
 //! (train) or once per *miss* (serve), and the serve cache-hit path takes no
 //! clock reads at all. This bench measures and gates exactly that:
 //!
-//! * **serve hit path** — a warmed LRU answering the same hot set with and
+//! * **serve hit path** — a warmed cache answering the same hot set with and
 //!   without a [`ServeMetrics`] handle attached; the instrumented/plain time
 //!   ratio must stay within `NSC_OBS_OVERHEAD_MAX` (default 2% locally; CI
 //!   relaxes to 5% on shared runners);
@@ -90,7 +90,7 @@ fn server() -> KnowledgeServer {
     KnowledgeServer::new(model, CACHE_CAPACITY)
 }
 
-/// A hot set that fits the LRU, so every measured lookup is a pure hit.
+/// A hot set that fits the cache, so every measured lookup is a pure hit.
 fn hot_queries() -> Vec<TopKQuery> {
     (0..CACHE_CAPACITY / 2)
         .map(|i| {
@@ -235,7 +235,7 @@ fn assert_obs_overhead(_c: &mut Criterion) {
     );
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"serve\": \"TransE d={DIM} |E|={ENTITIES} warm LRU, {HIT_PASS} hits/pass, best of 7\",\n    \"train\": \"TransE d=32 |T|=12000 NSCaching pool({TRAIN_SHARDS}), best of {EPOCHS} epochs\"\n  }},\n  \"serve_hit_overhead\": {serve_overhead:.4},\n  \"trainer_epoch_overhead\": {train_overhead:.4},\n  \"max_allowed_overhead\": {max_overhead},\n  \"steady_state_allocations\": {{\n    \"histogram_and_counter_per_200k_records\": {primitive_allocations},\n    \"instrumented_serve_hit_per_{HIT_PASS}_queries\": {serve_hit_allocations}\n  }},\n  \"note\": \"the hit path takes zero clock reads by design (CacheStats bridge at scrape time); train timers cut once per phase per batch — the gate (NSC_OBS_OVERHEAD_MAX) bounds the instrumented/plain wall-clock ratio on both\"\n}}"
+        "{{\n  \"workload\": {{\n    \"serve\": \"TransE d={DIM} |E|={ENTITIES} warm cache, {HIT_PASS} hits/pass, best of 7\",\n    \"train\": \"TransE d=32 |T|=12000 NSCaching pool({TRAIN_SHARDS}), best of {EPOCHS} epochs\"\n  }},\n  \"serve_hit_overhead\": {serve_overhead:.4},\n  \"trainer_epoch_overhead\": {train_overhead:.4},\n  \"max_allowed_overhead\": {max_overhead},\n  \"steady_state_allocations\": {{\n    \"histogram_and_counter_per_200k_records\": {primitive_allocations},\n    \"instrumented_serve_hit_per_{HIT_PASS}_queries\": {serve_hit_allocations}\n  }},\n  \"note\": \"the hit path takes zero clock reads by design (CacheStats bridge at scrape time); train timers cut once per phase per batch — the gate (NSC_OBS_OVERHEAD_MAX) bounds the instrumented/plain wall-clock ratio on both\"\n}}"
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

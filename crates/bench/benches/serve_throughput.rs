@@ -8,18 +8,19 @@
 //!
 //! * **uncached top-k** — one full `score_all_into` scan + `top_k` selection
 //!   per query, through caller-reused scratch (the allocation-free hot path);
-//! * **warm LRU hits** — the same stream answered out of the query-result
-//!   cache. The gated headline (`NSC_SERVE_LRU_MIN`, ≥ 5× locally; CI
-//!   relaxes it on shared runners like the other bench gates) is the
-//!   warm-hit/uncached throughput ratio on the Zipf stream — the design
-//!   point of serving skewed production traffic from a small hot cache.
+//! * **warm cache hits** — the same stream answered out of the
+//!   query-result cache. The gated headline (`NSC_SERVE_LRU_MIN`, named for
+//!   the cache's earlier LRU order; ≥ 5× locally; CI relaxes it on shared
+//!   runners like the other bench gates) is the warm-hit/uncached throughput
+//!   ratio on the Zipf stream — the design point of serving skewed
+//!   production traffic from a small hot cache.
 //!
 //! The bench also asserts the allocation contract: after warm-up,
 //! steady-state queries perform **zero heap allocations** — on the uncached
 //! path (scratch at its high-water marks) *and* on the cache-hit path (an
-//! `Arc` clone out of a pre-sized LRU) — and a cache **miss** performs one,
-//! the shared answer built in place from the scratch (asserted below 1.1 per
-//! miss under LRU and SLRU, over misses that each evict).
+//! `Arc` clone out of a pre-sized cache) — and a cache **miss** performs
+//! one, the shared answer built in place from the scratch (asserted below
+//! 1.1 per miss, over misses that each evict).
 //!
 //! A **design-point** phase gates the scan mirror at the served snapshot's
 //! shape (TransE, d = 64, |E| = 14,541, |R| = 237): uncached `top_k_into`
@@ -81,11 +82,11 @@ const RELATIONS: usize = 32;
 const K: u32 = 10;
 /// Distinct query keys in the universe…
 const DISTINCT_QUERIES: usize = 512;
-/// …of which the LRU holds at most this many answers.
+/// …of which the cache holds at most this many answers.
 const CACHE_CAPACITY: usize = 256;
 /// Length of the sampled query stream.
 const STREAM: usize = 4_096;
-/// Steady-state misses measured per cache policy.
+/// Steady-state misses measured.
 const MISSES: usize = 2_000;
 /// Most allocations a miss may make: its one shared answer, plus slack for
 /// a fixed count per measurement.
@@ -104,10 +105,6 @@ const DESIGN_SAMPLES: usize = 9;
 const MIN_MIRROR_SPEEDUP: f64 = 1.25;
 
 fn server() -> KnowledgeServer {
-    server_with(CacheConfig::legacy_lru(CACHE_CAPACITY))
-}
-
-fn server_with(cache: CacheConfig) -> KnowledgeServer {
     let model = build_model(
         &ModelConfig::new(ModelKind::TransE)
             .with_dim(DIM)
@@ -115,7 +112,7 @@ fn server_with(cache: CacheConfig) -> KnowledgeServer {
         ENTITIES,
         RELATIONS,
     );
-    KnowledgeServer::with_cache(model, cache)
+    KnowledgeServer::with_cache(model, CacheConfig::with_capacity(CACHE_CAPACITY))
 }
 
 /// A Zipf-distributed stream over `DISTINCT_QUERIES` distinct top-k queries:
@@ -339,7 +336,7 @@ fn bench_query_paths(c: &mut Criterion) {
             black_box(server.top_k(query, &mut scratch).unwrap());
         }
         let mut i = 0;
-        group.bench_function("warm_lru_topk", |b| {
+        group.bench_function("warm_cache_topk", |b| {
             b.iter(|| {
                 let query = &stream[i % stream.len()];
                 i += 1;
@@ -350,7 +347,7 @@ fn bench_query_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Acceptance gates: warm-LRU ≥ `NSC_SERVE_LRU_MIN`× the uncached path on
+/// Acceptance gates: warm cache ≥ `NSC_SERVE_LRU_MIN`× the uncached path on
 /// the Zipf stream, and zero steady-state allocations per query on both
 /// paths. Records `BENCH_serve.json`.
 fn assert_serve_throughput(_c: &mut Criterion) {
@@ -396,15 +393,11 @@ fn assert_serve_throughput(_c: &mut Criterion) {
     };
 
     // --- One allocation per steady-state miss. A cycle over twice the
-    //     capacity's distinct keys misses every time under LRU and SLRU,
-    //     and once the cache is full every insert evicts.
-    let miss_allocations: Vec<(CacheConfig, u64)> = [
-        CacheConfig::legacy_lru(CACHE_CAPACITY),
-        CacheConfig::with_capacity(CACHE_CAPACITY),
-    ]
-    .into_iter()
-    .map(|config| {
-        let server = server_with(config);
+    //     capacity's distinct keys misses every time (one-touch keys never
+    //     leave probation, which evicts in insertion order), and once the
+    //     cache is full every insert evicts.
+    let miss_allocations = {
+        let server = server();
         let mut scratch = QueryScratch::default();
         let cycle: Vec<TopKQuery> = (0..2 * CACHE_CAPACITY)
             .map(|i| TopKQuery::tails(i as u32, (i % RELATIONS) as u32, K))
@@ -427,14 +420,12 @@ fn assert_serve_throughput(_c: &mut Criterion) {
                 stats.evictions - stats_before.evictions,
             ),
             (MISSES as u64, 0, MISSES as u64),
-            "{:?}: every measured query must be a miss that evicts",
-            config.policy
+            "every measured query must be a miss that evicts"
         );
-        (config, allocations)
-    })
-    .collect();
+        allocations
+    };
 
-    // --- Throughput: uncached vs warm-LRU over the same Zipf stream.
+    // --- Throughput: uncached vs warm cache over the same Zipf stream.
     let secs_uncached = {
         let server = server();
         let mut scratch = QueryScratch::default();
@@ -483,35 +474,21 @@ fn assert_serve_throughput(_c: &mut Criterion) {
     println!(
         "serve_throughput TransE d={DIM} |E|={ENTITIES} k={K} zipf(s={ZIPF_S}) \
          {DISTINCT_QUERIES} distinct / {CACHE_CAPACITY} cache slots: \
-         uncached {qps_uncached:.0} q/s, warm LRU {qps_warm:.0} q/s = {speedup:.1}x \
+         uncached {qps_uncached:.0} q/s, warm cache {qps_warm:.0} q/s = {speedup:.1}x \
          (min {min_speedup}x, hit rate {:.1}%); \
          steady-state allocations: uncached {uncached_allocations}, hits {hit_allocations}, \
-         {MISSES} misses {:?} (max {MAX_ALLOCATIONS_PER_MISS} per miss); \
+         {MISSES} misses {miss_allocations} (max {MAX_ALLOCATIONS_PER_MISS} per miss); \
          design point |E|={DESIGN_ENTITIES}: scan mirror top-k {mirror_top_k_us:.0} us = \
          {mirror_top_k:.2}x the exact scan, rank {mirror_rank_us:.0} us = {mirror_rank:.2}x \
          (min {MIN_MIRROR_SPEEDUP}x); rows rescored per top-{K} {refined_top_k:.1}, \
          per rank {refined_rank:.1}",
         hit_rate * 100.0,
-        miss_allocations
-            .iter()
-            .map(|(config, n)| format!("{:?}: {n}", config.policy))
-            .collect::<Vec<_>>(),
     );
-    let miss_json: Vec<String> = miss_allocations
-        .iter()
-        .map(|(config, n)| {
-            format!(
-                "\"miss_{}_per_{MISSES}_queries\": {n}",
-                format!("{:?}", config.policy).to_lowercase()
-            )
-        })
-        .collect();
 
     let section = format!(
-        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_lru_topk\": {qps_warm:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"lru_speedup\": {speedup:.2},\n  \"min_required_lru_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    {},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"mean_refined_rows_top_k\": {refined_top_k:.1},\n    \"mean_refined_rows_rank\": {refined_rank:.1},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-LRU gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream\"\n}}",
+        "{{\n  \"workload\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {ENTITIES},\n    \"num_relations\": {RELATIONS},\n    \"k\": {K},\n    \"stream\": {},\n    \"distinct_queries\": {DISTINCT_QUERIES},\n    \"zipf_exponent\": {ZIPF_S},\n    \"cache_capacity\": {CACHE_CAPACITY}\n  }},\n  \"queries_per_second\": {{\n    \"uncached_topk\": {qps_uncached:.0},\n    \"warm_cache_topk\": {qps_warm:.0}\n  }},\n  \"warm_hit_rate\": {hit_rate:.4},\n  \"warm_hit_speedup\": {speedup:.2},\n  \"min_required_warm_hit_speedup\": {min_speedup},\n  \"steady_state_allocations\": {{\n    \"uncached_per_512_queries\": {uncached_allocations},\n    \"cache_hit_per_{}_queries\": {hit_allocations},\n    \"miss_per_{MISSES}_queries\": {miss_allocations},\n    \"max_per_miss\": {MAX_ALLOCATIONS_PER_MISS}\n  }},\n  \"design_point\": {{\n    \"model\": \"TransE\",\n    \"dim\": {DIM},\n    \"num_entities\": {DESIGN_ENTITIES},\n    \"num_relations\": {DESIGN_RELATIONS},\n    \"k\": {K},\n    \"engine_top_k_us\": {mirror_top_k_us:.1},\n    \"engine_rank_us\": {mirror_rank_us:.1},\n    \"top_k_speedup_vs_exact_scan\": {mirror_top_k:.2},\n    \"rank_speedup_vs_exact_scan\": {mirror_rank:.2},\n    \"mean_refined_rows_top_k\": {refined_top_k:.1},\n    \"mean_refined_rows_rank\": {refined_rank:.1},\n    \"min_required_speedup\": {MIN_MIRROR_SPEEDUP}\n  }},\n  \"note\": \"warm-hit gate (NSC_SERVE_LRU_MIN) is the read-mostly serving design point: a version-invalidated hot cache absorbing the head of a Zipf stream\"\n}}",
         stream.len(),
         4 * CACHE_CAPACITY / 2,
-        miss_json.join(",\n    "),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -530,18 +507,15 @@ fn assert_serve_throughput(_c: &mut Criterion) {
         hit_allocations, 0,
         "steady-state cache hits must not allocate"
     );
-    for (config, allocations) in &miss_allocations {
-        let per_miss = *allocations as f64 / MISSES as f64;
-        assert!(
-            per_miss < MAX_ALLOCATIONS_PER_MISS,
-            "{:?}: a steady-state miss must allocate only its shared answer \
-             (got {per_miss:.3} allocations per miss)",
-            config.policy
-        );
-    }
+    let per_miss = miss_allocations as f64 / MISSES as f64;
+    assert!(
+        per_miss < MAX_ALLOCATIONS_PER_MISS,
+        "a steady-state miss must allocate only its shared answer \
+         (got {per_miss:.3} allocations per miss)"
+    );
     assert!(
         speedup >= min_speedup,
-        "warm-LRU top-k must be ≥{min_speedup}x the uncached path on the Zipf stream \
+        "warm-cache top-k must be ≥{min_speedup}x the uncached path on the Zipf stream \
          (got {speedup:.2}x; override with NSC_SERVE_LRU_MIN)"
     );
     for (shape, ratio) in [("top-k", mirror_top_k), ("rank", mirror_rank)] {

@@ -15,17 +15,18 @@ use nscaching_train::Trainer;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset = BenchmarkFamily::Wn18
+    let dataset = settings
+        .fixed_family(BenchmarkFamily::Wn18)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds");
     println!("dataset: {}", dataset.summary());
     let cache = scaled_cache_size(dataset.num_entities());
 
-    let models = if settings.smoke {
+    let models = settings.select_models(if settings.smoke {
         vec![ModelKind::TransD]
     } else {
         vec![ModelKind::TransD, ModelKind::ComplEx]
-    };
+    });
 
     let mut report = TsvReport::new(
         "ablation_corruption_side",

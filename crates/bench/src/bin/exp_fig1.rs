@@ -21,21 +21,23 @@ use nscaching_train::Trainer;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset = BenchmarkFamily::Wn18
+    let kind = settings.fixed_model(ModelKind::TransD);
+    let dataset = settings
+        .fixed_family(BenchmarkFamily::Wn18)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds");
     println!("dataset: {}", dataset.summary());
     let filter = dataset.filter_index();
 
     let model = build_model(
-        &ModelConfig::new(ModelKind::TransD)
+        &ModelConfig::new(kind)
             .with_dim(settings.dim)
             .with_seed(settings.seed),
         dataset.num_entities(),
         dataset.num_relations(),
     );
     let sampler = nscaching::build_sampler(&SamplerConfig::Bernoulli, &dataset, settings.seed);
-    let train_config = standard_train_config(ModelKind::TransD, &settings);
+    let train_config = standard_train_config(kind, &settings);
     let margin = train_config.margin;
     let mut trainer = Trainer::new(model, sampler, &dataset, train_config);
 

@@ -16,18 +16,19 @@ use nscaching_models::ModelKind;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset: BenchDataset = BenchmarkFamily::Wn18rr
+    let dataset: BenchDataset = settings
+        .fixed_family(BenchmarkFamily::Wn18rr)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds")
         .into();
     println!("dataset: {}", dataset.summary());
     let cache = scaled_cache_size(dataset.num_entities());
 
-    let models = if settings.smoke {
+    let models = settings.select_models(if settings.smoke {
         vec![ModelKind::TransD]
     } else {
         vec![ModelKind::TransD, ModelKind::ComplEx]
-    };
+    });
 
     let mut report = TsvReport::new(
         "fig10_gradient_norms",

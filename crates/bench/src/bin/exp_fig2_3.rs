@@ -13,5 +13,9 @@ use nscaching_models::ModelKind;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    run_convergence(ModelKind::TransD, "fig2_3_transd_convergence", &settings);
+    run_convergence(
+        settings.fixed_model(ModelKind::TransD),
+        "fig2_3_transd_convergence",
+        &settings,
+    );
 }

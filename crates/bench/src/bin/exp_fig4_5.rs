@@ -12,5 +12,9 @@ use nscaching_models::ModelKind;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    run_convergence(ModelKind::ComplEx, "fig4_5_complex_convergence", &settings);
+    run_convergence(
+        settings.fixed_model(ModelKind::ComplEx),
+        "fig4_5_complex_convergence",
+        &settings,
+    );
 }

@@ -13,7 +13,9 @@ use nscaching_models::ModelKind;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset: BenchDataset = BenchmarkFamily::Wn18
+    settings.note_ignored("--models", "TransD only");
+    let dataset: BenchDataset = settings
+        .fixed_family(BenchmarkFamily::Wn18)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds")
         .into();

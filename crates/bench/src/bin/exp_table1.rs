@@ -16,13 +16,14 @@ use std::time::Instant;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset = nscaching_datagen::BenchmarkFamily::Wn18
+    let dataset = settings
+        .fixed_family(nscaching_datagen::BenchmarkFamily::Wn18)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds");
     println!("dataset: {}", dataset.summary());
 
     let model = build_model(
-        &ModelConfig::new(ModelKind::TransE)
+        &ModelConfig::new(settings.fixed_model(ModelKind::TransE))
             .with_dim(settings.dim)
             .with_seed(settings.seed),
         dataset.num_entities(),

@@ -19,6 +19,7 @@ fn paper_row(family: BenchmarkFamily) -> (usize, usize, usize, usize, usize) {
 
 fn main() {
     let settings = ExperimentSettings::from_env();
+    settings.note_ignored("--models", "no model");
     let mut report = TsvReport::new(
         "table2_datasets",
         &[

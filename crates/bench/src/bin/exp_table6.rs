@@ -18,7 +18,9 @@ use nscaching_train::Trainer;
 
 fn main() {
     let settings = ExperimentSettings::from_env();
-    let dataset = BenchmarkFamily::Wn18
+    let kind = settings.fixed_model(ModelKind::TransD);
+    let dataset = settings
+        .fixed_family(BenchmarkFamily::Wn18)
         .generate(settings.scale, settings.seed)
         .expect("dataset generation succeeds");
     println!("dataset: {}", dataset.summary());
@@ -28,7 +30,7 @@ fn main() {
     let cache_size = nscaching_bench::runner::scaled_cache_size(dataset.num_entities());
 
     let model = build_model(
-        &ModelConfig::new(ModelKind::TransD)
+        &ModelConfig::new(kind)
             .with_dim(settings.dim)
             .with_seed(settings.seed),
         dataset.num_entities(),
@@ -39,7 +41,7 @@ fn main() {
         &dataset,
         settings.seed,
     );
-    let train_config = standard_train_config(ModelKind::TransD, &settings);
+    let train_config = standard_train_config(kind, &settings);
     let mut trainer = Trainer::new(model, sampler, &dataset, train_config);
 
     let mut report = TsvReport::new(

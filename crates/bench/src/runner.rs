@@ -616,10 +616,11 @@ fn append_metrics(path: &std::path::Path, label: &str, exposition: &str) -> std:
     write!(file, "# run {label}\n{exposition}")
 }
 
-/// Generate the four benchmark datasets at the configured scale, each wrapped
-/// with its shared split view.
+/// Generate the benchmark datasets `--datasets` names (all four by default)
+/// at the configured scale, each wrapped with its shared split view.
 pub fn benchmark_datasets(settings: &ExperimentSettings) -> Vec<(BenchmarkFamily, BenchDataset)> {
-    BenchmarkFamily::ALL
+    settings
+        .select_families(BenchmarkFamily::ALL.to_vec())
         .iter()
         .map(|family| {
             let ds = family

@@ -238,6 +238,57 @@ impl ExperimentSettings {
         }
     }
 
+    /// `model`, the one scoring function a binary runs whatever `--models`
+    /// names. The flag is still accepted (so `run_all --models ...` can
+    /// forward it to every binary), and [`note_ignored`](Self::note_ignored)
+    /// says on stderr that this binary ignores it.
+    pub fn fixed_model(&self, model: nscaching_models::ModelKind) -> nscaching_models::ModelKind {
+        self.note_ignored("--models", &format!("{} only", model.name()));
+        model
+    }
+
+    /// `family`, the one benchmark analogue a binary runs whatever
+    /// `--datasets` names; see [`fixed_model`](Self::fixed_model).
+    pub fn fixed_family(
+        &self,
+        family: nscaching_datagen::BenchmarkFamily,
+    ) -> nscaching_datagen::BenchmarkFamily {
+        self.note_ignored("--datasets", &format!("{} only", family.name()));
+        family
+    }
+
+    /// Print one stderr line, prefixed with the binary's name, when `flag`
+    /// (`--models` or `--datasets`) was given to a binary that does not read
+    /// it; `runs` names what the binary runs instead.
+    pub fn note_ignored(&self, flag: &str, runs: &str) {
+        if let Some(note) = self.ignored_note(flag, runs) {
+            let binary = std::env::args()
+                .next()
+                .and_then(|arg| {
+                    Path::new(&arg)
+                        .file_stem()
+                        .map(|s| s.to_string_lossy().into_owned())
+                })
+                .unwrap_or_default();
+            eprintln!("{binary}: {note}");
+        }
+    }
+
+    /// The line [`note_ignored`](Self::note_ignored) prints, or `None` when
+    /// `flag` was not given.
+    fn ignored_note(&self, flag: &str, runs: &str) -> Option<String> {
+        let names = match flag {
+            "--models" => &self.models,
+            "--datasets" => &self.datasets,
+            other => panic!("{other} is not a run filter"),
+        }
+        .as_ref()?;
+        Some(format!(
+            "ignoring {flag} {}: this experiment runs {runs}",
+            names.join(",")
+        ))
+    }
+
     /// Path of the TSV output file for an experiment name.
     pub fn results_path(&self, name: &str) -> PathBuf {
         self.out_dir.join(format!("{name}.tsv"))
@@ -432,6 +483,28 @@ mod filter_tests {
         let s = ExperimentSettings::default();
         assert_eq!(s.select_families(BenchmarkFamily::ALL.to_vec()).len(), 4);
         assert_eq!(s.select_models(ModelKind::ALL.to_vec()).len(), 5);
+    }
+
+    #[test]
+    fn a_binary_with_a_fixed_run_names_the_flag_it_ignores() {
+        let s = ExperimentSettings::parse(["--smoke", "--models", "transe,ComplEx"]).unwrap();
+        assert_eq!(s.fixed_model(ModelKind::TransD), ModelKind::TransD);
+        assert_eq!(
+            s.ignored_note("--models", "TransD only").as_deref(),
+            Some("ignoring --models transe,complex: this experiment runs TransD only")
+        );
+        assert_eq!(s.ignored_note("--datasets", "wn18 only"), None);
+        let s = ExperimentSettings::parse(["--datasets", "fb15k"]).unwrap();
+        assert_eq!(s.fixed_family(BenchmarkFamily::Wn18), BenchmarkFamily::Wn18);
+        assert_eq!(
+            s.ignored_note("--datasets", "wn18 only").as_deref(),
+            Some("ignoring --datasets fb15k: this experiment runs wn18 only")
+        );
+        assert_eq!(s.ignored_note("--models", "TransD only"), None);
+        // Without either flag nothing is printed.
+        let s = ExperimentSettings::default();
+        assert_eq!(s.ignored_note("--models", "TransD only"), None);
+        assert_eq!(s.ignored_note("--datasets", "wn18 only"), None);
     }
 
     #[test]

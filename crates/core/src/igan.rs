@@ -23,7 +23,7 @@ use crate::state::{
 use nscaching_kg::{CorruptionSide, Triple};
 use nscaching_math::{sample_one_weighted, softmax_in_place};
 use nscaching_models::{GradientArena, KgeModel};
-use nscaching_optim::{build_optimizer, Optimizer, OptimizerConfig};
+use nscaching_optim::Adam;
 use rand::rngs::StdRng;
 
 struct PendingChoice {
@@ -48,7 +48,7 @@ struct IganShardSlot {
 /// IGAN-style sampler: full-softmax generator over all entities.
 pub struct IganSampler {
     generator: Box<dyn KgeModel>,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     policy: CorruptionPolicy,
     baseline: f64,
     baseline_decay: f64,
@@ -71,7 +71,7 @@ pub struct IganSampler {
 impl IganSampler {
     /// Create an IGAN-style sampler with a full `O(|E|)` REINFORCE update.
     pub fn new(generator: Box<dyn KgeModel>, generator_lr: f64, policy: CorruptionPolicy) -> Self {
-        let mut optimizer = build_optimizer(&OptimizerConfig::adam(generator_lr));
+        let mut optimizer = Adam::new(generator_lr);
         optimizer.bind(generator.as_ref());
         Self {
             generator,
@@ -374,10 +374,10 @@ impl NegativeSampler for IganSampler {
             }
         };
         restore_generator_tables(self.generator.as_mut(), &state.tables)?;
-        self.optimizer.import_state(state.optimizer)?;
-        // Re-bind so the slabs stay pre-sized even if the capture was taken
-        // before the optimizer ever touched some table.
-        self.optimizer.bind(self.generator.as_ref());
+        // Importing re-binds, so the slabs stay pre-sized even if the
+        // capture was taken before the optimizer ever touched some table.
+        self.optimizer
+            .import_state(state.optimizer, self.generator.as_ref())?;
         self.baseline = state.baseline;
         self.feedback_steps = state.feedback_steps;
         Ok(())

@@ -23,7 +23,7 @@ use crate::state::{
 use nscaching_kg::{CorruptionSide, EntityId, Triple};
 use nscaching_math::{sample_distinct_uniform_into, sample_one_weighted, softmax_in_place};
 use nscaching_models::{GradientArena, KgeModel};
-use nscaching_optim::{build_optimizer, Optimizer, OptimizerConfig};
+use nscaching_optim::Adam;
 use rand::rngs::StdRng;
 
 /// The generator's last choice, kept until the discriminator reports a reward.
@@ -65,7 +65,7 @@ impl KbGanShardSlot {
 /// KBGAN negative sampler: candidate-set generator trained with REINFORCE.
 pub struct KbGanSampler {
     generator: Box<dyn KgeModel>,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     candidate_size: usize,
     num_entities: usize,
     policy: CorruptionPolicy,
@@ -105,7 +105,7 @@ impl KbGanSampler {
             num_entities >= 2,
             "negative sampling needs at least two entities"
         );
-        let mut optimizer = build_optimizer(&OptimizerConfig::adam(generator_lr));
+        let mut optimizer = Adam::new(generator_lr);
         // Pre-size the generator optimizer's state slabs: REINFORCE steps
         // then never allocate optimizer state mid-epoch.
         optimizer.bind(generator.as_ref());
@@ -439,10 +439,10 @@ impl NegativeSampler for KbGanSampler {
             }
         };
         restore_generator_tables(self.generator.as_mut(), &state.tables)?;
-        self.optimizer.import_state(state.optimizer)?;
-        // Re-bind so the slabs stay pre-sized even if the capture was taken
-        // before the optimizer ever touched some table.
-        self.optimizer.bind(self.generator.as_ref());
+        // Importing re-binds, so the slabs stay pre-sized even if the
+        // capture was taken before the optimizer ever touched some table.
+        self.optimizer
+            .import_state(state.optimizer, self.generator.as_ref())?;
         self.baseline = state.baseline;
         self.feedback_steps = state.feedback_steps;
         Ok(())

@@ -2,8 +2,7 @@
 //!
 //! The paper initialises all embeddings with the Xavier uniform initialiser
 //! (Glorot & Bengio, 2010) when training from scratch. We also provide a
-//! plain uniform range initialiser (used by the original TransE code,
-//! `±6/√d`) and a constant initialiser for tests.
+//! plain uniform range initialiser.
 
 use rand::Rng;
 
@@ -24,16 +23,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) ->
 pub fn uniform_init<R: Rng + ?Sized>(rng: &mut R, n: usize, bound: f64) -> Vec<f64> {
     assert!(bound > 0.0, "uniform_init bound must be positive");
     (0..n).map(|_| rng.gen_range(-bound..bound)).collect()
-}
-
-/// The classic TransE initialisation bound `6/√d`.
-pub fn transe_bound(dim: usize) -> f64 {
-    6.0 / (dim as f64).sqrt()
-}
-
-/// Constant initialisation, mostly useful in unit tests.
-pub fn constant_init(n: usize, value: f64) -> Vec<f64> {
-    vec![value; n]
 }
 
 #[cfg(test)]
@@ -72,15 +61,5 @@ mod tests {
         let mut rng = seeded_rng(4);
         let v = uniform_init(&mut rng, 1000, 0.25);
         assert!(v.iter().all(|x| x.abs() <= 0.25));
-    }
-
-    #[test]
-    fn transe_bound_formula() {
-        assert!((transe_bound(36) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn constant_init_fills() {
-        assert_eq!(constant_init(3, 0.5), vec![0.5, 0.5, 0.5]);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The paper's algorithms only need dense vector arithmetic, a handful of
 //! initialisers, stable softmax utilities, several sampling primitives
-//! (weighted with and without replacement, alias tables, reservoir sampling)
-//! and light-weight statistics (online moments, histograms, complementary
-//! CDFs). Everything is implemented here from scratch so that the rest of the
+//! (weighted with and without replacement, alias tables) and the
+//! complementary CDF of Figure 1. Everything is implemented here from scratch so that the rest of the
 //! workspace has no dependency on an external ML framework.
 //!
 //! All functions operate on `&[f64]` / `&mut [f64]` slices; embedding rows in
@@ -21,14 +20,14 @@ pub mod topk;
 pub mod vecops;
 
 pub use grid::{grid_l1_block, L1Grid, GRID_BLOCK, GRID_MAX, GRID_MAX_DIM};
-pub use init::{constant_init, uniform_init, xavier_uniform};
+pub use init::{uniform_init, xavier_uniform};
 pub use rng::{rng_from_state, rng_state, seeded_rng, split_seed, SeedStream};
 pub use sample::{
     gumbel_top_k_into, sample_distinct_uniform, sample_distinct_uniform_into, sample_one_weighted,
-    AliasTable, ReservoirSampler, WeightedIndex,
+    AliasTable,
 };
 pub use softmax::{log_sum_exp, softmax, softmax_in_place};
-pub use stats::{Ccdf, Histogram, OnlineStats, Quantiles};
+pub use stats::Ccdf;
 pub use topk::{
     argmax, cmp_desc, rank_contenders_into, rank_scan, top_k_indices, top_k_indices_into,
     top_k_indices_sort_into, RankScan,

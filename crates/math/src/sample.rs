@@ -11,7 +11,7 @@
 //!   which keeps the `N1` largest Gumbel-perturbed scores in one linear pass,
 //!   so the refresh costs the `O((N1 + N2)·d)` of Table I;
 //! * single weighted draws for the KBGAN generator and for the "IS sampling
-//!   from cache" ablation — [`sample_one_weighted`] / [`WeightedIndex`].
+//!   from cache" ablation — [`sample_one_weighted`].
 //!
 //! The Gumbel noise `−ln(−ln u)` is computed in two passes over a stack chunk
 //! of logits: one draws a `u64` per logit in index order, exactly the draws
@@ -24,8 +24,7 @@
 //!
 //! An [`AliasTable`] is provided for the Zipf-like entity popularity used by
 //! the synthetic dataset generator (O(1) draws from a fixed discrete
-//! distribution), and a [`ReservoirSampler`] for streaming sub-sampling in the
-//! instrumentation code.
+//! distribution).
 
 use rand::Rng;
 
@@ -210,60 +209,6 @@ fn ln(x: f64) -> f64 {
     s * (hfsq + r) + dk * LN2_LO - hfsq + f + dk * LN2_HI
 }
 
-/// A cumulative-sum weighted index for repeated draws from a *fixed*
-/// distribution (the distribution cannot be mutated after construction).
-#[derive(Debug, Clone)]
-pub struct WeightedIndex {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl WeightedIndex {
-    /// Build from non-negative weights. Returns `None` if the weights are
-    /// empty or sum to a non-positive / non-finite value.
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        if weights.is_empty() {
-            return None;
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for w in weights {
-            let w = if w.is_finite() && *w > 0.0 { *w } else { 0.0 };
-            acc += w;
-            cumulative.push(acc);
-        }
-        if acc <= 0.0 || !acc.is_finite() {
-            return None;
-        }
-        Some(Self {
-            cumulative,
-            total: acc,
-        })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True when there are no categories.
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Draw one index.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u = rng.gen_range(0.0..self.total);
-        match self
-            .cumulative
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("non-NaN cumulative"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
 /// Walker alias table for O(1) draws from a fixed discrete distribution.
 #[derive(Debug, Clone)]
 pub struct AliasTable {
@@ -339,56 +284,6 @@ impl AliasTable {
         } else {
             self.alias[i]
         }
-    }
-}
-
-/// Reservoir sampler keeping a uniform sample of up to `capacity` items from a
-/// stream of unknown length (used to sub-sample negative-score observations
-/// for the CCDF plots without storing every score).
-#[derive(Debug, Clone)]
-pub struct ReservoirSampler<T> {
-    capacity: usize,
-    seen: usize,
-    items: Vec<T>,
-}
-
-impl<T> ReservoirSampler<T> {
-    /// Create a reservoir with the given capacity (must be positive).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        Self {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offer one item from the stream.
-    pub fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, item: T) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = rng.gen_range(0..self.seen);
-            if j < self.capacity {
-                self.items[j] = item;
-            }
-        }
-    }
-
-    /// Items currently held.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Total number of items offered so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Consume the sampler and return its items.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
     }
 }
 
@@ -564,26 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_matches_expected_frequencies() {
-        let wi = WeightedIndex::new(&[2.0, 0.0, 6.0]).unwrap();
-        let mut rng = seeded_rng(19);
-        let mut counts = [0usize; 3];
-        for _ in 0..60_000 {
-            counts[wi.sample(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn weighted_index_rejects_degenerate_inputs() {
-        assert!(WeightedIndex::new(&[]).is_none());
-        assert!(WeightedIndex::new(&[0.0, 0.0]).is_none());
-        assert!(WeightedIndex::new(&[f64::NAN]).is_none());
-    }
-
-    #[test]
     fn alias_table_matches_expected_frequencies() {
         let at = AliasTable::new(&[1.0, 2.0, 7.0]).unwrap();
         let mut rng = seeded_rng(20);
@@ -602,41 +477,5 @@ mod tests {
     fn alias_table_rejects_degenerate_inputs() {
         assert!(AliasTable::new(&[]).is_none());
         assert!(AliasTable::new(&[0.0]).is_none());
-    }
-
-    #[test]
-    fn reservoir_keeps_everything_under_capacity() {
-        let mut rng = seeded_rng(21);
-        let mut r = ReservoirSampler::new(10);
-        for i in 0..5 {
-            r.offer(&mut rng, i);
-        }
-        assert_eq!(r.items(), &[0, 1, 2, 3, 4]);
-        assert_eq!(r.seen(), 5);
-    }
-
-    #[test]
-    fn reservoir_is_approximately_uniform() {
-        let mut rng = seeded_rng(22);
-        let mut hits = vec![0usize; 100];
-        for _ in 0..2000 {
-            let mut r = ReservoirSampler::new(10);
-            for i in 0..100 {
-                r.offer(&mut rng, i);
-            }
-            for &i in r.items() {
-                hits[i] += 1;
-            }
-        }
-        // Each item should be kept ~10% of the time (200 of 2000 trials).
-        let min = *hits.iter().min().unwrap() as f64;
-        let max = *hits.iter().max().unwrap() as f64;
-        assert!(min > 120.0 && max < 300.0, "min {min} max {max}");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn reservoir_rejects_zero_capacity() {
-        let _ = ReservoirSampler::<u32>::new(0);
     }
 }

@@ -1,175 +1,4 @@
-//! Light-weight statistics: online moments, histograms, quantiles and the
-//! complementary CDF used in Figure 1 of the paper.
-
-/// Welford-style online mean / variance / min / max accumulator.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A fixed-range histogram with equal-width bins plus underflow/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram over `[lo, hi)` with `bins` equal-width bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Raw bin counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Normalised bin densities summing to the in-range fraction.
-    pub fn densities(&self) -> Vec<f64> {
-        if self.count == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins
-            .iter()
-            .map(|c| *c as f64 / self.count as f64)
-            .collect()
-    }
-}
+//! The complementary CDF used in Figure 1 of the paper.
 
 /// Empirical complementary cumulative distribution function
 /// `F(x) = P(D ≥ x)`, exactly the quantity plotted in Figure 1 of the paper.
@@ -226,125 +55,9 @@ impl Ccdf {
     }
 }
 
-/// Exact sample quantiles (linear interpolation between order statistics).
-#[derive(Debug, Clone)]
-pub struct Quantiles {
-    sorted: Vec<f64>,
-}
-
-impl Quantiles {
-    /// Build from raw observations (NaNs are dropped).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| !x.is_nan()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filtering"));
-        Self { sorted }
-    }
-
-    /// Quantile `q ∈ [0,1]`; returns `None` when no observations are held.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac)
-    }
-
-    /// Median, i.e. `quantile(0.5)`.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_matches_closed_form() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 3.0 + 1.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn online_stats_empty_defaults() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before_mean = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), before_mean);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - before_mean).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 5.5, 9.999, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        let d = h.densities();
-        assert!((d.iter().sum::<f64>() - 5.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "range must be non-empty")]
-    fn histogram_rejects_bad_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
 
     #[test]
     fn ccdf_on_known_samples() {
@@ -375,15 +88,5 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.at(0.0), 0.0);
         assert!(c.default_grid(10).is_empty());
-    }
-
-    #[test]
-    fn quantiles_on_known_samples() {
-        let q = Quantiles::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(q.median(), Some(3.0));
-        assert_eq!(q.quantile(0.0), Some(1.0));
-        assert_eq!(q.quantile(1.0), Some(5.0));
-        assert_eq!(q.quantile(0.25), Some(2.0));
-        assert!(Quantiles::from_samples(&[]).median().is_none());
     }
 }

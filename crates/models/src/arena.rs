@@ -17,7 +17,7 @@
 //!   ordered view is needed ([`rows`](GradientArena::rows),
 //!   [`touched`](GradientArena::touched),
 //!   [`squared_norm`](GradientArena::squared_norm), [`merge`](GradientArena::merge)).
-//!   Every ordered consumer — the optimizers' apply walk, the shard-merge
+//!   Every ordered consumer — Adam's apply walk, the shard-merge
 //!   reduction, the gradient-norm instrumentation — reads this one index, so
 //!   determinism comes from the layout itself instead of the post-hoc key
 //!   sorting the `HashMap` engine needed.

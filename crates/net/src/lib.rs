@@ -105,8 +105,8 @@
 //!    typed reason suffix (`*.bad-checksum`, …) and returns the last-good
 //!    checkpoint and its path;
 //! 2. [`nscaching_serve::KnowledgeServer::load_with_cache`] builds the
-//!    serving engine from that path with the chosen
-//!    [`nscaching_serve::CacheConfig`];
+//!    serving engine from that path with a cache of the chosen
+//!    [`nscaching_serve::CacheConfig`] capacity;
 //! 3. [`NetServer::bind`] puts the engine behind the socket.
 //!
 //! Quarantined files are evidence: inspect, then delete by hand. See the

@@ -48,8 +48,8 @@
 //! The ladder degrades *before* it sheds: clamping bounds per-request work,
 //! cache-only keeps absorbing the hot head of a skewed stream at near-zero
 //! cost, and only what is left over is rejected. The result cache behind
-//! `top_k_cached` is the serving engine's one policy-pluggable cache
-//! (`nscaching_serve::CacheConfig`): the eviction policy shapes *which* hot
+//! `top_k_cached` is the serving engine's one segmented-LRU cache (sized by
+//! `nscaching_serve::CacheConfig`): its eviction order shapes *which* hot
 //! head survives to be servable at level 2, and version-stamp invalidation
 //! means a stale entry is dropped — never served — even mid-incident.
 //!

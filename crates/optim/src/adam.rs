@@ -8,12 +8,19 @@
 //! moments live in one contiguous `rows × dim` slab per parameter table and
 //! the step counters in one `rows` slab (see the crate docs), so a touched
 //! row's state is two array indexes — no hashing, and, once
-//! [`Optimizer::bind`] has pre-sized the slabs, no allocation inside `step`
+//! [`Adam::bind`] has pre-sized the slabs, no allocation inside `step`
 //! (the `HashMap` predecessor allocated two fresh `Vec<f64>`s on the first
 //! touch of every row mid-epoch).
 
-use crate::optimizer::{AdamTableState, Optimizer, OptimizerState};
+use crate::optimizer::{AdamTableState, OptimizerState};
 use nscaching_models::{GradientArena, KgeModel};
+
+/// First-moment decay `β₁` (Adam's default).
+const BETA1: f64 = 0.9;
+/// Second-moment decay `β₂` (Adam's default).
+const BETA2: f64 = 0.999;
+/// Denominator guard `ε` (Adam's default).
+const EPSILON: f64 = 1e-8;
 
 /// One table's moment slabs.
 #[derive(Debug, Clone, Default)]
@@ -59,9 +66,6 @@ fn slab_for(tables: &mut Vec<TableMoments>, table: usize, dim: usize) -> &mut Ta
 #[derive(Debug, Clone)]
 pub struct Adam {
     learning_rate: f64,
-    beta1: f64,
-    beta2: f64,
-    epsilon: f64,
     tables: Vec<TableMoments>,
     live_rows: usize,
 }
@@ -70,19 +74,9 @@ impl Adam {
     /// Create an Adam optimizer with the default `β₁ = 0.9`, `β₂ = 0.999`,
     /// `ε = 1e-8`.
     pub fn new(learning_rate: f64) -> Self {
-        Self::with_betas(learning_rate, 0.9, 0.999)
-    }
-
-    /// Create an Adam optimizer with explicit momentum coefficients.
-    pub fn with_betas(learning_rate: f64, beta1: f64, beta2: f64) -> Self {
         assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0,1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0,1)");
         Self {
             learning_rate,
-            beta1,
-            beta2,
-            epsilon: 1e-8,
             tables: Vec::new(),
             live_rows: 0,
         }
@@ -92,11 +86,14 @@ impl Adam {
     pub fn state_rows(&self) -> usize {
         self.live_rows
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn KgeModel, grads: &mut GradientArena) {
-        let (lr, b1, b2, eps) = (self.learning_rate, self.beta1, self.beta2, self.epsilon);
+    /// Apply one descent step of the sparse gradient `grads`, walking its
+    /// sorted slot list (see the crate docs for the determinism contract).
+    /// The caller re-imposes model constraints afterwards with
+    /// `model.apply_constraints(grads.touched())` — the same sorted list, so
+    /// no separate touched-row vector is materialised.
+    pub fn step(&mut self, model: &mut dyn KgeModel, grads: &mut GradientArena) {
+        let (lr, b1, b2, eps) = (self.learning_rate, BETA1, BETA2, EPSILON);
         // Grouped per-table walk over the sorted slot list: the moment slab
         // and the parameter table (a virtual `table_mut` dispatch) are
         // resolved once per table run instead of once per row. Row visit
@@ -139,7 +136,10 @@ impl Optimizer for Adam {
         }
     }
 
-    fn bind(&mut self, model: &dyn KgeModel) {
+    /// Pre-size the per-row state slabs from `model`'s table dimensions so
+    /// that [`step`](Self::step) never allocates. Called once at construction
+    /// by the trainer and the GAN samplers.
+    pub fn bind(&mut self, model: &dyn KgeModel) {
         for (table, t) in model.tables().iter().enumerate() {
             if table >= self.tables.len() {
                 self.tables.resize_with(table + 1, TableMoments::default);
@@ -156,21 +156,14 @@ impl Optimizer for Adam {
         }
     }
 
-    fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
-    fn reset(&mut self) {
-        for slab in &mut self.tables {
-            slab.m.fill(0.0);
-            slab.v.fill(0.0);
-            slab.t.fill(0);
-        }
-        self.live_rows = 0;
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState::Adam {
+    /// Copy out the per-row state slabs for checkpointing.
+    ///
+    /// The exported slabs are exactly the optimizer's live state: importing
+    /// them into a freshly built optimizer bound to the same model continues
+    /// the update sequence bit-for-bit, which is half of the trainer's
+    /// exact-resume guarantee (the other half is the RNG state).
+    pub fn export_state(&self) -> OptimizerState {
+        OptimizerState {
             tables: self
                 .tables
                 .iter()
@@ -184,11 +177,39 @@ impl Optimizer for Adam {
         }
     }
 
-    fn import_state(&mut self, state: OptimizerState) -> Result<(), String> {
-        let OptimizerState::Adam { tables } = state else {
-            return Err(format!("cannot import {:?} state into Adam", state.kind()));
-        };
+    /// Replace the per-row state with slabs captured by
+    /// [`export_state`](Self::export_state), then [`bind`](Self::bind) to
+    /// `model` so the slabs are re-padded to its tables.
+    ///
+    /// Fails (with a description, leaving `self` untouched) when a table's
+    /// moment slabs disagree with its own `dim` and step-counter count, or
+    /// when its `dim` is neither `model`'s dimension for that table nor 0
+    /// with no rows (a table the optimizer never touched): a `step` over
+    /// such slabs would index past them or update rows with moments of
+    /// another width.
+    pub fn import_state(
+        &mut self,
+        state: OptimizerState,
+        model: &dyn KgeModel,
+    ) -> Result<(), String> {
+        let OptimizerState { tables } = state;
+        let model_tables = model.tables();
         for (i, slab) in tables.iter().enumerate() {
+            // The dim check comes first: it bounds `dim` by a model table's,
+            // so the slab-length product below cannot overflow.
+            let model_dim = model_tables.get(i).map(|t| t.dim());
+            let untouched = slab.dim == 0 && slab.t.is_empty();
+            if !untouched && Some(slab.dim) != model_dim {
+                return Err(format!(
+                    "Adam table {i}: dim {} over {} rows does not fit the model's {}",
+                    slab.dim,
+                    slab.t.len(),
+                    match model_dim {
+                        Some(dim) => format!("dim {dim}"),
+                        None => format!("{} tables", model_tables.len()),
+                    }
+                ));
+            }
             let expected = slab.t.len() * slab.dim;
             if slab.m.len() != expected || slab.v.len() != expected {
                 return Err(format!(
@@ -214,6 +235,7 @@ impl Optimizer for Adam {
                 t: slab.t,
             })
             .collect();
+        self.bind(model);
         Ok(())
     }
 }
@@ -265,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_state_and_reset() {
+    fn lazy_state_counts_touched_rows() {
         let mut m = model();
         let mut grads = GradientArena::new();
         grads.add(0, 2, &[1.0, 1.0], 1.0);
@@ -273,14 +295,6 @@ mod tests {
         let mut opt = Adam::new(0.01);
         opt.step(&mut m, &mut grads);
         assert_eq!(opt.state_rows(), 2);
-        opt.reset();
-        assert_eq!(opt.state_rows(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta1 must be in [0,1)")]
-    fn invalid_beta_is_rejected() {
-        let _ = Adam::with_betas(0.01, 1.0, 0.999);
     }
 
     #[test]
@@ -330,8 +344,9 @@ mod tests {
         // Capture mid-run, import into a fresh optimizer, continue both.
         let state = original.export_state();
         let mut resumed = Adam::new(0.01);
-        resumed.import_state(state.clone()).unwrap();
-        resumed.bind(&original_model);
+        resumed
+            .import_state(state.clone(), &original_model)
+            .unwrap();
         assert_eq!(resumed.state_rows(), original.state_rows());
         assert_eq!(resumed.export_state(), state, "export/import round-trips");
         for (a, b) in original_model
@@ -358,9 +373,55 @@ mod tests {
     }
 
     #[test]
-    fn importing_foreign_state_is_rejected() {
+    fn state_that_does_not_fit_the_model_is_rejected() {
+        // The model's tables are 3 × 2 (entities) and 1 × 2 (relations).
+        let m = model();
+        let table = |dim: usize, rows: usize| AdamTableState {
+            dim,
+            m: vec![0.0; rows * dim],
+            v: vec![0.0; rows * dim],
+            t: vec![1; rows],
+        };
+        let state = |tables: Vec<AdamTableState>| OptimizerState { tables };
         let mut opt = Adam::new(0.01);
-        let err = opt.import_state(OptimizerState::Sgd).unwrap_err();
-        assert!(err.contains("Adam"), "{err}");
+        opt.bind(&m);
+        let bound = opt.export_state();
+        for (what, bad) in [
+            ("dim 0 with rows", state(vec![table(0, 3)])),
+            ("narrower rows", state(vec![table(2, 3), table(1, 1)])),
+            ("wider rows", state(vec![table(4, 3)])),
+            (
+                "a table the model lacks",
+                state(vec![bound.tables[0].clone(), table(2, 1), table(2, 1)]),
+            ),
+            (
+                "a dim whose slab size overflows",
+                state(vec![AdamTableState {
+                    dim: usize::MAX / 2 + 1,
+                    t: vec![1; 2],
+                    ..AdamTableState::default()
+                }]),
+            ),
+            (
+                "uneven slabs",
+                state(vec![AdamTableState {
+                    m: vec![0.0; 5],
+                    ..table(2, 3)
+                }]),
+            ),
+        ] {
+            let err = opt.import_state(bad, &m).unwrap_err();
+            assert!(err.contains("Adam table"), "{what}: {err}");
+            assert_eq!(
+                opt.export_state(),
+                bound,
+                "{what}: a refused import changed nothing"
+            );
+        }
+        // Tables the optimizer never touched (dim 0, no rows) fit any model,
+        // and binding pads them to the model's tables.
+        opt.import_state(state(vec![AdamTableState::default(); 3]), &m)
+            .unwrap();
+        assert_eq!(opt.export_state().tables[..2], bound.tables[..]);
     }
 }

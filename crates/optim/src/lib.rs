@@ -1,37 +1,36 @@
-//! Sparse first-order optimizers for embedding tables.
+//! The sparse Adam optimizer for embedding tables.
 //!
 //! A KG-embedding SGD step only touches a handful of parameter rows, so
 //! gradients arrive sparsely — as a
 //! [`GradientArena`](nscaching_models::GradientArena) of touched rows — and
-//! the stateful optimizers update their moments lazily per row, exactly the
-//! "lazy Adam" behaviour of the PyTorch sparse optimizers the paper's
-//! reference implementation relies on. The paper trains every model with Adam
-//! at its default hyper-parameters except the learning rate (Section IV-A2);
-//! plain SGD and AdaGrad are provided for the ablation benches.
+//! [`Adam`] updates its moments lazily per row, exactly the "lazy Adam"
+//! behaviour of the PyTorch sparse optimizers the paper's reference
+//! implementation relies on. The paper trains every model with Adam at its
+//! default hyper-parameters except the learning rate (Section IV-A2), so it
+//! is the only optimizer here.
 //!
 //! # State layout: dense per-table slabs
 //!
-//! [`AdaGrad`] and [`Adam`] keep their per-row state (squared-gradient
-//! accumulators; first/second moments plus the per-row step counter of the
-//! bias correction) in **dense per-table slabs indexed by row id**: one
-//! `Vec<f64>` of `rows × dim` values per parameter table, plus one counter
-//! per row for Adam. Reaching row `r`'s state is `&slab[r·dim .. (r+1)·dim]`
-//! — an array index instead of the `HashMap<(TableId, usize), Vec<f64>>`
-//! lookup (hash + probe + pointer chase to a scattered heap row) the previous
-//! engine paid on every touched row of every batch. The slabs cost the same
-//! memory as the model's own tables (twice for Adam), which is the standard
-//! trade of production embedding trainers.
+//! [`Adam`] keeps its per-row state (first/second moments plus the per-row
+//! step counter of the bias correction) in **dense per-table slabs indexed
+//! by row id**: one `Vec<f64>` of `rows × dim` values per moment and
+//! parameter table, plus one counter per row. Reaching row `r`'s state is
+//! `&slab[r·dim .. (r+1)·dim]` — an array index instead of the
+//! `HashMap<(TableId, usize), Vec<f64>>` lookup (hash + probe + pointer
+//! chase to a scattered heap row) the previous engine paid on every touched
+//! row of every batch. The slabs cost twice the memory of the model's own
+//! tables, which is the standard trade of production embedding trainers.
 //!
-//! Call [`Optimizer::bind`] once at construction time (the trainer and the
-//! GAN samplers do) to pre-size every slab from the model's table dimensions;
-//! after that a [`step`](Optimizer::step) performs **no heap allocation** —
+//! Call [`Adam::bind`] once at construction time (the trainer and the GAN
+//! samplers do) to pre-size every slab from the model's table dimensions;
+//! after that a [`step`](Adam::step) performs **no heap allocation** —
 //! previously Adam allocated two `Vec<f64>`s on the first touch of every row
-//! mid-epoch. Unbound optimizers still work (slabs grow on demand), they just
-//! lose the no-allocation guarantee.
+//! mid-epoch. An unbound optimizer still works (slabs grow on demand), it
+//! just loses the no-allocation guarantee.
 //!
 //! # Determinism: the sorted-slot contract
 //!
-//! [`Optimizer::step`] applies updates by walking the arena's **sorted
+//! [`Adam::step`] applies updates by walking the arena's **sorted
 //! `(table, row)` slot list** (`GradientArena::rows`). Each row's update
 //! touches only that row's parameters and state, so the result is independent
 //! of walk order — but fixing the order anyway makes the whole apply stage a
@@ -39,39 +38,12 @@
 //! hash-map iteration order, across runs and platforms. Together with the
 //! arena's ordered shard merge this is what makes parallel training
 //! trajectories bit-reproducible (see `nscaching-train`'s concurrency model).
-//!
-//! # Plugging in a new optimizer
-//!
-//! Implement [`Optimizer`]:
-//!
-//! 1. in `step`, iterate `grads.rows().by_table()` — per-table runs of the
-//!    ascending `(table, row)` order, one contiguous gradient slice per row —
-//!    resolve the parameter table once per run (`model.table_mut(table)`,
-//!    hoisting the virtual dispatch out of the row loop) and update
-//!    `table.row_mut(row)` in place; keep the per-row math self-contained so
-//!    the order-independence argument above holds;
-//! 2. keep any per-row state in dense per-table slabs sized in
-//!    [`bind`](Optimizer::bind) (see `AdaGrad` for the minimal template) so
-//!    `step` stays allocation-free;
-//! 3. leave constraint application to the caller: the trainer follows every
-//!    step with `model.apply_constraints(grads.touched())`, which replays the
-//!    same sorted slot list;
-//! 4. add a variant to [`OptimizerKind`] and wire it in [`build_optimizer`];
-//! 5. implement [`Optimizer::export_state`] / [`Optimizer::import_state`]
-//!    (add an [`OptimizerState`] variant if the optimizer is stateful) so the
-//!    checkpoint store in `nscaching-serve` can round-trip the slabs — the
-//!    export must capture everything `step` reads, or resumed runs lose the
-//!    exact-resume guarantee.
+//! Constraint application is the caller's: the trainer follows every step
+//! with `model.apply_constraints(grads.touched())`, which replays the same
+//! sorted slot list.
 
-pub mod adagrad;
 pub mod adam;
 pub mod optimizer;
-pub mod sgd;
 
-pub use adagrad::AdaGrad;
 pub use adam::Adam;
-pub use optimizer::{
-    build_optimizer, AdaGradTableState, AdamTableState, Optimizer, OptimizerConfig, OptimizerKind,
-    OptimizerState,
-};
-pub use sgd::Sgd;
+pub use optimizer::{AdamTableState, OptimizerConfig, OptimizerState};

@@ -1,15 +1,15 @@
 //! Property test: the slab-backed gradient engine (`GradientArena` +
-//! dense-slab optimizers) is bit-identical to the retired `HashMap` engine
-//! (`GradientBuffer` + per-row-`HashMap`-state optimizers) across
+//! dense-slab Adam) is bit-identical to the retired `HashMap` engine
+//! (`GradientBuffer` + per-row-`HashMap`-state Adam) across
 //!
 //! * all 5 scoring functions (their `accumulate_score_gradient` emission
 //!   drives both sinks through the shared `GradientSink` trait),
 //! * ragged per-shard touch sets merged in ascending shard order at
 //!   shards ∈ {1, 2, 4},
-//! * all three optimizers, over multiple accumulate → merge → apply rounds
-//!   (so stateful moments and bias-correction counters are exercised).
+//! * multiple accumulate → merge → Adam apply rounds (so the moments and
+//!   bias-correction counters are exercised).
 //!
-//! The references below are line-for-line copies of the retired optimizers:
+//! The reference below is a line-for-line copy of the retired Adam:
 //! `HashMap` state, updates applied in hash-map iteration order. Per-row
 //! updates are independent, so the arena's sorted-slot walk must land on
 //! exactly the same parameter bits.
@@ -18,7 +18,7 @@ use nscaching_kg::Triple;
 use nscaching_models::{
     build_model, GradientArena, GradientBuffer, KgeModel, ModelConfig, ModelKind, TableId,
 };
-use nscaching_optim::{AdaGrad, Adam, Optimizer, Sgd};
+use nscaching_optim::Adam;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -28,106 +28,55 @@ type AdamRowState = (Vec<f64>, Vec<f64>, u64);
 const ENTITIES: usize = 14;
 const RELATIONS: usize = 3;
 
-/// The retired `HashMap`-state optimizers, one `step` each, verbatim.
-enum ReferenceOptimizer {
-    Sgd {
-        lr: f64,
-    },
-    AdaGrad {
-        lr: f64,
-        eps: f64,
-        acc: HashMap<(TableId, usize), Vec<f64>>,
-    },
-    Adam {
-        lr: f64,
-        b1: f64,
-        b2: f64,
-        eps: f64,
-        state: HashMap<(TableId, usize), AdamRowState>,
-    },
+/// The retired `HashMap`-state Adam, its `step` verbatim.
+struct ReferenceAdam {
+    lr: f64,
+    b1: f64,
+    b2: f64,
+    eps: f64,
+    state: HashMap<(TableId, usize), AdamRowState>,
 }
 
-impl ReferenceOptimizer {
-    fn step(&mut self, model: &mut dyn KgeModel, grads: &GradientBuffer) -> Vec<(TableId, usize)> {
-        let mut tables = model.tables_mut();
-        let mut touched = Vec::with_capacity(grads.len());
-        match self {
-            ReferenceOptimizer::Sgd { lr } => {
-                for (&(table, row), grad) in grads.iter() {
-                    let params = tables[table].row_mut(row);
-                    for (p, g) in params.iter_mut().zip(grad) {
-                        *p -= *lr * g;
-                    }
-                    touched.push((table, row));
-                }
-            }
-            ReferenceOptimizer::AdaGrad { lr, eps, acc } => {
-                for (&(table, row), grad) in grads.iter() {
-                    let a = acc
-                        .entry((table, row))
-                        .or_insert_with(|| vec![0.0; grad.len()]);
-                    let params = tables[table].row_mut(row);
-                    for ((p, g), a) in params.iter_mut().zip(grad).zip(a.iter_mut()) {
-                        *a += g * g;
-                        *p -= *lr * g / (a.sqrt() + *eps);
-                    }
-                    touched.push((table, row));
-                }
-            }
-            ReferenceOptimizer::Adam {
-                lr,
-                b1,
-                b2,
-                eps,
-                state,
-            } => {
-                for (&(table, row), grad) in grads.iter() {
-                    let (m, v, t) = state
-                        .entry((table, row))
-                        .or_insert_with(|| (vec![0.0; grad.len()], vec![0.0; grad.len()], 0));
-                    *t += 1;
-                    let bias1 = 1.0 - b1.powi(*t as i32);
-                    let bias2 = 1.0 - b2.powi(*t as i32);
-                    let params = tables[table].row_mut(row);
-                    for i in 0..grad.len() {
-                        let g = grad[i];
-                        m[i] = *b1 * m[i] + (1.0 - *b1) * g;
-                        v[i] = *b2 * v[i] + (1.0 - *b2) * g * g;
-                        let m_hat = m[i] / bias1;
-                        let v_hat = v[i] / bias2;
-                        params[i] -= *lr * m_hat / (v_hat.sqrt() + *eps);
-                    }
-                    touched.push((table, row));
-                }
-            }
-        }
-        touched
-    }
-}
-
-fn reference_optimizer(kind: usize, lr: f64) -> ReferenceOptimizer {
-    match kind {
-        0 => ReferenceOptimizer::Sgd { lr },
-        1 => ReferenceOptimizer::AdaGrad {
-            lr,
-            eps: 1e-10,
-            acc: HashMap::new(),
-        },
-        _ => ReferenceOptimizer::Adam {
+impl ReferenceAdam {
+    fn new(lr: f64) -> Self {
+        Self {
             lr,
             b1: 0.9,
             b2: 0.999,
             eps: 1e-8,
             state: HashMap::new(),
-        },
+        }
     }
-}
 
-fn arena_optimizer(kind: usize, lr: f64) -> Box<dyn Optimizer> {
-    match kind {
-        0 => Box::new(Sgd::new(lr)),
-        1 => Box::new(AdaGrad::new(lr)),
-        _ => Box::new(Adam::new(lr)),
+    fn step(&mut self, model: &mut dyn KgeModel, grads: &GradientBuffer) -> Vec<(TableId, usize)> {
+        let mut tables = model.tables_mut();
+        let mut touched = Vec::with_capacity(grads.len());
+        let Self {
+            lr,
+            b1,
+            b2,
+            eps,
+            state,
+        } = self;
+        for (&(table, row), grad) in grads.iter() {
+            let (m, v, t) = state
+                .entry((table, row))
+                .or_insert_with(|| (vec![0.0; grad.len()], vec![0.0; grad.len()], 0));
+            *t += 1;
+            let bias1 = 1.0 - b1.powi(*t as i32);
+            let bias2 = 1.0 - b2.powi(*t as i32);
+            let params = tables[table].row_mut(row);
+            for i in 0..grad.len() {
+                let g = grad[i];
+                m[i] = *b1 * m[i] + (1.0 - *b1) * g;
+                v[i] = *b2 * v[i] + (1.0 - *b2) * g * g;
+                let m_hat = m[i] / bias1;
+                let v_hat = v[i] / bias2;
+                params[i] -= *lr * m_hat / (v_hat.sqrt() + *eps);
+            }
+            touched.push((table, row));
+        }
+        touched
     }
 }
 
@@ -154,7 +103,6 @@ proptest! {
     fn accumulate_merge_apply_is_bit_identical_to_the_hashmap_engine(
         kind_idx in 0..ModelKind::ALL.len(),
         shards_idx in 0usize..3,
-        opt_kind in 0usize..3,
         model_seed in 0u64..1000,
         examples in prop::collection::vec(
             (0u32..ENTITIES as u32, 0u32..RELATIONS as u32, 0u32..ENTITIES as u32, -2.0f64..2.0),
@@ -169,9 +117,9 @@ proptest! {
         let mut arena_model = build_model(&config, ENTITIES, RELATIONS);
         let mut reference_model = build_model(&config, ENTITIES, RELATIONS);
 
-        let mut arena_opt = arena_optimizer(opt_kind, 0.05);
+        let mut arena_opt = Adam::new(0.05);
         arena_opt.bind(arena_model.as_ref());
-        let mut reference_opt = reference_optimizer(opt_kind, 0.05);
+        let mut reference_opt = ReferenceAdam::new(0.05);
 
         // Reused across rounds, like the trainer's buffers.
         let mut shard_arenas: Vec<GradientArena> =

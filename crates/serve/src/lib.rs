@@ -12,9 +12,8 @@
 //!    an `Arc` and answers top-k link-prediction, rank and
 //!    triplet-classification queries through the workspace's batched scoring
 //!    fast paths, fronted by one version-invalidated top-k result cache
-//!    behind one lock, with a pluggable eviction policy ([`PolicyKind`]: LRU
-//!    or SLRU, selected from trace-driven simulation, see [`policy`]). The
-//!    cache-miss path selects its top-k in one bounded pass
+//!    behind one lock, evicting in segmented-LRU order (chosen from
+//!    trace-driven simulation, see [`cache`]). The cache-miss path selects its top-k in one bounded pass
 //!    (`nscaching_math::top_k_indices_into`: O(|E| + k log k), holding at
 //!    most `max(2k, k + 32)` indices) instead of a full sort, and a TransE
 //!    model's top-k and rank scan a 15-bit fixed-point mirror of its entity
@@ -38,9 +37,9 @@
 //! dimensions, every [`EmbeddingTable`](nscaching_models::EmbeddingTable) as
 //! a dimension-strided `f64`-LE slab), **trainer** (epoch counter, wall-clock
 //! seconds, raw master-RNG state, the batcher's epoch permutation, and a
-//! seed/shards/optimizer fingerprint validated at resume), **optimizer**
-//! (the dense per-table state slabs of `nscaching_optim` — Adam `m`/`v`
-//! moments and step counters, AdaGrad accumulators and seen flags), and
+//! seed/shards/learning-rate fingerprint validated at resume),
+//! **optimizer** (Adam's dense per-table state slabs — `m`/`v` moments and
+//! step counters), and
 //! **sampler** (a stateful sampler's evolving state: NSCaching's per-shard
 //! `H`/`T` caches with their refresh/changed-element counters, or a GAN
 //! sampler's generator tables, generator-optimizer slabs and REINFORCE
@@ -65,9 +64,8 @@
 //! restores them exactly. At an epoch boundary a sampler's *transient* state
 //! (per-shard REINFORCE buffers, scratch) is empty by construction, so the
 //! sampler section's caches/generator/baseline are the whole of it.
-//! `tests/exact_resume.rs` proves the guarantee for all 5 models × 3
-//! optimizers with Bernoulli, plus NSCaching, KBGAN and IGAN, at
-//! shards ∈ {1, 4}.
+//! `tests/exact_resume.rs` proves the guarantee for all 5 models with
+//! Bernoulli, plus NSCaching, KBGAN and IGAN, at shards ∈ {1, 4}.
 //!
 //! # Crash recovery
 //!
@@ -91,10 +89,10 @@
 //! the answer was computed under. Any model mutation bumps at least one table
 //! version, any reload bumps the generation; a lookup whose entry stamp
 //! mismatches drops the entry and recomputes. The stamp lives in the cached
-//! *values*, so the eviction policy cannot affect the staleness guarantee —
-//! `tests/policy_invariants.rs` re-proves it for every [`PolicyKind`], both
-//! single-threaded and with concurrent readers racing model updates. See
-//! [`server`] for the full reasoning.
+//! *values*, so the eviction order cannot affect the staleness guarantee —
+//! `tests/policy_invariants.rs` re-proves it, both single-threaded and with
+//! concurrent readers racing model updates. See [`server`] for the full
+//! reasoning.
 
 pub mod cache;
 pub mod crash;
@@ -102,7 +100,7 @@ pub mod error;
 pub mod format;
 pub mod manager;
 mod mirror;
-pub mod policy;
+mod policy;
 pub mod server;
 pub mod snapshot;
 pub mod telemetry;
@@ -110,7 +108,6 @@ pub mod telemetry;
 pub use cache::{CacheStats, PolicyCache};
 pub use error::SnapshotError;
 pub use manager::{CheckpointEntry, CheckpointManager, Recovery, VerifiedEntry};
-pub use policy::{EvictionPolicy, LruPolicy, PolicyKind, SlruPolicy};
 pub use server::{CacheConfig, KnowledgeServer, QueryError, QueryScratch, RankedEntity, TopKQuery};
 pub use snapshot::{
     load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, Checkpoint,

@@ -176,10 +176,18 @@ impl ScanMirror {
         for (b, block) in self.blocks.chunks(GRID_BLOCK * self.dim).enumerate() {
             let sums = &mut sums[..block.len() / self.dim];
             grid_l1_block(block, &buf.grid_query, sums);
-            near.offer(sums, |r| (b * GRID_BLOCK + r) as EntityId);
+            near.offer(sums, (b * GRID_BLOCK) as EntityId);
         }
         near.finish(&mut buf.refined, self.rows);
-        rescore_and_select(&pass, k, buf, scores, order);
+        // The exact pass: rescore the kept rows in ascending id order and
+        // select among them.
+        scores.clear();
+        scores.extend(
+            buf.refined
+                .iter()
+                .map(|&e| -l1_distance(pass.table.row(e as usize), &buf.query)),
+        );
+        top_k_indices_into(scores, k, order);
         true
     }
 
@@ -244,24 +252,6 @@ impl ScanMirror {
     }
 }
 
-/// Exact scores of `buf.refined` into `scores`, and the top `k` of them
-/// into `order`.
-fn rescore_and_select(
-    pass: &Pass<'_>,
-    k: usize,
-    buf: &MirrorScratch,
-    scores: &mut Vec<f64>,
-    order: &mut Vec<usize>,
-) {
-    scores.clear();
-    scores.extend(
-        buf.refined
-            .iter()
-            .map(|&e| -l1_distance(pass.table.row(e as usize), &buf.query)),
-    );
-    top_k_indices_into(scores, k, order);
-}
-
 /// The approximate top-k's running selection: every offered row whose sum
 /// is within the slack of the `k`-th smallest sum offered so far. That
 /// cutoff only falls, so a row dropped early would be dropped at the end.
@@ -290,16 +280,16 @@ impl<'b> Near<'b> {
         }
     }
 
-    /// Offer the sums of consecutive rows, the `r`-th of which is `id(r)`.
+    /// Offer the sums of consecutive rows, the first of which is `first`.
     #[inline]
-    fn offer(&mut self, sums: &[u32], id: impl Fn(usize) -> EntityId) {
+    fn offer(&mut self, sums: &[u32], first: EntityId) {
         let cutoff = self.cutoff;
         if sums.iter().fold(u32::MAX, |m, &s| m.min(s)) > cutoff {
             return;
         }
         for (r, &s) in sums.iter().enumerate() {
             if s <= cutoff {
-                self.rows.push((s, id(r)));
+                self.rows.push((s, first + r as EntityId));
             }
         }
         if self.rows.len() >= self.limit {

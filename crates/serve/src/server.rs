@@ -66,20 +66,19 @@
 //! # Cache contract
 //!
 //! Top-k answers are memoised in one capacity-bounded [`PolicyCache`] keyed
-//! by the full query `(relation, entity, direction, k)`; [`CacheConfig`]
-//! picks its capacity and eviction policy ([`PolicyKind`]: LRU / SLRU — see
-//! [`crate::policy`] for the simulator-driven selection guidance). Every
-//! entry is stamped with the server's *model stamp* — a mix of a load
+//! by the full query `(relation, entity, direction, k)` and evicted in
+//! segmented-LRU order (see [`crate::cache`] for why); [`CacheConfig`] picks
+//! its capacity. Every entry is stamped with the server's *model stamp* — a mix of a load
 //! generation counter and the sum of every `EmbeddingTable::version()` —
 //! captured **under the same model lock the answer was computed under**.
 //! Mutations go through [`KnowledgeServer::update_model`] /
 //! [`KnowledgeServer::reload`], which hold the write lock while they bump
 //! table versions and refresh the stamp; a later lookup whose entry stamp no
 //! longer matches treats the entry as dead, drops it, and recomputes. A
-//! stale answer can therefore never be served, **whatever the policy**: the
-//! stamp lives in the entry, not in the cache structure, so the eviction
-//! order cannot detach an answer from the tables it was computed from
-//! (re-proven for every policy in `tests/policy_invariants.rs`).
+//! stale answer can therefore never be served, **whatever the eviction
+//! order**: the stamp lives in the entry, not in the cache structure, so
+//! eviction cannot detach an answer from the tables it was computed from
+//! (re-proven in `tests/policy_invariants.rs`).
 //!
 //! Score, rank and classification queries are not cached; every call
 //! computes its answer from the model.
@@ -100,7 +99,6 @@
 use crate::cache::{CacheStats, PolicyCache};
 use crate::error::SnapshotError;
 use crate::mirror::{MirrorScratch, ScanMirror};
-use crate::policy::PolicyKind;
 use crate::snapshot::load_model;
 use crate::telemetry::ServeMetrics;
 use nscaching_kg::{CorruptionSide, EntityId, RelationId, Triple};
@@ -285,56 +283,23 @@ struct CachedAnswer {
     answer: Arc<[RankedEntity]>,
 }
 
-/// Serving-cache configuration: how many top-k answers to hold, under
-/// which eviction policy.
-///
-/// `Default` is the **simulator's pick**: the `cache_sim` bench (section
-/// `cache_sim` of `BENCH_serve.json`) replays Zipf / scan / shifting
-/// -popularity traces through every [`PolicyKind`], and SLRU posts the
-/// highest minimum and mean hit rate across all three shapes — ~1 pp behind
-/// LRU on popularity drift, ~3.5 pp ahead of it under scan pollution (see
-/// [`crate::policy`] for the retired frequency policies' numbers). The
-/// legacy [`KnowledgeServer::new`] constructor instead pins LRU, the
-/// original serving cache's policy.
+/// Serving-cache configuration: how many top-k answers to hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Cached top-k answers (0 disables caching).
     pub capacity: usize,
-    /// Eviction policy of the cache.
-    pub policy: PolicyKind,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            capacity: 256,
-            policy: PolicyKind::Slru,
-        }
+        Self { capacity: 256 }
     }
 }
 
 impl CacheConfig {
-    /// The simulator-default policy at `capacity` answers.
+    /// A cache of `capacity` answers.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
-    }
-
-    /// The original serving cache: LRU at `capacity` answers (what
-    /// [`KnowledgeServer::new`] uses).
-    pub fn legacy_lru(capacity: usize) -> Self {
-        Self {
-            capacity,
-            policy: PolicyKind::Lru,
-        }
-    }
-
-    /// Set the eviction policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
+        Self { capacity }
     }
 }
 
@@ -385,15 +350,13 @@ pub struct KnowledgeServer {
 }
 
 impl KnowledgeServer {
-    /// Serve an already-built model with an LRU result cache of
-    /// `cache_capacity` entries (0 disables caching):
-    /// [`CacheConfig::legacy_lru`], the original serving cache.
+    /// Serve an already-built model with a result cache of `cache_capacity`
+    /// entries (0 disables caching).
     pub fn new(model: Box<dyn KgeModel>, cache_capacity: usize) -> Self {
-        Self::with_cache(model, CacheConfig::legacy_lru(cache_capacity))
+        Self::with_cache(model, CacheConfig::with_capacity(cache_capacity))
     }
 
-    /// Serve an already-built model with a fully specified [`CacheConfig`]
-    /// — capacity and eviction policy.
+    /// Serve an already-built model with the given [`CacheConfig`].
     pub fn with_cache(model: Box<dyn KgeModel>, config: CacheConfig) -> Self {
         let stamp = stamp_of(model.as_ref(), 1);
         let served = Served::new(model);
@@ -401,7 +364,7 @@ impl KnowledgeServer {
             inner: Arc::new(ServerInner {
                 mirror_bytes: AtomicU64::new(served.mirror_bytes()),
                 served: RwLock::new(served),
-                cache: Mutex::new(PolicyCache::new(config.capacity, config.policy)),
+                cache: Mutex::new(PolicyCache::new(config.capacity)),
                 stamp: AtomicU64::new(stamp),
                 generation: AtomicU64::new(1),
                 metrics: OnceLock::new(),
@@ -441,7 +404,7 @@ impl KnowledgeServer {
         Ok(Self::new(load_model(path)?.into_model()?, cache_capacity))
     }
 
-    /// Load a model from a snapshot file and serve it with a fully specified
+    /// Load a model from a snapshot file and serve it with the given
     /// [`CacheConfig`].
     pub fn load_with_cache(path: &Path, config: CacheConfig) -> Result<Self, SnapshotError> {
         Ok(Self::with_cache(load_model(path)?.into_model()?, config))
@@ -449,8 +412,8 @@ impl KnowledgeServer {
 
     /// Swap in a model from a snapshot file. Existing cache entries become
     /// unreachable (their stamps can no longer match): a lookup that meets
-    /// one drops it, and the eviction policy recycles the rest as fresh
-    /// answers displace them.
+    /// one drops it, and eviction recycles the rest as fresh answers
+    /// displace them.
     pub fn reload(&self, path: &Path) -> Result<(), SnapshotError> {
         // The new scan mirror is built before the write lock is taken, so
         // readers wait only for the swap.
@@ -524,11 +487,6 @@ impl KnowledgeServer {
     /// Current number of cached answers.
     pub fn cache_len(&self) -> usize {
         self.cache().len()
-    }
-
-    /// The eviction policy of the result cache.
-    pub fn cache_policy(&self) -> PolicyKind {
-        self.cache().policy_kind()
     }
 
     fn cache(&self) -> MutexGuard<'_, PolicyCache<TopKQuery, CachedAnswer>> {
@@ -1069,33 +1027,5 @@ mod tests {
         assert_eq!(gauge(&distmult, &registry), Some(0.0));
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(path_distmult);
-    }
-
-    fn server_with_cache(kind: ModelKind, config: CacheConfig) -> KnowledgeServer {
-        let model = build_model(&ModelConfig::new(kind).with_dim(8).with_seed(5), 40, 6);
-        KnowledgeServer::with_cache(model, config)
-    }
-
-    #[test]
-    fn every_policy_answers_identically() {
-        let mut scratch = QueryScratch::default();
-        let mut oracle = Vec::new();
-        let baseline = server(ModelKind::DistMult, 0);
-        for policy in PolicyKind::ALL {
-            let server = server_with_cache(
-                ModelKind::DistMult,
-                CacheConfig::with_capacity(32).policy(policy),
-            );
-            assert_eq!(server.cache_policy(), policy);
-            for query in [TopKQuery::tails(2, 3, 5), TopKQuery::heads(9, 1, 4)] {
-                baseline
-                    .top_k_into(&query, &mut scratch, &mut oracle)
-                    .unwrap();
-                let cold = server.top_k(&query, &mut scratch).unwrap();
-                let warm = server.top_k(&query, &mut scratch).unwrap();
-                assert_eq!(&*cold, oracle.as_slice(), "{policy:?}");
-                assert!(Arc::ptr_eq(&cold, &warm), "{policy:?} warm hit");
-            }
-        }
     }
 }

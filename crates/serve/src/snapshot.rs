@@ -10,7 +10,7 @@
 //! |-----|---------|----------|
 //! | 1   | model   | kind, `d`, vocab sizes, every embedding table as a dimension-strided `f64`-LE slab |
 //! | 2   | trainer | epoch counter, wall-clock, raw master-RNG state, batch permutation, config fingerprint |
-//! | 3   | optimizer | per-table state slabs (Adam `m`/`v`/`t`, AdaGrad `acc`/`seen`) |
+//! | 3   | optimizer | Adam's per-table state slabs (`m`/`v`/`t`) |
 //! | 4   | sampler | the sampler's evolving state: NSCaching's per-shard `H`/`T` caches, or a GAN generator's tables + optimizer + REINFORCE baseline |
 //!
 //! Section 4 is absent from checkpoints of stateless samplers and from legacy
@@ -28,9 +28,7 @@ use nscaching::{
 use nscaching_models::{
     model_from_tables, table_names, table_shapes, EmbeddingTable, KgeModel, ModelConfig, ModelKind,
 };
-use nscaching_optim::{
-    AdaGradTableState, AdamTableState, OptimizerConfig, OptimizerKind, OptimizerState,
-};
+use nscaching_optim::{AdamTableState, OptimizerConfig, OptimizerState};
 use nscaching_train::{TrainConfig, TrainData, Trainer, TrainerState};
 use std::path::Path;
 
@@ -46,6 +44,11 @@ const SAMPLER_STATE_GENERATOR: u8 = 2;
 /// Generator-kind tags within a generator sampler state.
 const GENERATOR_KIND_KBGAN: u8 = 1;
 const GENERATOR_KIND_IGAN: u8 = 2;
+
+/// The optimizer-kind tag written before the learning rate in the trainer
+/// section and before every optimizer state (the optimizer section and a
+/// generator sampler's state). Adam's tag; 0 and 1 were SGD and AdaGrad.
+const OPTIMIZER_KIND_ADAM: u8 = 2;
 
 /// One embedding table captured out of a model.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +207,7 @@ pub struct CheckpointMeta {
     pub seed: u64,
     /// Shard count of the run.
     pub shards: u64,
-    /// Optimizer kind and learning rate.
+    /// Adam's learning rate.
     pub optimizer: OptimizerConfig,
 }
 
@@ -261,7 +264,7 @@ pub fn save_checkpoint(path: &Path, trainer: &Trainer) -> Result<(), SnapshotErr
         }
         w.u64(config.seed);
         w.u64(config.shards.max(1) as u64);
-        w.u8(optimizer_kind_tag(config.optimizer.kind));
+        w.u8(OPTIMIZER_KIND_ADAM);
         w.f64(config.optimizer.learning_rate);
         w.u32_slice(&state.batch_order);
     });
@@ -308,7 +311,7 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> {
                 }
                 let seed = r.u64("seed")?;
                 let shards = r.u64("shards")?;
-                let kind = optimizer_kind_from_tag(r.u8("optimizer kind")?)?;
+                check_optimizer_kind(r.u8("optimizer kind")?)?;
                 let learning_rate = r.f64("learning rate")?;
                 let batch_order = r.u32_slice("batch order")?;
                 trainer = Some((
@@ -319,10 +322,7 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> {
                     CheckpointMeta {
                         seed,
                         shards,
-                        optimizer: OptimizerConfig {
-                            kind,
-                            learning_rate,
-                        },
+                        optimizer: OptimizerConfig { learning_rate },
                     },
                 ));
             }
@@ -337,13 +337,6 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> {
         trainer.ok_or_else(|| SnapshotError::SchemaMismatch("no trainer section".into()))?;
     let optimizer =
         optimizer.ok_or_else(|| SnapshotError::SchemaMismatch("no optimizer section".into()))?;
-    if optimizer.kind() != meta.optimizer.kind {
-        return Err(SnapshotError::SchemaMismatch(format!(
-            "optimizer section holds {:?} state but the trainer section records {:?}",
-            optimizer.kind(),
-            meta.optimizer.kind
-        )));
-    }
     Ok(Checkpoint {
         model,
         state: TrainerState {
@@ -605,62 +598,30 @@ fn decode_sampler_state(r: &mut Reader<'_>) -> Result<SamplerState, SnapshotErro
 }
 
 fn encode_optimizer_state(w: &mut Writer, state: &OptimizerState) {
-    match state {
-        OptimizerState::Sgd => w.u8(optimizer_kind_tag(OptimizerKind::Sgd)),
-        OptimizerState::AdaGrad { tables } => {
-            w.u8(optimizer_kind_tag(OptimizerKind::AdaGrad));
-            w.u32(tables.len() as u32);
-            for t in tables {
-                w.u64(t.dim as u64);
-                w.f64_slice(&t.acc);
-                w.bool_slice(&t.seen);
-            }
-        }
-        OptimizerState::Adam { tables } => {
-            w.u8(optimizer_kind_tag(OptimizerKind::Adam));
-            w.u32(tables.len() as u32);
-            for t in tables {
-                w.u64(t.dim as u64);
-                w.f64_slice(&t.m);
-                w.f64_slice(&t.v);
-                w.u64_slice(&t.t);
-            }
-        }
+    w.u8(OPTIMIZER_KIND_ADAM);
+    w.u32(state.tables.len() as u32);
+    for t in &state.tables {
+        w.u64(t.dim as u64);
+        w.f64_slice(&t.m);
+        w.f64_slice(&t.v);
+        w.u64_slice(&t.t);
     }
 }
 
 fn decode_optimizer_state(r: &mut Reader<'_>) -> Result<OptimizerState, SnapshotError> {
-    match optimizer_kind_from_tag(r.u8("optimizer state kind")?)? {
-        OptimizerKind::Sgd => Ok(OptimizerState::Sgd),
-        OptimizerKind::AdaGrad => {
-            let n = r.u32("adagrad table count")? as usize;
-            // dim (8) + accumulator and seen-flag count prefixes (8 each).
-            guard_count(r, n, 24, "adagrad tables")?;
-            let mut tables = Vec::with_capacity(n);
-            for _ in 0..n {
-                let dim = r.u64("adagrad dim")? as usize;
-                let acc = r.f64_slice("adagrad accumulators")?;
-                let seen = r.bool_slice("adagrad seen flags")?;
-                tables.push(AdaGradTableState { dim, acc, seen });
-            }
-            Ok(OptimizerState::AdaGrad { tables })
-        }
-        OptimizerKind::Adam => {
-            let n = r.u32("adam table count")? as usize;
-            // dim (8) + first-moment, second-moment and step count prefixes
-            // (8 each).
-            guard_count(r, n, 32, "adam tables")?;
-            let mut tables = Vec::with_capacity(n);
-            for _ in 0..n {
-                let dim = r.u64("adam dim")? as usize;
-                let m = r.f64_slice("adam first moments")?;
-                let v = r.f64_slice("adam second moments")?;
-                let t = r.u64_slice("adam step counters")?;
-                tables.push(AdamTableState { dim, m, v, t });
-            }
-            Ok(OptimizerState::Adam { tables })
-        }
+    check_optimizer_kind(r.u8("optimizer state kind")?)?;
+    let n = r.u32("adam table count")? as usize;
+    // dim (8) + first-moment, second-moment and step count prefixes (8 each).
+    guard_count(r, n, 32, "adam tables")?;
+    let mut tables = Vec::with_capacity(n);
+    for _ in 0..n {
+        let dim = r.u64("adam dim")? as usize;
+        let m = r.f64_slice("adam first moments")?;
+        let v = r.f64_slice("adam second moments")?;
+        let t = r.u64_slice("adam step counters")?;
+        tables.push(AdamTableState { dim, m, v, t });
     }
+    Ok(OptimizerState { tables })
 }
 
 fn model_kind_tag(kind: ModelKind) -> u8 {
@@ -696,23 +657,19 @@ fn model_kind_from_tag(tag: u8) -> Result<ModelKind, SnapshotError> {
     })
 }
 
-fn optimizer_kind_tag(kind: OptimizerKind) -> u8 {
-    match kind {
-        OptimizerKind::Sgd => 0,
-        OptimizerKind::AdaGrad => 1,
-        OptimizerKind::Adam => 2,
-    }
-}
-
-fn optimizer_kind_from_tag(tag: u8) -> Result<OptimizerKind, SnapshotError> {
-    Ok(match tag {
-        0 => OptimizerKind::Sgd,
-        1 => OptimizerKind::AdaGrad,
-        2 => OptimizerKind::Adam,
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "unknown optimizer kind tag {other}"
+fn check_optimizer_kind(tag: u8) -> Result<(), SnapshotError> {
+    match tag {
+        OPTIMIZER_KIND_ADAM => Ok(()),
+        // Tags 0 and 1 were SGD and AdaGrad, which are no longer built: a
+        // checkpoint of either is well formed, but of a schema this one lacks.
+        0 | 1 => {
+            let name = if tag == 0 { "SGD" } else { "AdaGrad" };
+            Err(SnapshotError::SchemaMismatch(format!(
+                "optimizer kind tag {tag} is {name}, an optimizer this version no longer has"
             )))
         }
-    })
+        other => Err(SnapshotError::Corrupt(format!(
+            "unknown optimizer kind tag {other}"
+        ))),
+    }
 }

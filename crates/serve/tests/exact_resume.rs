@@ -1,6 +1,6 @@
 //! The exact-resume proof: a run checkpointed mid-training and resumed from
 //! disk produces **bit-for-bit** the same embeddings and evaluation metrics
-//! as the uninterrupted run — for all 5 scoring functions × 3 optimizers at
+//! as the uninterrupted run — for all 5 scoring functions under Adam at
 //! shards ∈ {1, 4} (the sequential paper-exact engine and the pooled
 //! parallel engine), and for every *stateful* sampler (NSCaching, KBGAN,
 //! IGAN), whose evolving state rides in the checkpoint's sampler section.
@@ -51,36 +51,22 @@ fn dataset() -> Dataset {
     nscaching_datagen::generate(&c).unwrap()
 }
 
-fn optimizer_config(opt: usize) -> OptimizerConfig {
-    match opt {
-        0 => OptimizerConfig::sgd(0.02),
-        1 => OptimizerConfig::adagrad(0.02),
-        _ => OptimizerConfig::adam(0.02),
-    }
-}
-
-fn trainer_config(opt: usize, shards: usize) -> TrainConfig {
+fn trainer_config(shards: usize) -> TrainConfig {
     TrainConfig::new(TOTAL_EPOCHS)
         .with_batch_size(64)
-        .with_optimizer(optimizer_config(opt))
+        .with_optimizer(OptimizerConfig::adam(0.02))
         .with_seed(9)
         .with_shards(shards)
 }
 
-fn build_trainer(
-    ds: &Dataset,
-    kind: ModelKind,
-    sampler: &SamplerConfig,
-    opt: usize,
-    shards: usize,
-) -> Trainer {
+fn build_trainer(ds: &Dataset, kind: ModelKind, sampler: &SamplerConfig, shards: usize) -> Trainer {
     let model = build_model(
         &ModelConfig::new(kind).with_dim(6).with_seed(2),
         ds.num_entities(),
         ds.num_relations(),
     );
     let sampler = nscaching::build_sampler(sampler, ds, 4);
-    Trainer::new(model, sampler, ds, trainer_config(opt, shards))
+    Trainer::new(model, sampler, ds, trainer_config(shards))
 }
 
 fn eval_fingerprint(trainer: &Trainer) -> (u64, u64, u64) {
@@ -115,28 +101,19 @@ fn assert_models_bitwise_equal(a: &dyn KgeModel, b: &dyn KgeModel, context: &str
 /// resume → finish; compare bits. The resume side gets a **freshly built**
 /// sampler — for stateful samplers its evolving state must come back from the
 /// checkpoint's sampler section, or the comparison fails.
-fn assert_exact_resume_with(
-    ds: &Dataset,
-    kind: ModelKind,
-    sampler: &SamplerConfig,
-    opt: usize,
-    shards: usize,
-) {
+fn assert_exact_resume_with(ds: &Dataset, kind: ModelKind, sampler: &SamplerConfig, shards: usize) {
     // Uninterrupted reference.
-    let mut reference = build_trainer(ds, kind, sampler, opt, shards);
+    let mut reference = build_trainer(ds, kind, sampler, shards);
     for _ in 0..TOTAL_EPOCHS {
         reference.train_epoch();
     }
 
     // Interrupted run, checkpointed to disk at the interrupt point.
-    let mut interrupted = build_trainer(ds, kind, sampler, opt, shards);
+    let mut interrupted = build_trainer(ds, kind, sampler, shards);
     for _ in 0..INTERRUPT_AFTER {
         interrupted.train_epoch();
     }
-    let path = tempfile(&format!(
-        "{kind:?}-{}-{opt}-{shards}",
-        sampler.display_name()
-    ));
+    let path = tempfile(&format!("{kind:?}-{}-{shards}", sampler.display_name()));
     save_checkpoint(&path, &interrupted).unwrap();
     drop(interrupted); // the process "dies" here
 
@@ -144,16 +121,13 @@ fn assert_exact_resume_with(
     let checkpoint = load_checkpoint(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let fresh = nscaching::build_sampler(sampler, ds, 4);
-    let mut resumed = resume_trainer(checkpoint, fresh, ds, trainer_config(opt, shards)).unwrap();
+    let mut resumed = resume_trainer(checkpoint, fresh, ds, trainer_config(shards)).unwrap();
     assert_eq!(resumed.epochs_done(), INTERRUPT_AFTER);
     while resumed.epochs_done() < TOTAL_EPOCHS {
         resumed.train_epoch();
     }
 
-    let context = format!(
-        "{kind:?} / {} / optimizer {opt} / {shards} shard(s)",
-        sampler.display_name()
-    );
+    let context = format!("{kind:?} / {} / {shards} shard(s)", sampler.display_name());
     assert_models_bitwise_equal(reference.model(), resumed.model(), &context);
     assert_eq!(
         resumed.checkpoint().sampler,
@@ -167,8 +141,8 @@ fn assert_exact_resume_with(
     );
 }
 
-fn assert_exact_resume(ds: &Dataset, kind: ModelKind, opt: usize, shards: usize) {
-    assert_exact_resume_with(ds, kind, &SamplerConfig::Bernoulli, opt, shards);
+fn assert_exact_resume(ds: &Dataset, kind: ModelKind, shards: usize) {
+    assert_exact_resume_with(ds, kind, &SamplerConfig::Bernoulli, shards);
 }
 
 /// The stateful samplers whose state rides in the checkpoint's sampler
@@ -194,9 +168,7 @@ fn stateful_samplers() -> Vec<SamplerConfig> {
 fn exact_resume_all_models_all_optimizers_sequential() {
     let ds = dataset();
     for kind in ModelKind::ALL {
-        for opt in 0..3 {
-            assert_exact_resume(&ds, kind, opt, 1);
-        }
+        assert_exact_resume(&ds, kind, 1);
     }
 }
 
@@ -204,9 +176,7 @@ fn exact_resume_all_models_all_optimizers_sequential() {
 fn exact_resume_all_models_all_optimizers_four_shards() {
     let ds = dataset();
     for kind in ModelKind::ALL {
-        for opt in 0..3 {
-            assert_exact_resume(&ds, kind, opt, 4);
-        }
+        assert_exact_resume(&ds, kind, 4);
     }
 }
 
@@ -218,7 +188,7 @@ fn exact_resume_all_models_all_optimizers_four_shards() {
 fn exact_resume_stateful_samplers_sequential() {
     let ds = dataset();
     for sampler in stateful_samplers() {
-        assert_exact_resume_with(&ds, ModelKind::TransE, &sampler, 2, 1);
+        assert_exact_resume_with(&ds, ModelKind::TransE, &sampler, 1);
     }
 }
 
@@ -226,7 +196,7 @@ fn exact_resume_stateful_samplers_sequential() {
 fn exact_resume_stateful_samplers_four_shards() {
     let ds = dataset();
     for sampler in stateful_samplers() {
-        assert_exact_resume_with(&ds, ModelKind::TransE, &sampler, 2, 4);
+        assert_exact_resume_with(&ds, ModelKind::TransE, &sampler, 4);
     }
 }
 
@@ -235,12 +205,12 @@ fn exact_resume_stateful_samplers_four_shards() {
 #[test]
 fn resumed_run_consumes_only_the_remaining_budget() {
     let ds = dataset();
-    let mut reference = build_trainer(&ds, ModelKind::TransE, &SamplerConfig::Bernoulli, 2, 1);
+    let mut reference = build_trainer(&ds, ModelKind::TransE, &SamplerConfig::Bernoulli, 1);
     let reference_history = reference.run();
     assert_eq!(reference_history.epochs.len(), TOTAL_EPOCHS);
     let reference_mrr = reference_history.final_mrr().unwrap();
 
-    let mut interrupted = build_trainer(&ds, ModelKind::TransE, &SamplerConfig::Bernoulli, 2, 1);
+    let mut interrupted = build_trainer(&ds, ModelKind::TransE, &SamplerConfig::Bernoulli, 1);
     interrupted.train_epoch();
     let path = tempfile("run-budget");
     save_checkpoint(&path, &interrupted).unwrap();
@@ -248,7 +218,7 @@ fn resumed_run_consumes_only_the_remaining_budget() {
     let checkpoint = load_checkpoint(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let sampler = nscaching::build_sampler(&SamplerConfig::Bernoulli, &ds, 4);
-    let mut resumed = resume_trainer(checkpoint, sampler, &ds, trainer_config(2, 1)).unwrap();
+    let mut resumed = resume_trainer(checkpoint, sampler, &ds, trainer_config(1)).unwrap();
     let resumed_history = resumed.run();
     assert_eq!(
         resumed_history.epochs.len(),

@@ -54,7 +54,7 @@ fn tiny_trainer() -> Trainer {
     let sampler = nscaching::build_sampler(&SamplerConfig::Bernoulli, &ds, 2);
     let config = TrainConfig::new(1)
         .with_batch_size(16)
-        .with_optimizer(OptimizerConfig::sgd(0.01))
+        .with_optimizer(OptimizerConfig::adam(0.01))
         .with_seed(2);
     Trainer::new(model, sampler, &ds, config)
 }

@@ -1,17 +1,17 @@
-//! Property tests for the pluggable eviction policies and their serving
-//! integration.
+//! Property tests for the serving cache's segmented-LRU eviction order and
+//! its serving integration.
 //!
-//! Two layers, mirroring `lru_invariants.rs`:
+//! Two layers:
 //!
-//! 1. Every [`PolicyKind`] (through `PolicyCache`) against a brute-force
-//!    reference model under random insert/get/remove churn. The references
-//!    re-state each policy's *specification* in the dumbest possible terms —
-//!    linear scans over `(key, last-touch, segment)` tuples — so a
-//!    divergence means the intrusive-list implementation broke the spec, not
-//!    that two copies of the same code agree with each other.
+//! 1. `PolicyCache` against a brute-force reference model under random
+//!    insert/get/remove churn. The reference re-states SLRU's
+//!    *specification* in the dumbest possible terms — linear scans over
+//!    `(key, last-touch, segment)` tuples — so a divergence means the
+//!    intrusive-list implementation broke the spec, not that two copies of
+//!    the same code agree with each other.
 //! 2. [`KnowledgeServer`] staleness under interleaved queries, scores and
-//!    model updates, for **every policy**: no eviction policy may ever serve
-//!    an answer computed against retired model tables. A cacheless twin
+//!    model updates: no eviction order may ever serve an answer computed
+//!    against retired model tables. A cacheless twin
 //!    server receiving the identical update stream provides the ground
 //!    truth. The same invariant is then checked with four threads querying
 //!    one shared server while a fifth applies model updates.
@@ -22,7 +22,7 @@
 use nscaching_kg::Triple;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_serve::{
-    CacheConfig, KnowledgeServer, PolicyCache, PolicyKind, QueryScratch, RankedEntity, TopKQuery,
+    CacheConfig, KnowledgeServer, PolicyCache, QueryScratch, RankedEntity, TopKQuery,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 // Brute-force reference models
 // ---------------------------------------------------------------------------
 
-/// One live key in a reference model, with every book any policy needs.
+/// One live key in the reference model, with every book SLRU needs.
 #[derive(Debug, Clone, Copy)]
 struct RefEntry {
     key: u32,
@@ -43,9 +43,8 @@ struct RefEntry {
     protected: bool,
 }
 
-/// A reference cache: the policy specification executed by linear scans.
+/// A reference cache: the SLRU specification executed by linear scans.
 struct RefCache {
-    kind: PolicyKind,
     entries: Vec<RefEntry>,
     capacity: usize,
     /// SLRU protected-segment cap (⌈4/5⌉ of capacity, as implemented).
@@ -55,9 +54,8 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn new(kind: PolicyKind, capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
-            kind,
             entries: Vec::new(),
             capacity,
             protected_capacity: capacity * 4 / 5,
@@ -74,19 +72,16 @@ impl RefCache {
         self.entries.iter().position(|e| e.key == key)
     }
 
-    /// The specification of each policy's victim, as a linear argmin.
+    /// The specification of SLRU's victim, as a linear argmin.
     fn victim_index(&self) -> usize {
-        let candidates: Box<dyn Iterator<Item = (usize, &RefEntry)>> = match self.kind {
-            // SLRU victimises probation first; only an all-protected cache
-            // falls back to the protected list.
-            PolicyKind::Slru if self.entries.iter().any(|e| !e.protected) => Box::new(
-                self.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| !e.protected),
-            ),
-            _ => Box::new(self.entries.iter().enumerate()),
-        };
+        // SLRU victimises probation first; only an all-protected cache falls
+        // back to the protected list.
+        let any_probation = self.entries.iter().any(|e| !e.protected);
+        let candidates = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !any_probation || !e.protected);
         // Recency only: the least recently touched.
         let (index, _) = candidates
             .min_by_key(|(_, e)| e.touch)
@@ -98,27 +93,25 @@ impl RefCache {
     fn on_hit(&mut self, index: usize) {
         let touch = self.tick();
         self.entries[index].touch = touch;
-        if self.kind == PolicyKind::Slru {
-            self.entries[index].protected = true;
-            let protected = self.entries.iter().filter(|e| e.protected).count();
-            if protected > self.protected_capacity {
-                // Demote the least recently touched protected entry; it
-                // re-enters probation at the most-recent position. (With a
-                // zero protected capacity the just-promoted entry is its own
-                // demotion victim, exactly like the real policy's
-                // attach-then-demote sequence.)
-                let touch = self.tick();
-                let demoted = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.protected)
-                    .min_by_key(|(_, e)| e.touch)
-                    .map(|(i, _)| i)
-                    .expect("overflowing protected segment is non-empty");
-                self.entries[demoted].protected = false;
-                self.entries[demoted].touch = touch;
-            }
+        self.entries[index].protected = true;
+        let protected = self.entries.iter().filter(|e| e.protected).count();
+        if protected > self.protected_capacity {
+            // Demote the least recently touched protected entry; it
+            // re-enters probation at the most-recent position. (With a zero
+            // protected capacity the just-promoted entry is its own demotion
+            // victim, exactly like the real policy's attach-then-demote
+            // sequence.)
+            let touch = self.tick();
+            let demoted = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.protected)
+                .min_by_key(|(_, e)| e.touch)
+                .map(|(i, _)| i)
+                .expect("overflowing protected segment is non-empty");
+            self.entries[demoted].protected = false;
+            self.entries[demoted].touch = touch;
         }
     }
 
@@ -164,13 +157,9 @@ impl RefCache {
 /// Body of the churn proptest (a plain fn keeps the macro expansion small —
 /// the vendored `proptest!` tt-munches its body and hits the recursion limit
 /// on large ones).
-fn churn_case(
-    kind: PolicyKind,
-    capacity: usize,
-    ops: Vec<(u32, u32, u64)>,
-) -> Result<(), TestCaseError> {
-    let mut real: PolicyCache<u32, u64> = PolicyCache::new(capacity, kind);
-    let mut model = RefCache::new(kind, capacity);
+fn churn_case(capacity: usize, ops: Vec<(u32, u32, u64)>) -> Result<(), TestCaseError> {
+    let mut real: PolicyCache<u32, u64> = PolicyCache::new(capacity);
+    let mut model = RefCache::new(capacity);
     for (op, key, value) in ops {
         match op {
             // Inserts dominate the mix so eviction churn actually happens.
@@ -209,16 +198,15 @@ proptest! {
 
     #[test]
     fn every_policy_matches_its_reference_model_under_churn(
-        policy_index in 0usize..2,
         capacity in 0usize..10,
         ops in prop::collection::vec((0u32..4, 0u32..24, 0u64..1000), 1..200),
     ) {
-        churn_case(PolicyKind::ALL[policy_index], capacity, ops)?;
+        churn_case(capacity, ops)?;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Serving staleness across every policy
+// Serving staleness
 // ---------------------------------------------------------------------------
 
 fn serving_engine(config: CacheConfig) -> KnowledgeServer {
@@ -244,12 +232,11 @@ fn bump_row(model: &mut dyn KgeModel, update: u64) {
     }
 }
 
-/// Body of the staleness proptest: a cached server (the given policy)
-/// against a cacheless twin fed the identical update stream — the twin's
+/// Body of the staleness proptest: a cached server against a cacheless twin fed the identical update stream — the twin's
 /// answers are the ground truth the cached server must match bit-for-bit at
 /// every step.
-fn staleness_case(policy: PolicyKind, ops: Vec<(u32, u32, u32, u32)>) -> Result<(), TestCaseError> {
-    let server = serving_engine(CacheConfig::with_capacity(16).policy(policy));
+fn staleness_case(ops: Vec<(u32, u32, u32, u32)>) -> Result<(), TestCaseError> {
+    let server = serving_engine(CacheConfig::with_capacity(16));
     let plain = serving_engine(CacheConfig::with_capacity(0));
     let mut scratch = QueryScratch::default();
     let mut fresh = Vec::new();
@@ -315,7 +302,6 @@ proptest! {
 
     #[test]
     fn no_policy_ever_serves_a_stale_answer(
-        policy_index in 0usize..2,
         ops in prop::collection::vec(
             // op 0 = model update, op 1 = score probe; otherwise a top-k
             // query whose parity picks the corruption side (the vendored
@@ -324,7 +310,7 @@ proptest! {
             1..50,
         ),
     ) {
-        staleness_case(PolicyKind::ALL[policy_index], ops)?;
+        staleness_case(ops)?;
     }
 }
 
@@ -365,8 +351,9 @@ fn same_answer(a: &[RankedEntity], b: &[RankedEntity]) -> bool {
 /// window; a served stale entry would match only an older one. The writer
 /// waits for [`CALLS_PER_VERSION`] reader calls before each update, so
 /// queries interleave with every update however the threads are scheduled.
-fn concurrent_staleness_case(policy: PolicyKind) {
-    let server = serving_engine(CacheConfig::with_capacity(16).policy(policy));
+#[test]
+fn concurrent_readers_never_see_a_stale_answer_across_updates() {
+    let server = serving_engine(CacheConfig::with_capacity(16));
     let hot: Vec<TopKQuery> = (0..8u32)
         .map(|i| {
             if i % 2 == 0 {
@@ -450,7 +437,7 @@ fn concurrent_staleness_case(policy: PolicyKind) {
         assert!(
             (seen.before..=seen.after)
                 .any(|v| same_answer(&seen.answer, &truth[v as usize][seen.query])),
-            "{policy:?}: query {} answered outside model versions {}..={}",
+            "query {} answered outside model versions {}..={}",
             seen.query,
             seen.before,
             seen.after
@@ -458,13 +445,6 @@ fn concurrent_staleness_case(policy: PolicyKind) {
     }
     assert!(
         server.cache_stats().hits > 0,
-        "{policy:?}: the hot set must be served from cache"
+        "the hot set must be served from cache"
     );
-}
-
-#[test]
-fn concurrent_readers_never_see_a_stale_answer_across_updates() {
-    for policy in PolicyKind::ALL {
-        concurrent_staleness_case(policy);
-    }
 }

@@ -14,7 +14,7 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
-use nscaching_serve::format::{fnv1a64, read_frame, FORMAT_VERSION, MAGIC};
+use nscaching_serve::format::{fnv1a64, read_frame, Reader, FORMAT_VERSION, MAGIC};
 use nscaching_serve::{load_checkpoint, load_model, save_checkpoint, save_model, SnapshotError};
 use nscaching_train::{TrainConfig, Trainer};
 use proptest::prelude::*;
@@ -51,7 +51,8 @@ fn dataset() -> Dataset {
 }
 
 /// Valid payloads to mutate: a model-only snapshot of every model kind, and
-/// checkpoints with each sampler-state variant and each optimizer state.
+/// checkpoints with each sampler-state variant (NSCaching, stateless,
+/// KBGAN).
 struct Seeds {
     models: Vec<Vec<u8>>,
     checkpoints: Vec<Vec<u8>>,
@@ -70,25 +71,19 @@ fn seeds() -> &'static Seeds {
             })
             .collect();
         let ds = dataset();
-        let runs = [
-            (
-                SamplerConfig::NsCaching(NsCachingConfig::new(2, 2)),
-                OptimizerConfig::adam(0.01),
-            ),
-            (SamplerConfig::Bernoulli, OptimizerConfig::adagrad(0.01)),
-            (
-                SamplerConfig::KbGan {
-                    generator: ModelKind::TransE,
-                    generator_dim: 2,
-                    candidate_size: 2,
-                    generator_lr: 0.01,
-                },
-                OptimizerConfig::sgd(0.01),
-            ),
+        let samplers = [
+            SamplerConfig::NsCaching(NsCachingConfig::new(2, 2)),
+            SamplerConfig::Bernoulli,
+            SamplerConfig::KbGan {
+                generator: ModelKind::TransE,
+                generator_dim: 2,
+                candidate_size: 2,
+                generator_lr: 0.01,
+            },
         ];
-        let checkpoints = runs
+        let checkpoints = samplers
             .into_iter()
-            .map(|(sampler, optimizer)| {
+            .map(|sampler| {
                 let model = build_model(
                     &ModelConfig::new(ModelKind::TransE).with_dim(2).with_seed(3),
                     ds.num_entities(),
@@ -97,7 +92,7 @@ fn seeds() -> &'static Seeds {
                 let sampler = nscaching::build_sampler(&sampler, &ds, 5);
                 let config = TrainConfig::new(1)
                     .with_batch_size(16)
-                    .with_optimizer(optimizer)
+                    .with_optimizer(OptimizerConfig::adam(0.01))
                     .with_seed(7)
                     .with_shards(1);
                 let mut trainer = Trainer::new(model, sampler, &ds, config);
@@ -284,6 +279,62 @@ fn removed_model_tags_are_a_schema_mismatch() {
                     _ => panic!("tag {tag}: {err:?}"),
                 }
             }
+        }
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn removed_optimizer_tags_are_a_schema_mismatch() {
+    // Optimizer kind tags 0 and 1 were SGD and AdaGrad. The tag is written
+    // before the learning rate in the trainer section and before every
+    // optimizer state: the optimizer section's and a GAN generator's. A
+    // checkpoint naming either at any of the three is refused as a schema
+    // mismatch that names the optimizer; any other unknown tag is still
+    // corruption. The model section stays readable for serving.
+    let path = scratch_path("removed-optimizer");
+    let payload = &seeds().checkpoints[2]; // KBGAN: all three sites
+    let body = |tag: u8| {
+        let s = section_offsets(payload)
+            .into_iter()
+            .find(|&s| payload[s] == tag)
+            .expect("the section");
+        let len = u64::from_le_bytes(payload[s + 1..s + 9].try_into().unwrap()) as usize;
+        (s + 9, len)
+    };
+    // Trainer section: epoch counter, seconds, four RNG words, seed and
+    // shard count (8 bytes each) precede the tag.
+    let trainer_tag = body(2).0 + 64;
+    let optimizer_tag = body(3).0;
+    let generator_tag = {
+        let (start, len) = body(4);
+        let mut r = Reader::new(&payload[start..start + len]);
+        r.u8("state kind").unwrap();
+        r.u8("generator kind").unwrap();
+        r.f64("baseline").unwrap();
+        r.u64("feedback steps").unwrap();
+        for _ in 0..r.u32("tables").unwrap() {
+            r.str("name").unwrap();
+            r.u64("rows").unwrap();
+            r.u64("dim").unwrap();
+            r.f64_slice("slab").unwrap();
+        }
+        start + len - r.remaining()
+    };
+    for at in [trainer_tag, optimizer_tag, generator_tag] {
+        assert_eq!(payload[at], 2, "Adam's tag sits at byte {at}");
+        for (tag, name) in [(0, Some("SGD")), (1, Some("AdaGrad")), (3, None)] {
+            let mut bytes = payload.clone();
+            bytes[at] = tag;
+            write_valid_frame(&path, &bytes);
+            match (name, load_checkpoint(&path).unwrap_err()) {
+                (Some(name), SnapshotError::SchemaMismatch(what)) => {
+                    assert!(what.contains(name), "tag {tag} at {at}: {what}")
+                }
+                (None, SnapshotError::Corrupt(_)) => {}
+                (_, err) => panic!("tag {tag} at {at}: {err:?}"),
+            }
+            load_model(&path).unwrap();
         }
     }
     let _ = std::fs::remove_file(path);

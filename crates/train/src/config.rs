@@ -16,7 +16,8 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size `m`.
     pub batch_size: usize,
-    /// Optimizer (the paper uses Adam with tuned learning rate).
+    /// The Adam optimizer's learning rate, the one setting the paper tunes
+    /// (its other settings are Adam's defaults).
     pub optimizer: OptimizerConfig,
     /// Margin `γ` for translational-distance models (Eq. (1)).
     pub margin: f64,
@@ -126,7 +127,7 @@ impl TrainConfig {
         self
     }
 
-    /// Set the optimizer configuration.
+    /// Set the Adam optimizer's configuration (its learning rate).
     pub fn with_optimizer(mut self, optimizer: OptimizerConfig) -> Self {
         self.optimizer = optimizer;
         self
@@ -208,13 +209,13 @@ mod tests {
             .with_lambda(0.1)
             .with_eval_every(2)
             .with_seed(9)
-            .with_optimizer(OptimizerConfig::sgd(0.5));
+            .with_optimizer(OptimizerConfig::adam(0.5));
         assert_eq!(c.batch_size, 64);
         assert_eq!(c.margin, 1.0);
         assert_eq!(c.lambda, 0.1);
         assert_eq!(c.eval_every, 2);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.optimizer, OptimizerConfig::sgd(0.5));
+        assert_eq!(c.optimizer, OptimizerConfig::adam(0.5));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use nscaching_eval::{evaluate_link_prediction, EvalProtocol, LinkPredictionRepor
 use nscaching_kg::{FilterIndex, Triple};
 use nscaching_math::{rng_from_state, rng_state, seeded_rng, split_seed};
 use nscaching_models::{default_loss, GradientArena, KgeModel, L2Regularizer, Loss, LossType};
-use nscaching_optim::{build_optimizer, Optimizer, OptimizerState};
+use nscaching_optim::{Adam, OptimizerState};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,8 +47,8 @@ pub const SHARD_STREAM_TAG: u64 = 0xA11E1;
 /// * `batch_order` — the batcher's epoch permutation (each epoch's shuffle
 ///   permutes the previous epoch's order in place, so the permutation is
 ///   cumulative state, not a pure function of the RNG);
-/// * `optimizer` — the dense per-table state slabs (Adam moments + step
-///   counters, AdaGrad accumulators);
+/// * `optimizer` — Adam's dense per-table state slabs (moments + step
+///   counters);
 /// * `sampler` — the sampler's evolving state ([`SamplerState`]): NSCaching's
 ///   per-shard `H`/`T` caches and counters, or a GAN sampler's generator
 ///   tables, optimizer moments and REINFORCE baseline. `Stateless` for
@@ -74,7 +74,7 @@ pub struct TrainerState {
     pub rng: [u64; 4],
     /// The batcher's current epoch permutation over the training split.
     pub batch_order: Vec<u32>,
-    /// Exported optimizer state slabs.
+    /// Exported Adam state slabs.
     pub optimizer: OptimizerState,
     /// Exported sampler state (`Stateless` for Uniform/Bernoulli and for
     /// legacy checkpoints written before sampler sections existed).
@@ -140,7 +140,7 @@ fn run_shard_task(
 pub struct Trainer {
     model: Box<dyn KgeModel>,
     sampler: Box<dyn NegativeSampler>,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     loss: Box<dyn Loss>,
     regularizer: L2Regularizer,
     config: TrainConfig,
@@ -190,7 +190,7 @@ impl Trainer {
             LossType::Logistic => L2Regularizer::new(config.lambda),
             LossType::MarginRanking => L2Regularizer::none(),
         };
-        let mut optimizer = build_optimizer(&config.optimizer);
+        let mut optimizer = Adam::new(config.optimizer.learning_rate);
         // Pre-size the optimizer's per-table state slabs so no step ever
         // allocates (see the nscaching-optim crate docs).
         optimizer.bind(model.as_ref());
@@ -287,9 +287,9 @@ impl Trainer {
     /// The trainer must have been built with the same configuration and a
     /// model whose tables already hold the checkpointed values (the snapshot
     /// store restores them before constructing the trainer). Fails when the
-    /// optimizer state belongs to a different optimizer kind than the
-    /// configured one, or the sampler state to a different sampler kind than
-    /// the configured sampler.
+    /// optimizer state's slabs do not fit the model's tables (see
+    /// [`Adam::import_state`]), or the sampler state belongs to a different
+    /// sampler kind than the configured sampler.
     pub fn restore(&mut self, state: TrainerState) -> Result<(), String> {
         // The all-zero state is the one invalid xoshiro256** fixed point; a
         // real trainer can never produce it, and the RNG constructor would
@@ -297,10 +297,10 @@ impl Trainer {
         if state.rng.iter().all(|&word| word == 0) {
             return Err("all-zero master-RNG state".into());
         }
-        self.optimizer.import_state(state.optimizer)?;
-        // Re-pad the imported slabs to the model's table sizes so the
-        // no-allocation guarantee of the bound optimizer still holds.
-        self.optimizer.bind(self.model.as_ref());
+        // Importing re-binds, re-padding the slabs to the model's table
+        // sizes so the no-allocation guarantee of the bound optimizer holds.
+        self.optimizer
+            .import_state(state.optimizer, self.model.as_ref())?;
         self.sampler.import_state(state.sampler)?;
         self.batcher.set_order(state.batch_order)?;
         self.rng = rng_from_state(state.rng);
@@ -920,16 +920,6 @@ mod tests {
         let history = resumed.run();
         assert!(history.epochs.is_empty() || resumed.epochs_done() == 4);
         assert_eq!(resumed.epochs_done(), 4);
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_optimizer_state() {
-        let ds = dataset(13);
-        let mut t = trainer(&ds, SamplerConfig::Bernoulli, ModelKind::TransE, 1);
-        let mut state = t.checkpoint();
-        state.optimizer = nscaching_optim::OptimizerState::Sgd;
-        // the trainer above is built with Adam
-        assert!(t.restore(state).is_err());
     }
 
     #[test]

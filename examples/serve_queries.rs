@@ -13,8 +13,8 @@
 //! 3. single top-k / rank / classification queries with reusable scratch;
 //! 4. concurrent callers: threads share one server, each with its own
 //!    `QueryScratch`;
-//! 5. the version-invalidated LRU: warm hits, then a model update retiring
-//!    every cached answer.
+//! 5. the version-invalidated answer cache: warm hits, then a model update
+//!    retiring every cached answer.
 
 use nscaching_suite::datagen::GeneratorConfig;
 use nscaching_suite::kg::CorruptionSide;
@@ -169,7 +169,8 @@ fn main() {
         answers.len()
     );
 
-    // 7. Repeat traffic is served from the LRU; a model update invalidates it.
+    // 7. Repeat traffic is served from the answer cache; a model update
+    //    invalidates it.
     let warm = server.top_k(&query, &mut scratch).expect("valid query");
     println!(
         "the repeated top-5 query is a cache hit: {}",

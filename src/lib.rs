@@ -11,7 +11,7 @@
 //! * [`datagen`] — synthetic WN18/WN18RR/FB15K/FB15K237-style benchmark generators;
 //! * [`math`] — numeric utilities (vector ops, sampling, statistics);
 //! * [`models`] — scoring functions with analytic gradients;
-//! * [`optim`] — sparse optimizers (SGD, AdaGrad, Adam);
+//! * [`optim`] — the sparse Adam optimizer;
 //! * [`sampling`] — negative samplers, including the paper's NSCaching;
 //! * [`train`] — training loop, pretraining and instrumentation;
 //! * [`eval`] — link prediction and triplet classification protocols;
