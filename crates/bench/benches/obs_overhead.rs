@@ -12,8 +12,9 @@
 //!   without a [`ServeMetrics`] handle attached; the instrumented/plain time
 //!   ratio must stay within `NSC_OBS_OVERHEAD_MAX` (default 2% locally; CI
 //!   relaxes to 5% on shared runners);
-//! * **pooled trainer** — best-of epoch wall time of the 2-shard pool engine
-//!   with and without a [`TrainMetrics`] handle attached, same gate;
+//! * **trainer** — best-of epoch wall time of a 2-shard trainer (its shard
+//!   stage on the worker pool) with and without a [`TrainMetrics`] handle
+//!   attached, same gate;
 //! * **alloc-free hot path** — hard-asserted at any gate level: steady-state
 //!   histogram records, counter increments and instrumented serve cache hits
 //!   perform **zero** heap allocations.
@@ -28,7 +29,7 @@ use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_obs::MetricsRegistry;
 use nscaching_optim::OptimizerConfig;
 use nscaching_serve::{KnowledgeServer, QueryScratch, ServeMetrics, TopKQuery};
-use nscaching_train::{TrainConfig, TrainMetrics, TrainRuntime, Trainer};
+use nscaching_train::{TrainConfig, TrainMetrics, Trainer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,8 +154,7 @@ fn trainer(instrumented: bool) -> (Trainer, Option<Arc<MetricsRegistry>>) {
         .with_optimizer(OptimizerConfig::adam(0.02))
         .with_margin(2.0)
         .with_seed(5)
-        .with_shards(TRAIN_SHARDS)
-        .with_runtime(TrainRuntime::Pool);
+        .with_shards(TRAIN_SHARDS);
     let mut trainer = Trainer::new(model, sampler, &dataset, train_config);
     if instrumented {
         let registry = Arc::new(MetricsRegistry::new());
@@ -210,7 +210,7 @@ fn assert_obs_overhead(_c: &mut Criterion) {
     };
     let serve_overhead = (secs_obs_serve / secs_plain_serve - 1.0).max(0.0);
 
-    // --- Pooled trainer: plain vs instrumented best epoch.
+    // --- 2-shard trainer: plain vs instrumented best epoch.
     let secs_plain_train = best_epoch_seconds(&mut trainer(false).0);
     let (mut obs_trainer, train_registry) = trainer(true);
     let secs_obs_train = best_epoch_seconds(&mut obs_trainer);
@@ -259,7 +259,7 @@ fn assert_obs_overhead(_c: &mut Criterion) {
     );
     assert!(
         train_overhead <= max_overhead,
-        "instrumented pooled trainer exceeds the overhead budget: \
+        "instrumented 2-shard trainer exceeds the overhead budget: \
          {train_overhead:.4} > {max_overhead} (override with NSC_OBS_OVERHEAD_MAX)"
     );
 }

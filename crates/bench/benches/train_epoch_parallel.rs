@@ -1,5 +1,6 @@
-//! Criterion bench: epoch throughput of the sharded parallel training
-//! pipeline vs the sequential trainer.
+//! Criterion bench: epoch throughput of the training pipeline at 2 and 4
+//! shards (shard stage on the worker pool) vs one shard (the calling
+//! thread).
 //!
 //! Run with `cargo bench -p nscaching-bench --bench train_epoch_parallel`.
 //!

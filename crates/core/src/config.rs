@@ -1,9 +1,7 @@
 //! Sampler configuration and factory.
 
-use crate::bernoulli::BernoulliSampler;
 use crate::corruption::CorruptionPolicy;
-use crate::igan::IganSampler;
-use crate::kbgan::KbGanSampler;
+use crate::generator::GeneratorSampler;
 use crate::nscaching::NsCachingSampler;
 use crate::sampler::NegativeSampler;
 use crate::strategy::{SampleStrategy, UpdateStrategy};
@@ -149,13 +147,21 @@ pub fn build_sampler(
     let num_entities = dataset.num_entities();
     let num_relations = dataset.num_relations();
     let policy = CorruptionPolicy::bernoulli_from_train(&dataset.train, num_relations);
+    let generator_model = |kind: ModelKind, dim: usize| {
+        build_model(
+            &ModelConfig::new(kind).with_dim(dim).with_seed(seed),
+            num_entities,
+            num_relations,
+        )
+    };
     match config {
         SamplerConfig::Uniform => Box::new(
             UniformSampler::new(num_entities)
                 .with_false_negative_filter(Arc::new(dataset.train_graph())),
         ),
         SamplerConfig::Bernoulli => Box::new(
-            BernoulliSampler::new(&dataset.train, num_entities, num_relations)
+            UniformSampler::new(num_entities)
+                .with_policy(policy)
                 .with_false_negative_filter(Arc::new(dataset.train_graph())),
         ),
         SamplerConfig::NsCaching(ns) => Box::new(
@@ -163,43 +169,34 @@ pub fn build_sampler(
             // build a load-balanced shard partition for parallel training.
             NsCachingSampler::new(*ns, num_entities, policy).with_observed_keys(&dataset.train),
         ),
+        // The generator is keyless, so the observed keys only steer
+        // parallel shard routing onto the balanced partition.
         SamplerConfig::KbGan {
             generator,
             generator_dim,
             candidate_size,
             generator_lr,
-        } => {
-            let gen_model = build_model(
-                &ModelConfig::new(*generator)
-                    .with_dim(*generator_dim)
-                    .with_seed(seed),
-                num_entities,
-                num_relations,
-            );
-            Box::new(
-                // The generator is keyless, so the observed keys only steer
-                // parallel shard routing onto the balanced partition.
-                KbGanSampler::new(gen_model, *candidate_size, *generator_lr, policy)
-                    .with_observed_keys(&dataset.train),
+        } => Box::new(
+            GeneratorSampler::kbgan(
+                generator_model(*generator, *generator_dim),
+                *candidate_size,
+                *generator_lr,
+                policy,
             )
-        }
+            .with_observed_keys(&dataset.train),
+        ),
         SamplerConfig::Igan {
             generator,
             generator_dim,
             generator_lr,
-        } => {
-            let gen_model = build_model(
-                &ModelConfig::new(*generator)
-                    .with_dim(*generator_dim)
-                    .with_seed(seed),
-                num_entities,
-                num_relations,
-            );
-            Box::new(
-                IganSampler::new(gen_model, *generator_lr, policy)
-                    .with_observed_keys(&dataset.train),
+        } => Box::new(
+            GeneratorSampler::igan(
+                generator_model(*generator, *generator_dim),
+                *generator_lr,
+                policy,
             )
-        }
+            .with_observed_keys(&dataset.train),
+        ),
     }
 }
 

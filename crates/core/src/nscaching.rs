@@ -89,10 +89,11 @@ impl NsCachingShard {
 /// giving the workers lock-free exclusive access. The key → shard routing is
 /// frequency-aware when the training key frequencies have been observed
 /// ([`with_observed_keys`](Self::with_observed_keys) — a load-balanced
-/// [`ShardPartition`] built in `prepare_shards`), and falls back to the
-/// uniform [`shard_of_key`] hash otherwise. With one shard (the default, and
-/// the sequential trainer's configuration) the layout and behaviour are
-/// identical to the unsharded sampler.
+/// [`ShardPartition`](crate::ShardPartition) built in `prepare_shards`), and
+/// falls back to the uniform [`shard_of_key`](crate::shard_of_key) hash
+/// otherwise. With one shard (the default, and the one-shard trainer's
+/// configuration) the layout and behaviour are identical to the unsharded
+/// sampler.
 pub struct NsCachingSampler {
     config: NsCachingConfig,
     policy: CorruptionPolicy,

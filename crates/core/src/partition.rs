@@ -2,7 +2,7 @@
 //!
 //! The parallel trainer routes every positive to a shard by its tail-cache
 //! key `(h, r)`. The original assignment hashed the key uniformly
-//! ([`shard_of_key`](crate::sampler::shard_of_key)), which balances the
+//! ([`shard_of_key`]), which balances the
 //! number of *keys* per shard but not the number of *positives*: on skewed
 //! graphs a few hub heads can concentrate most of the training triples in
 //! one shard and leave the other workers idle.

@@ -4,15 +4,16 @@
 //!
 //! * the classic **per-triple hooks** ([`NegativeSampler::sample`] /
 //!   [`feedback`](NegativeSampler::feedback) /
-//!   [`update`](NegativeSampler::update)), used by the sequential trainer
-//!   (`shards = 1`, the paper-exact path) and by the Table I timing harness;
+//!   [`update`](NegativeSampler::update)), which the trainer drives as its
+//!   single shard at `shards = 1` (the paper-exact path), and which the
+//!   Table I timing harness calls;
 //! * the **shard-aware batch API** ([`NegativeSampler::prepare_shards`] /
 //!   [`shard_of`](NegativeSampler::shard_of) /
 //!   [`shard_workers`](NegativeSampler::shard_workers) /
-//!   [`merge_batch`](NegativeSampler::merge_batch)), used by the parallel
-//!   trainer. A mini-batch is partitioned by cache key so that the `S`
+//!   [`merge_batch`](NegativeSampler::merge_batch)), used by the trainer at
+//!   `shards > 1`. A mini-batch is partitioned by cache key so that the `S`
 //!   [`ShardSampler`] workers own disjoint keyed state and can run
-//!   concurrently under `std::thread::scope` without any locking — the
+//!   concurrently on the trainer's worker pool without any locking — the
 //!   "shared segment" idiom of sharded caches, with determinism added by
 //!   giving every shard its own seeded RNG stream and merging worker
 //!   feedback in ascending shard order.
@@ -94,7 +95,7 @@ pub trait ShardSampler: Send {
 /// A negative-sampling scheme (step 5 of the paper's Algorithm 1, steps 5–8
 /// of Algorithm 2).
 ///
-/// The sequential trainer drives a sampler through three per-triple hooks:
+/// At one shard the trainer drives a sampler through three per-triple hooks:
 ///
 /// 1. [`sample`](NegativeSampler::sample) — produce one negative for a
 ///    positive triple;
@@ -104,7 +105,7 @@ pub trait ShardSampler: Send {
 /// 3. [`update`](NegativeSampler::update) — refresh internal state for the
 ///    positive triple (NSCaching's Algorithm 3 cache update).
 ///
-/// The parallel trainer instead partitions each mini-batch with
+/// With more shards it instead partitions each mini-batch with
 /// [`shard_of`](NegativeSampler::shard_of), drives one
 /// [`ShardSampler`] worker per shard concurrently, and folds per-shard
 /// feedback back in with [`merge_batch`](NegativeSampler::merge_batch).

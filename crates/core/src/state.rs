@@ -18,7 +18,7 @@
 //! Checkpoints are taken between epochs, where the transient parts of every
 //! sampler are provably empty or re-derivable:
 //!
-//! * the parallel engine's per-shard RNG streams are pure functions of
+//! * sharded epochs' per-shard RNG streams are pure functions of
 //!   `(seed, epoch, shard)`, so restoring the epoch counter restores them;
 //! * the GAN samplers' per-shard slots (pending draw, buffered REINFORCE
 //!   gradients, reward lists) are drained by `merge_batch` at the end of
@@ -77,12 +77,13 @@ pub struct NsCachingState {
     pub shards: Vec<NsCachingShardState>,
 }
 
-/// Which GAN-style sampler a [`GeneratorState`] belongs to.
+/// Which GAN baseline a [`GeneratorSampler`](crate::GeneratorSampler) runs,
+/// and so which one a [`GeneratorState`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratorKind {
-    /// [`KbGanSampler`](crate::KbGanSampler).
+    /// KBGAN: [`GeneratorSampler::kbgan`](crate::GeneratorSampler::kbgan).
     KbGan,
-    /// [`IganSampler`](crate::IganSampler).
+    /// IGAN: [`GeneratorSampler::igan`](crate::GeneratorSampler::igan).
     Igan,
 }
 
@@ -151,8 +152,8 @@ impl SamplerState {
     }
 }
 
-/// Capture every parameter table of a generator model (shared by the KBGAN
-/// and IGAN `export_state` implementations).
+/// Capture every parameter table of a generator model (the generator
+/// sampler's `export_state`).
 pub(crate) fn capture_generator_tables(
     model: &dyn nscaching_models::KgeModel,
 ) -> Vec<GeneratorTableState> {

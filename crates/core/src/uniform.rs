@@ -1,4 +1,6 @@
-//! Uniform negative sampling (the original TransE scheme).
+//! Uniform negative sampling (the original TransE scheme), and, under the
+//! Bernoulli side policy, Bernoulli sampling (Wang et al., 2014) — the
+//! paper's baseline.
 
 use crate::corruption::CorruptionPolicy;
 use crate::sampler::{NegativeSampler, SampledNegative, ShardSampler};
@@ -9,6 +11,13 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// Replace the head or tail with an entity drawn uniformly from `E`.
+///
+/// Which side is replaced follows the [`CorruptionPolicy`]: a fair coin by
+/// default, or, with [`CorruptionPolicy::Bernoulli`], the head with
+/// probability `tph / (tph + hpt)` for the triple's relation, so that
+/// one-to-many relations corrupt heads and many-to-one relations corrupt
+/// tails, reducing false negatives. The sampler's name follows the policy
+/// (`"Uniform"` or `"Bernoulli"`).
 ///
 /// Optionally rejects corruptions that are known training triples (false
 /// negatives); the original TransE sampler does not, but the published
@@ -90,7 +99,10 @@ impl ShardSampler for UniformShardWorker<'_> {
 
 impl NegativeSampler for UniformSampler {
     fn name(&self) -> &'static str {
-        "Uniform"
+        match self.policy {
+            CorruptionPolicy::Uniform => "Uniform",
+            CorruptionPolicy::Bernoulli(_) => "Bernoulli",
+        }
     }
 
     fn sample(
@@ -176,5 +188,49 @@ mod tests {
         let sampler = UniformSampler::new(5);
         assert_eq!(sampler.name(), "Uniform");
         assert_eq!(sampler.extra_parameters(), 0);
+    }
+
+    fn bernoulli(train: &[Triple], num_entities: usize, num_relations: usize) -> UniformSampler {
+        UniformSampler::new(num_entities)
+            .with_policy(CorruptionPolicy::bernoulli_from_train(train, num_relations))
+    }
+
+    #[test]
+    fn bernoulli_side_choice_follows_the_relation_statistics() {
+        // relation 0 is 1-to-many (head 0 has 5 tails), so heads are corrupted
+        // with probability 5/6.
+        let train: Vec<Triple> = (1..6u32).map(|t| Triple::new(0, 0, t)).collect();
+        let mut sampler = bernoulli(&train, 10, 1);
+        let model = model(10);
+        let mut rng = seeded_rng(3);
+        let pos = Triple::new(0, 0, 1);
+        let n = 20_000;
+        let heads = (0..n)
+            .filter(|_| {
+                sampler.sample(&pos, model.as_ref(), &mut rng).side
+                    == nscaching_kg::CorruptionSide::Head
+            })
+            .count();
+        let frac = heads as f64 / n as f64;
+        assert!((frac - 5.0 / 6.0).abs() < 0.02, "head fraction {frac}");
+    }
+
+    #[test]
+    fn name_follows_the_bernoulli_policy() {
+        let sampler = bernoulli(&[Triple::new(0, 0, 1)], 4, 1);
+        assert_eq!(sampler.name(), "Bernoulli");
+    }
+
+    #[test]
+    fn bernoulli_filter_variant_still_samples() {
+        let train = vec![Triple::new(0, 0, 1), Triple::new(1, 0, 2)];
+        let graph = Arc::new(KnowledgeGraph::from_triples(5, 1, train.clone()).unwrap());
+        let mut sampler = bernoulli(&train, 5, 1).with_false_negative_filter(graph);
+        let model = model(5);
+        let mut rng = seeded_rng(4);
+        for _ in 0..100 {
+            let neg = sampler.sample(&Triple::new(0, 0, 1), model.as_ref(), &mut rng);
+            assert!(neg.entity < 5);
+        }
     }
 }

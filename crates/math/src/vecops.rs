@@ -8,7 +8,7 @@
 //!
 //! The hot reduction kernels ([`dot`], [`l1_distance`], [`l1_sum`],
 //! [`l1_combine`]) are written against explicit fixed-width 8-lane blocks
-//! (`[f64; 8]`, one AVX-512 vector or two AVX2 ones — see [`lanes`]). Each
+//! (`[f64; 8]`, one AVX-512 vector or two AVX2 ones — see the private `lanes` module). Each
 //! loop iteration carries **two** independent blocks, so sixteen accumulator
 //! lanes break the add dependency chain and the loop saturates the FPU
 //! pipelines; the fixed-size block views let LLVM keep whole blocks in vector

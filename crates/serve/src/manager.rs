@@ -1,6 +1,6 @@
 //! Last-good checkpoint management: retention, verification, quarantine.
 //!
-//! [`save_checkpoint`](crate::save_checkpoint) makes one *file* crash-safe
+//! [`save_checkpoint`] makes one *file* crash-safe
 //! (stage → fsync → rename → directory fsync). [`CheckpointManager`] lifts
 //! that to a *directory* of checkpoints with a last-good guarantee:
 //!

@@ -18,7 +18,7 @@
 //!   scan mirror's rescored rows (`nsc_serve_scan_rescored_rows_total`) are
 //!   added once per scan;
 //! * stale-entry invalidations are counted at the drop site (a cache-miss
-//!   shaped path) via [`ServeMetrics::stale_invalidations`];
+//!   shaped path) on `nsc_serve_stale_invalidations_total`;
 //! * checkpoint save/recover timings wrap whole filesystem operations.
 //!
 //! Attach with [`KnowledgeServer::attach_metrics`] /

@@ -37,54 +37,29 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Number of training shards (worker threads per mini-batch).
     ///
-    /// `1` (the default) runs the sequential, paper-exact trainer on the
-    /// master RNG stream. Larger values run the sharded parallel pipeline:
-    /// each mini-batch is partitioned by cache key across `shards` workers
-    /// with decorrelated per-shard RNG streams, and gradients are reduced in
-    /// shard order — deterministic for a fixed `(seed, shards)` pair, but a
+    /// `1` (the default) runs the paper-exact sequential schedule on the
+    /// calling thread and the master RNG stream. Larger values partition
+    /// each mini-batch by cache key across `shards` pool workers with
+    /// decorrelated per-shard RNG streams, and reduce gradients in shard
+    /// order — deterministic for a fixed `(seed, shards)` pair, but a
     /// *different* (equally valid) trajectory than `shards = 1`. The default
     /// honours the `NSC_SHARDS` environment variable so the CI matrix can run
     /// the whole test suite at several shard counts.
     pub shards: usize,
-    /// Which epoch engine drives the shards (see [`TrainRuntime`]).
-    pub runtime: TrainRuntime,
 }
 
-/// Which engine [`Trainer::train_epoch`](crate::Trainer::train_epoch) uses.
-///
-/// There are two engines, and each runs its own *pipeline* with its own
-/// deterministic trajectory:
-///
-/// * the **sequential engine** — master RNG stream, per-positive sampler
-///   feedback, run inline on the calling thread: the paper-exact path of
-///   Algorithms 1 and 2;
-/// * the **pool engine** — the sharded-parallel pipeline (per-shard RNG
-///   streams, batch-end feedback merge) on the trainer's persistent
-///   `WorkerPool`. For a fixed `(seed, shards)` it replays the retired
-///   per-batch `thread::scope` engine bit-for-bit (asserted in
-///   `tests/parallel_equivalence.rs`).
-///
-/// [`Auto`](TrainRuntime::Auto) picks by shard count. [`Pool`](TrainRuntime::Pool)
-/// runs the pool engine even at `shards = 1`, where `Auto` would run the
-/// sequential one, and those two trajectories differ. Keep `Auto` whenever
-/// the paper-exact path matters.
+/// Kept so that callers naming it keep compiling: every shard count runs
+/// the one pipeline of [`Trainer::train_epoch`](crate::Trainer::train_epoch),
+/// so `Auto` is the only value and [`TrainConfig::with_runtime`] ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrainRuntime {
-    /// `shards = 1` → the inline sequential engine (the paper-exact path);
-    /// `shards > 1` → the persistent worker-pool engine. The default.
+    /// The shard count alone picks how the epoch runs.
     Auto,
-    /// Always the worker-pool engine, even at `shards = 1` — i.e. the
-    /// sharded-parallel pipeline with one shard, which draws from the
-    /// decorrelated shard streams and therefore trains a *different*
-    /// (equally valid) trajectory than `Auto` at one shard. Used by the
-    /// `pool_overhead` and `obs_overhead` benches to price the pool runtime
-    /// against the sequential engine on an identically-shaped workload.
-    Pool,
 }
 
 /// Default shard count: `NSC_SHARDS` when set (panicking on malformed values
-/// so a CI-matrix typo cannot silently fall back to the sequential engine),
-/// else 1 (sequential). The paper experiment binaries pin their shard count
+/// so a CI-matrix typo cannot silently fall back to one shard),
+/// else 1. The paper experiment binaries pin their shard count
 /// from `--threads` instead of this default — see
 /// `nscaching_bench::standard_train_config` — so exported test-matrix
 /// environment never changes published table trajectories.
@@ -116,7 +91,6 @@ impl TrainConfig {
             repeat_window: 20,
             seed: 0,
             shards: default_shards(),
-            runtime: TrainRuntime::Auto,
         }
     }
 
@@ -163,9 +137,9 @@ impl TrainConfig {
         self
     }
 
-    /// Select the epoch engine.
-    pub fn with_runtime(mut self, runtime: TrainRuntime) -> Self {
-        self.runtime = runtime;
+    /// Kept for existing callers: a no-op, since every shard count runs one
+    /// epoch pipeline (see [`TrainRuntime`]).
+    pub fn with_runtime(self, _runtime: TrainRuntime) -> Self {
         self
     }
 }
@@ -190,15 +164,6 @@ mod tests {
     fn shards_builder_clamps_to_one() {
         assert_eq!(TrainConfig::new(1).with_shards(4).shards, 4);
         assert_eq!(TrainConfig::new(1).with_shards(0).shards, 1);
-    }
-
-    #[test]
-    fn runtime_defaults_to_auto_and_is_settable() {
-        assert_eq!(TrainConfig::new(1).runtime, TrainRuntime::Auto);
-        assert_eq!(
-            TrainConfig::new(1).with_runtime(TrainRuntime::Pool).runtime,
-            TrainRuntime::Pool
-        );
     }
 
     #[test]

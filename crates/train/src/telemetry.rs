@@ -3,20 +3,18 @@
 //!
 //! # Phase boundaries
 //!
-//! Both engines run each mini-batch through the staged pipeline of the
-//! crate docs; the timers cut at the stage boundaries, **once per batch**
-//! (two clock reads per phase per batch — noise next to a batch of model
-//! scores, which is what keeps the `NSC_OBS_OVERHEAD_MAX` gate honest):
+//! Every shard count runs each mini-batch through the staged pipeline of
+//! the crate docs; the timers cut at the stage boundaries, and every phase
+//! times every batch, **once per batch** (two clock reads per phase per
+//! batch — noise next to a batch of model scores, which is what keeps the
+//! `NSC_OBS_OVERHEAD_MAX` gate honest):
 //!
 //! | phase | covers |
 //! |-------|--------|
-//! | `shard` | partitioning the mini-batch by cache key (pool engine) |
+//! | `shard` | partitioning the mini-batch by cache key |
 //! | `sample_score` | the fused sample → score → gradient stage. Algorithm 2 interleaves sampling and scoring *per positive*, so they are one phase by construction — splitting them would need per-example clocks |
-//! | `merge` | folding shard outputs in ascending shard order |
+//! | `merge` | folding shard outputs in ascending shard order (at one shard, the one shard's output) |
 //! | `apply` | the optimizer step + constraint projection |
-//!
-//! The sequential engine has no shard/merge stages; it records only
-//! `sample_score` and `apply`.
 //!
 //! # Derived gauge
 //!
@@ -43,8 +41,8 @@ pub struct TrainMetrics {
     pub(crate) phase_merge: Arc<LatencyHistogram>,
     /// Optimizer step + constraints per mini-batch, microseconds.
     pub(crate) phase_apply: Arc<LatencyHistogram>,
-    /// See the module docs; set at every epoch epilogue (trivially 1.0 for
-    /// the sequential engine).
+    /// See the module docs; set at every epoch epilogue (trivially 1.0 at
+    /// one shard).
     pub(crate) shard_imbalance: Arc<Gauge>,
     /// Epochs finished by an instrumented trainer.
     epochs: Arc<Counter>,

@@ -1,11 +1,11 @@
-//! The training loop (Algorithms 1 and 2 of the paper), sequential and
-//! sharded-parallel.
+//! The training loop (Algorithms 1 and 2 of the paper): one staged epoch
+//! pipeline at every shard count.
 //!
 //! See the crate-level documentation for the concurrency model of the
-//! parallel pipeline (shard ownership, RNG streams, reduction order).
+//! sharded pipeline (shard ownership, RNG streams, reduction order).
 
 use crate::batcher::Batcher;
-use crate::config::{TrainConfig, TrainRuntime};
+use crate::config::TrainConfig;
 use crate::data::TrainData;
 use crate::instrument::{EpochAccumulator, EpochStats, RepeatTracker};
 use crate::pool::WorkerPool;
@@ -25,11 +25,11 @@ use std::time::Instant;
 /// master stream (which keeps its historical role: shuffling, and all
 /// sampling when `shards = 1`).
 ///
-/// Public because it is part of the parallel trainer's reproducibility
+/// Public because it is part of the sharded trainer's reproducibility
 /// contract: the shard-`s` stream of epoch `e` is
 /// `seeded_rng(split_seed(split_seed(seed ^ SHARD_STREAM_TAG, e), s))`, and
 /// the equivalence suite re-derives the streams from this constant to check
-/// the pool engine against an independent `thread::scope` reference.
+/// the pooled pipeline against an independent `thread::scope` reference.
 pub const SHARD_STREAM_TAG: u64 = 0xA11E1;
 
 /// A checkpoint of a [`Trainer`]'s mutable training state, captured at an
@@ -41,7 +41,7 @@ pub const SHARD_STREAM_TAG: u64 = 0xA11E1;
 /// on:
 ///
 /// * `epochs_done` — drives the per-epoch shard RNG streams
-///   (`split_seed(seed ^ SHARD_STREAM_TAG, epoch)`) of the parallel engine;
+///   (`split_seed(seed ^ SHARD_STREAM_TAG, epoch)`) of sharded epochs;
 /// * `rng` — the master stream's raw state (epoch shuffling, and all
 ///   sampling at `shards = 1`);
 /// * `batch_order` — the batcher's epoch permutation (each epoch's shuffle
@@ -94,13 +94,46 @@ struct ShardOutput {
     negatives: Vec<Triple>,
 }
 
+/// The whole sampler as the single shard of a one-shard epoch: forwards to
+/// the sampler's own per-triple hooks, so a generator sampler applies its
+/// REINFORCE step per positive, as the sequential schedule of Algorithms 1
+/// and 2 does.
+struct PerTripleHooks<'a>(&'a mut dyn NegativeSampler);
+
+impl ShardSampler for PerTripleHooks<'_> {
+    fn sample(
+        &mut self,
+        positive: &Triple,
+        model: &dyn KgeModel,
+        rng: &mut StdRng,
+    ) -> SampledNegative {
+        self.0.sample(positive, model, rng)
+    }
+
+    fn feedback(
+        &mut self,
+        positive: &Triple,
+        negative: &SampledNegative,
+        reward: f64,
+        rng: &mut StdRng,
+    ) {
+        self.0.feedback(positive, negative, reward, rng);
+    }
+
+    fn update(&mut self, positive: &Triple, model: &dyn KgeModel, rng: &mut StdRng) {
+        self.0.update(positive, model, rng);
+    }
+}
+
 /// Stage 2 of the pipeline: drive one shard worker over its slice of a
-/// mini-batch. Runs on a scoped worker thread; everything it touches is
-/// either shared read-only (`model`, `loss`, `regularizer`) or exclusively
-/// owned by this shard (`worker` state, `rng` stream, `out` buffers).
+/// mini-batch, on the calling thread (one shard) or a pool worker.
+/// Everything it touches is either shared read-only (`model`, `loss`,
+/// `regularizer`) or exclusively owned by this shard (`worker` state, `rng`
+/// stream, `out` buffers).
 ///
-/// The per-positive order of operations mirrors the sequential loop exactly:
-/// sample → score → feedback → loss/gradients → cache update.
+/// Per positive: sample → score → feedback → loss/gradients → cache update
+/// (Algorithm 2 refreshes the cache, step 8, before the embedding update of
+/// step 9, which the apply stage runs once per batch).
 fn run_shard_task(
     model: &dyn KgeModel,
     loss: &dyn Loss,
@@ -129,8 +162,6 @@ fn run_shard_task(
                 regularizer.accumulate_gradient(model, &negative.triple, &mut out.grads);
             }
         }
-        // Algorithm 2, step 8: refresh the shard's cache entries before the
-        // embedding update of step 9.
         worker.update(positive, model, rng);
     }
 }
@@ -152,16 +183,16 @@ pub struct Trainer {
     history: TrainingHistory,
     epochs_done: usize,
     train_seconds: f64,
-    /// Persistent worker pool of the parallel engine. Spawned lazily on the
-    /// first pooled epoch, reused for the trainer's lifetime (resized only if
-    /// the shard count changes), joined on drop.
+    /// Persistent worker pool of the sharded pipeline. Spawned lazily on the
+    /// first epoch with more than one shard, reused for the trainer's
+    /// lifetime (resized only if the shard count changes), joined on drop.
     pool: Option<WorkerPool>,
     /// The batch gradient arena, reused across batches *and* epochs so the
     /// zero-allocation steady state spans the whole run.
     grads: GradientArena,
-    /// Per-shard worker outputs of the parallel engine, likewise reused.
+    /// Per-shard worker outputs, likewise reused.
     shard_outputs: Vec<ShardOutput>,
-    /// Per-shard positive lists of the parallel engine's batch partition.
+    /// Per-shard positive lists of the batch partition.
     shard_tasks: Vec<Vec<Triple>>,
     /// Attached telemetry handles; `None` (the default) means every timer
     /// site is skipped — zero clock reads, zero overhead.
@@ -311,115 +342,22 @@ impl Trainer {
 
     /// Train a single epoch and return its statistics.
     ///
-    /// The epoch runs as a staged pipeline — shard the mini-batch, run
-    /// sample/score/gradient per shard, merge in shard order, apply one
-    /// optimizer step. With `shards = 1` (the default) the single shard is
-    /// driven inline on the master RNG stream with immediate sampler
-    /// feedback, which is exactly the sequential trainer of Algorithms 1
-    /// and 2 — bit-for-bit, so the paper's tables and figures are unaffected.
-    /// With `shards > 1` the shard stage runs on the trainer's persistent
-    /// `WorkerPool`. [`TrainRuntime::Pool`] forces the pool engine at
-    /// `shards = 1` too, which runs the parallel pipeline (shard RNG
-    /// streams), a *different* trajectory than the sequential engine; see
-    /// [`TrainRuntime`] for the contract.
+    /// Every epoch runs one staged pipeline per mini-batch — shard the
+    /// batch, run sample/score/gradient per shard, merge in shard order,
+    /// apply one optimizer step — at every shard count:
+    ///
+    /// * **one shard** (the default): the calling thread drives the
+    ///   sampler's own per-triple hooks on the master RNG stream, so the
+    ///   generator samplers keep their per-positive REINFORCE step. This is
+    ///   the sequential trainer of Algorithms 1 and 2, bit for bit, so the
+    ///   paper's tables and figures are unaffected. The sampler is not
+    ///   re-partitioned, so one restored from a sharded checkpoint keeps its
+    ///   layout;
+    /// * **more than one shard**: the shard stage runs on the trainer's
+    ///   persistent `WorkerPool`, one shard worker per pool thread, each on
+    ///   its own RNG stream (see [`SHARD_STREAM_TAG`]).
     pub fn train_epoch(&mut self) -> EpochStats {
         let shards = self.config.shards.max(1);
-        match self.config.runtime {
-            TrainRuntime::Auto if shards == 1 => self.train_epoch_sequential(),
-            TrainRuntime::Auto | TrainRuntime::Pool => self.train_epoch_parallel(shards),
-        }
-    }
-
-    /// The sequential pipeline: one shard, master RNG stream, per-positive
-    /// sampler feedback — the paper-exact path.
-    fn train_epoch_sequential(&mut self) -> EpochStats {
-        let started = Instant::now();
-        let mut acc = EpochAccumulator::new();
-        // Borrow the trainer-owned arena for the epoch (returned below), so
-        // its slabs persist across epochs at their high-water marks.
-        let mut grads = std::mem::take(&mut self.grads);
-
-        // Walk the epoch by index: triples are copied out of the batcher by
-        // value (16 bytes each), so no borrow is held across the loop body
-        // and the training split is never cloned.
-        self.batcher.shuffle(&mut self.rng);
-        let metrics = self.metrics.clone();
-        for batch in 0..self.batcher.batches_per_epoch() {
-            let batch_started = metrics.as_ref().map(|_| Instant::now());
-            grads.clear();
-            for index in self.batcher.batch_range(batch) {
-                let positive = &self.batcher.get(index);
-                let negative = self
-                    .sampler
-                    .sample(positive, self.model.as_ref(), &mut self.rng);
-                self.repeat_tracker.record(negative.triple);
-
-                let f_pos = self.model.score(positive);
-                let f_neg = self.model.score(&negative.triple);
-                // The generator-based samplers use the discriminator's score
-                // of the sampled negative as their REINFORCE reward.
-                self.sampler
-                    .feedback(positive, &negative, f_neg, &mut self.rng);
-
-                let pair = self.loss.evaluate(f_pos, f_neg);
-                acc.record_example(pair.loss, !pair.is_zero());
-                if !pair.is_zero() {
-                    self.model
-                        .accumulate_score_gradient(positive, pair.d_positive, &mut grads);
-                    self.model.accumulate_score_gradient(
-                        &negative.triple,
-                        pair.d_negative,
-                        &mut grads,
-                    );
-                    if self.regularizer.is_active() {
-                        self.regularizer.accumulate_gradient(
-                            self.model.as_ref(),
-                            positive,
-                            &mut grads,
-                        );
-                        self.regularizer.accumulate_gradient(
-                            self.model.as_ref(),
-                            &negative.triple,
-                            &mut grads,
-                        );
-                    }
-                }
-
-                // Algorithm 2, step 8: refresh the cache before the embedding
-                // update of step 9.
-                self.sampler
-                    .update(positive, self.model.as_ref(), &mut self.rng);
-            }
-
-            let apply_started = metrics.as_ref().map(|_| Instant::now());
-            if !grads.is_empty() {
-                acc.record_batch_gradient(grads.norm());
-                self.optimizer.step(self.model.as_mut(), &mut grads);
-                self.model.apply_constraints(grads.touched());
-            }
-            if let (Some(metrics), Some(batch_started), Some(apply_started)) =
-                (&metrics, batch_started, apply_started)
-            {
-                metrics
-                    .phase_sample_score
-                    .observe(apply_started - batch_started);
-                metrics.phase_apply.observe(apply_started.elapsed());
-            }
-        }
-
-        grads.clear();
-        self.grads = grads;
-        self.finish_epoch(acc, started, EpochPhaseAcc::default(), 1)
-    }
-
-    /// The parallel pipeline: shard → parallel sample/score/grad → ordered
-    /// merge → apply. The shard stage runs on the trainer's persistent
-    /// [`WorkerPool`] (shard `i` always executes on pool worker `i`), which
-    /// replaces the retired per-batch `std::thread::scope` — same work, same
-    /// RNG streams, same reduction order, so the produced trajectory is
-    /// bit-for-bit identical (asserted in `tests/parallel_equivalence.rs`),
-    /// but the threads are spawned once instead of once per mini-batch.
-    fn train_epoch_parallel(&mut self, shards: usize) -> EpochStats {
         let started = Instant::now();
         let mut acc = EpochAccumulator::new();
         // Borrow the trainer-owned buffers for the epoch (returned below);
@@ -427,21 +365,27 @@ impl Trainer {
         // allocations across batches and epochs.
         let mut grads = std::mem::take(&mut self.grads);
 
-        if self.pool.as_ref().is_none_or(|p| p.workers() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
+        if shards > 1 {
+            if self.pool.as_ref().is_none_or(|p| p.workers() != shards) {
+                self.pool = Some(WorkerPool::new(shards));
+            }
+            self.sampler.prepare_shards(shards);
         }
-        let pool = self.pool.as_mut().expect("pool just ensured");
-
-        self.sampler.prepare_shards(shards);
         self.batcher.shuffle(&mut self.rng);
         // Per-shard RNG streams for this epoch, derived from (seed, epoch,
         // shard) through SplitMix64 — decorrelated from each other and from
         // the master stream, and a pure function of the configuration, so a
-        // fixed (seed, shards) pair replays bit-for-bit.
-        let epoch_seed = split_seed(self.config.seed ^ SHARD_STREAM_TAG, self.epochs_done as u64);
-        let mut shard_rngs: Vec<StdRng> = (0..shards)
-            .map(|s| seeded_rng(split_seed(epoch_seed, s as u64)))
-            .collect();
+        // fixed (seed, shards) pair replays bit-for-bit. One shard draws
+        // from the master stream instead.
+        let mut shard_rngs: Vec<StdRng> = if shards > 1 {
+            let epoch_seed =
+                split_seed(self.config.seed ^ SHARD_STREAM_TAG, self.epochs_done as u64);
+            (0..shards)
+                .map(|s| seeded_rng(split_seed(epoch_seed, s as u64)))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut tasks = std::mem::take(&mut self.shard_tasks);
         tasks.resize_with(shards, Vec::new);
         let mut outputs = std::mem::take(&mut self.shard_outputs);
@@ -469,16 +413,26 @@ impl Trainer {
                 None
             };
 
-            // Stage 2 — parallel sample/score/grad: one pool round per
-            // mini-batch, shard `i` on worker `i`, each job owning its
-            // shard's sampler state, RNG stream and output buffers; the
-            // model is shared read-only through the thread-safe batched
-            // scoring API. Empty shards dispatch no job and their worker
-            // stays parked.
+            // Stage 2 — sample/score/grad: each shard owns its sampler
+            // state, RNG stream and output buffers; the model is shared
+            // read-only through the thread-safe batched scoring API.
             let model = self.model.as_ref();
             let loss = self.loss.as_ref();
             let regularizer = &self.regularizer;
-            {
+            if shards == 1 {
+                run_shard_task(
+                    model,
+                    loss,
+                    regularizer,
+                    &mut PerTripleHooks(self.sampler.as_mut()),
+                    &tasks[0],
+                    &mut self.rng,
+                    &mut outputs[0],
+                );
+            } else {
+                // One pool round per mini-batch, shard `i` on worker `i`.
+                // Empty shards dispatch no job and their worker stays parked.
+                let pool = self.pool.as_mut().expect("sharded epochs own a pool");
                 let mut workers = self.sampler.shard_workers();
                 debug_assert_eq!(workers.len(), shards, "one worker per shard");
                 let jobs = workers
@@ -506,7 +460,8 @@ impl Trainer {
             }
             let merge_started = metrics.as_ref().map(|_| Instant::now());
             // Workers have been dropped; fold buffered sampler feedback (GAN
-            // generator REINFORCE) back in, in shard order.
+            // generator REINFORCE) back in, in shard order. A no-op at one
+            // shard, whose feedback the per-triple hooks already applied.
             self.sampler.merge_batch();
 
             // Stage 3 — merge: fold shard outputs in ascending shard order so
@@ -551,10 +506,9 @@ impl Trainer {
         self.finish_epoch(acc, started, phase_acc, shards)
     }
 
-    /// Epoch epilogue shared by both pipelines: close out the statistics,
-    /// fold the phase accumulator into the shard-imbalance gauge, publish the
-    /// epoch onto the metrics registry (when attached) and notify the
-    /// sampler.
+    /// Epoch epilogue: close out the statistics, fold the phase accumulator
+    /// into the shard-imbalance gauge, publish the epoch onto the metrics
+    /// registry (when attached) and notify the sampler.
     fn finish_epoch(
         &mut self,
         acc: EpochAccumulator,
@@ -830,33 +784,6 @@ mod tests {
             );
             assert_eq!(last.examples, ds.train.len(), "no positive may be lost");
         }
-    }
-
-    #[test]
-    fn pooled_one_shard_engine_matches_auto_parallel_trajectories() {
-        // TrainRuntime::Pool at shards = 1 must produce exactly the same
-        // trajectory as the parallel pipeline would (the engine is a pure
-        // performance knob), and the pool must survive the whole run.
-        let ds = dataset(10);
-        let run = |runtime: TrainRuntime, shards: usize| {
-            let mut t = trainer(
-                &ds,
-                SamplerConfig::NsCaching(NsCachingConfig::new(8, 8)),
-                ModelKind::TransE,
-                0,
-            );
-            t.config.shards = shards;
-            t.config.runtime = runtime;
-            (0..3)
-                .map(|_| t.train_epoch().mean_loss)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(TrainRuntime::Pool, 1), run(TrainRuntime::Pool, 1));
-        assert_eq!(run(TrainRuntime::Auto, 4), run(TrainRuntime::Pool, 4));
-        // The pooled 1-shard pipeline uses the decorrelated worker streams,
-        // not the master stream, so it is a different trajectory from the
-        // sequential engine.
-        assert_ne!(run(TrainRuntime::Pool, 1), run(TrainRuntime::Auto, 1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The training-telemetry contract: attaching a [`TrainMetrics`] handle
-//! must observe the run, never perturb it. For every engine the
+//! must observe the run, never perturb it. At one shard and at four, the
 //! instrumented trainer's trajectory (epoch losses + final parameter
 //! tables, raw bits) must equal the uninstrumented one's, while the phase
 //! histograms and the shard-imbalance gauge land the expected per-batch
@@ -11,7 +11,7 @@ use nscaching_kg::Dataset;
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_obs::MetricsRegistry;
 use nscaching_optim::OptimizerConfig;
-use nscaching_train::{TrainConfig, TrainMetrics, TrainRuntime, Trainer};
+use nscaching_train::{TrainConfig, TrainMetrics, Trainer};
 use std::sync::Arc;
 
 const DIM: usize = 8;
@@ -29,7 +29,7 @@ fn dataset() -> Dataset {
     nscaching_datagen::generate(&c).unwrap()
 }
 
-fn build_trainer(ds: &Dataset, shards: usize, runtime: TrainRuntime) -> Trainer {
+fn build_trainer(ds: &Dataset, shards: usize) -> Trainer {
     let model = build_model(
         &ModelConfig::new(ModelKind::TransE)
             .with_dim(DIM)
@@ -47,8 +47,7 @@ fn build_trainer(ds: &Dataset, shards: usize, runtime: TrainRuntime) -> Trainer 
         .with_optimizer(OptimizerConfig::adam(0.02))
         .with_margin(2.0)
         .with_seed(5)
-        .with_shards(shards)
-        .with_runtime(runtime);
+        .with_shards(shards);
     Trainer::new(model, sampler, ds, config)
 }
 
@@ -76,15 +75,12 @@ fn phase_count(registry: &MetricsRegistry, phase: &str) -> u64 {
 fn attaching_metrics_never_perturbs_the_trajectory() {
     let ds = dataset();
     let batches = NUM_TRAIN.div_ceil(BATCH);
-    for (shards, runtime, label) in [
-        (1usize, TrainRuntime::Auto, "sequential"),
-        (4, TrainRuntime::Pool, "pooled"),
-    ] {
-        let plain = run(&mut build_trainer(&ds, shards, runtime));
+    for (shards, label) in [(1usize, "one shard"), (4, "four shards")] {
+        let plain = run(&mut build_trainer(&ds, shards));
 
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = TrainMetrics::register(&registry);
-        let mut instrumented = build_trainer(&ds, shards, runtime);
+        let mut instrumented = build_trainer(&ds, shards);
         instrumented.attach_metrics(Arc::clone(&metrics));
         let timed = run(&mut instrumented);
 
@@ -94,15 +90,12 @@ fn attaching_metrics_never_perturbs_the_trajectory() {
             "{label}: parameter tables diverged bit-wise under telemetry"
         );
 
-        // Both engines time the fused sample/score stage and the apply
-        // stage once per mini-batch; only the pool engine partitions and
-        // merges.
+        // Every shard count runs all four stages, each timed once per
+        // mini-batch.
         let expected = (EPOCHS * batches) as u64;
-        assert_eq!(phase_count(&registry, "sample_score"), expected, "{label}");
-        assert_eq!(phase_count(&registry, "apply"), expected, "{label}");
-        let expected_pooled = if shards == 1 { 0 } else { expected };
-        assert_eq!(phase_count(&registry, "shard"), expected_pooled, "{label}");
-        assert_eq!(phase_count(&registry, "merge"), expected_pooled, "{label}");
+        for phase in ["shard", "sample_score", "merge", "apply"] {
+            assert_eq!(phase_count(&registry, phase), expected, "{label}: {phase}");
+        }
 
         // Epoch bridge + shard-imbalance gauge.
         assert_eq!(

@@ -10,7 +10,9 @@
 //! explicitly, so the `NSC_SHARDS` test matrix checks the same runs on every
 //! leg.
 //!
-//! TransE runs under NSCaching. TransD, whose batched scoring projects
+//! TransE runs under NSCaching, and under the two GAN baselines (KBGAN and
+//! IGAN), whose digest covers the generator's tables, its Adam slabs and the
+//! REINFORCE baseline and step count. TransD, whose batched scoring projects
 //! every candidate, runs under NSCaching and under Bernoulli, and its
 //! sequential NSCaching run also pins the filtered MRR, MR and Hits@10 on
 //! the test split, which ranks through `score_all_into`, and a digest of the
@@ -20,7 +22,7 @@
 //! The repeat window (2 epochs) is shorter than the run (5 epochs), so the
 //! pinned repeat ratios also cover the tracker's window eviction.
 
-use nscaching::{build_sampler, NsCachingConfig, SamplerConfig, SamplerState};
+use nscaching::{build_sampler, GeneratorKind, NsCachingConfig, SamplerConfig, SamplerState};
 use nscaching_datagen::GeneratorConfig;
 use nscaching_eval::EvalProtocol;
 use nscaching_kg::{CorruptionSide, Dataset};
@@ -67,29 +69,51 @@ struct Trajectory {
     tables_digest: u64,
 }
 
-/// Digest of an NSCaching sampler's caches; 0 for a stateless sampler
-/// (Bernoulli), which has nothing to digest.
+/// Digest of a sampler's evolving state: NSCaching's caches, or a GAN
+/// sampler's generator tables, Adam slabs, baseline and step count; 0 for a
+/// stateless sampler (Bernoulli), which has nothing to digest.
 fn sampler_digest(state: &SamplerState) -> u64 {
-    let state = match state {
-        SamplerState::NsCaching(state) => state,
-        SamplerState::Stateless => return 0,
-        other => panic!("no digest for {} state", other.kind_name()),
-    };
     let mut h = Fnv::new();
-    h.word(u64::from(state.updates_enabled));
-    h.word(state.shards.len() as u64);
-    for shard in &state.shards {
-        h.word(shard.refresh_count);
-        for cache in [&shard.head, &shard.tail] {
-            h.word(cache.changed_elements);
-            h.word(cache.entries.len() as u64);
-            for entry in &cache.entries {
-                h.word(u64::from(entry.key.0));
-                h.word(u64::from(entry.key.1));
-                h.word(entry.entities.len() as u64);
-                for &e in &entry.entities {
-                    h.word(u64::from(e));
+    match state {
+        SamplerState::Stateless => return 0,
+        SamplerState::NsCaching(state) => {
+            h.word(u64::from(state.updates_enabled));
+            h.word(state.shards.len() as u64);
+            for shard in &state.shards {
+                h.word(shard.refresh_count);
+                for cache in [&shard.head, &shard.tail] {
+                    h.word(cache.changed_elements);
+                    h.word(cache.entries.len() as u64);
+                    for entry in &cache.entries {
+                        h.word(u64::from(entry.key.0));
+                        h.word(u64::from(entry.key.1));
+                        h.word(entry.entities.len() as u64);
+                        for &e in &entry.entities {
+                            h.word(u64::from(e));
+                        }
+                    }
                 }
+            }
+        }
+        SamplerState::Generator(state) => {
+            h.word(match state.kind {
+                GeneratorKind::KbGan => 1,
+                GeneratorKind::Igan => 2,
+            });
+            h.word(state.baseline.to_bits());
+            h.word(state.feedback_steps);
+            for table in &state.tables {
+                h.word(table.data.len() as u64);
+                table.data.iter().for_each(|v| h.word(v.to_bits()));
+            }
+            for slab in &state.optimizer.tables {
+                h.word(slab.dim as u64);
+                for moments in [&slab.m, &slab.v] {
+                    h.word(moments.len() as u64);
+                    moments.iter().for_each(|v| h.word(v.to_bits()));
+                }
+                h.word(slab.t.len() as u64);
+                slab.t.iter().for_each(|&t| h.word(t));
             }
         }
     }
@@ -344,4 +368,108 @@ fn transd_pooled_bernoulli_trajectory_is_pinned() {
         run(&dataset(), ModelKind::TransD, &bernoulli, 2).0,
         expected
     );
+}
+
+#[test]
+fn sequential_kbgan_trajectory_is_pinned() {
+    let expected = Trajectory {
+        mean_loss: vec![
+            0x3ffc_c9b5_8e5c_db2a,
+            0x3ff5_b841_6d4a_719a,
+            0x3ff3_623e_dcb8_6b40,
+            0x3ff2_8501_9efc_f451,
+            0x3ff1_5fb4_8f12_caf9,
+        ],
+        repeat_ratio: vec![
+            0x3f6b_4e81_b4e8_1b4f,
+            0x3f87_e4b1_7e4b_17e5,
+            0x3f90_9c8e_e7a6_cc58,
+            0x3fa0_7f6e_5d4c_3b2a,
+            0x3fa7_c790_f3f0_86b6,
+        ],
+        changed_cache_elements: vec![0, 0, 0, 0, 0],
+        sampler_digest: 0x5712_8cf8_5b5a_dae6,
+        rng_digest: 0x8eaa_e75c_95f0_88fd,
+        tables_digest: 0x869a_50a9_db47_1b5e,
+    };
+    let kbgan = SamplerConfig::kbgan_default();
+    assert_eq!(run(&dataset(), ModelKind::TransE, &kbgan, 1).0, expected);
+}
+
+#[test]
+fn pooled_kbgan_trajectory_is_pinned() {
+    let expected = Trajectory {
+        mean_loss: vec![
+            0x3ffc_0f93_2abf_bc73,
+            0x3ff4_6a3e_6b79_0e47,
+            0x3ff1_41cc_a669_74db,
+            0x3fee_e24e_f4ac_00f7,
+            0x3fee_4df3_886a_173a,
+        ],
+        repeat_ratio: vec![
+            0x3f6b_4e81_b4e8_1b4f,
+            0x3f83_1d5a_cb6f_4651,
+            0x3f89_07f6_e5d4_c3b3,
+            0x3f95_29a4_85cd_7b90,
+            0x3fa0_280c_be3c_87a0,
+        ],
+        changed_cache_elements: vec![0, 0, 0, 0, 0],
+        sampler_digest: 0xc2ad_b173_48b7_f91a,
+        rng_digest: 0x3a13_2d65_5fed_8611,
+        tables_digest: 0x1818_3cff_0bce_5c82,
+    };
+    let kbgan = SamplerConfig::kbgan_default();
+    assert_eq!(run(&dataset(), ModelKind::TransE, &kbgan, 2).0, expected);
+}
+
+#[test]
+fn sequential_igan_trajectory_is_pinned() {
+    let expected = Trajectory {
+        mean_loss: vec![
+            0x3ffc_93a6_6192_64f3,
+            0x3ff5_384b_71a7_1c2e,
+            0x3ff2_4c2b_9385_8fbd,
+            0x3ff2_df53_9435_0e9c,
+            0x3ff2_cbd3_c651_d59b,
+        ],
+        repeat_ratio: vec![
+            0x3f80_624d_d2f1_a9fc,
+            0x3f88_9374_bc6a_7efa,
+            0x3f8e_f293_003a_4115,
+            0x3f9b_88c2_c99d_3dab,
+            0x3fa6_fbad_2b76_8e73,
+        ],
+        changed_cache_elements: vec![0, 0, 0, 0, 0],
+        sampler_digest: 0xba08_c530_ab0c_6dbb,
+        rng_digest: 0xc244_1345_c310_ad7c,
+        tables_digest: 0xbb7c_5a73_6af0_7162,
+    };
+    let igan = SamplerConfig::igan_default();
+    assert_eq!(run(&dataset(), ModelKind::TransE, &igan, 1).0, expected);
+}
+
+#[test]
+fn pooled_igan_trajectory_is_pinned() {
+    let expected = Trajectory {
+        mean_loss: vec![
+            0x3ffb_e219_7aba_82f6,
+            0x3ff4_86aa_2b79_79ea,
+            0x3ff1_0e69_4189_d744,
+            0x3fee_f694_4073_16fb,
+            0x3fec_cb70_a5d1_e742,
+        ],
+        repeat_ratio: vec![
+            0x3f45_d867_c3ec_e2a5,
+            0x3f74_7ae1_47ae_147b,
+            0x3f83_1d5a_cb6f_4651,
+            0x3f91_bfd4_4f30_7826,
+            0x3f9c_e649_45dc_0bd5,
+        ],
+        changed_cache_elements: vec![0, 0, 0, 0, 0],
+        sampler_digest: 0x0617_b374_f50b_d3c5,
+        rng_digest: 0x3a13_2d65_5fed_8611,
+        tables_digest: 0x8462_a3dc_859b_31f1,
+    };
+    let igan = SamplerConfig::igan_default();
+    assert_eq!(run(&dataset(), ModelKind::TransE, &igan, 2).0, expected);
 }
