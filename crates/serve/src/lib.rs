@@ -28,9 +28,13 @@
 //! ```text
 //! ┌──────────┬─────────────┬──────────────┬───────────┬──────────────┐
 //! │ magic 8B │ version u32 │ length  u64  │  payload  │ checksum u64 │
-//! │ NSCSNP␁␊ │      1      │ = |payload|  │ sections… │  FNV-1a 64   │
+//! │ NSCSNP␁␊ │      2      │ = |payload|  │ sections… │ XXH64 seed 0 │
 //! └──────────┴─────────────┴──────────────┴───────────┴──────────────┘
 //! ```
+//!
+//! Version 1 frames, whose checksum is FNV-1a 64, are still read: the two
+//! versions differ only in the checksum, and only version 2 is written
+//! (see [`mod@format`]).
 //!
 //! The payload is a sequence of tagged, length-prefixed sections (so readers
 //! skip what they do not understand): **model** (scoring-function kind,
@@ -46,9 +50,10 @@
 //! baseline; absent for stateless samplers and legacy files). A
 //! model-only snapshot ([`save_model`]) is the serving artifact; a full
 //! checkpoint ([`save_checkpoint`]) is a superset, and [`KnowledgeServer`]
-//! accepts either. Readers validate magic → version → length → checksum
-//! before parsing a byte, and every failure is a typed [`SnapshotError`] —
-//! corruption never panics.
+//! accepts either. Readers validate magic → version → length from the
+//! header before reading the payload, then the checksum before parsing a
+//! byte of it, and every failure is a typed [`SnapshotError`] — corruption
+//! never panics.
 //!
 //! # Exact-resume guarantee
 //!

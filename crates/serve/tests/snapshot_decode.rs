@@ -14,7 +14,7 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
-use nscaching_serve::format::{fnv1a64, read_frame, Reader, FORMAT_VERSION, MAGIC};
+use nscaching_serve::format::{fnv1a64, read_frame, xxh64, Reader, FORMAT_VERSION, MAGIC};
 use nscaching_serve::{load_checkpoint, load_model, save_checkpoint, save_model, SnapshotError};
 use nscaching_train::{TrainConfig, Trainer};
 use proptest::prelude::*;
@@ -28,15 +28,26 @@ fn scratch_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.snap", std::process::id()))
 }
 
-/// Frame `payload` with a valid checksum (no fsync: nothing here needs
-/// durability).
+/// Frame `payload` as the current version with a valid checksum (no fsync:
+/// nothing here needs durability).
 fn write_valid_frame(path: &Path, payload: &[u8]) {
+    write_valid_frame_of(path, FORMAT_VERSION, payload);
+}
+
+/// Frame `payload` as `version`, 1 (FNV-1a 64) or 2 (XXH64), with that
+/// version's valid checksum.
+fn write_valid_frame_of(path: &Path, version: u32, payload: &[u8]) {
+    let checksum = match version {
+        1 => fnv1a64(payload),
+        2 => xxh64(payload),
+        other => panic!("no checksum for version {other}"),
+    };
     let mut frame = Vec::with_capacity(payload.len() + 28);
     frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    frame.extend_from_slice(&version.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    frame.extend_from_slice(&checksum.to_le_bytes());
     std::fs::write(path, frame).unwrap();
 }
 
@@ -351,6 +362,26 @@ fn unmutated_seeds_decode() {
     for payload in &seeds.checkpoints {
         write_valid_frame(&path, payload);
         load_checkpoint(&path).unwrap();
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn unmutated_seeds_decode_identically_from_a_version_1_frame() {
+    // The two versions differ only in the checksum: every seed framed as
+    // version 1 (FNV-1a 64) decodes to what its version-2 frame decodes to.
+    let path = scratch_path("clean-v1");
+    let seeds = seeds();
+    let decoded = |version: u32, payload: &[u8]| {
+        write_valid_frame_of(&path, version, payload);
+        let model = load_model(&path).unwrap();
+        model.clone().into_model().unwrap();
+        let checkpoint = load_checkpoint(&path).ok();
+        // `Debug` prints every f64 so that it parses back to the same bits.
+        (model, format!("{checkpoint:?}"))
+    };
+    for payload in seeds.models.iter().chain(&seeds.checkpoints) {
+        assert_eq!(decoded(1, payload), decoded(FORMAT_VERSION, payload));
     }
     let _ = std::fs::remove_file(path);
 }

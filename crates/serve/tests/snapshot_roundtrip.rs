@@ -9,10 +9,10 @@ use nscaching_datagen::GeneratorConfig;
 use nscaching_kg::Dataset;
 use nscaching_models::{build_model, KgeModel, ModelConfig, ModelKind};
 use nscaching_optim::OptimizerConfig;
-use nscaching_serve::format::{read_frame, write_frame, Writer, FORMAT_VERSION, MAGIC};
+use nscaching_serve::format::{fnv1a64, read_frame, write_frame, Writer, FORMAT_VERSION, MAGIC};
 use nscaching_serve::{
-    load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, ModelSnapshot,
-    SnapshotError,
+    load_checkpoint, load_model, resume_trainer, save_checkpoint, save_model, KnowledgeServer,
+    ModelSnapshot, QueryScratch, SnapshotError, TopKQuery,
 };
 use nscaching_train::{TrainConfig, Trainer};
 use proptest::prelude::*;
@@ -330,6 +330,139 @@ fn paths_that_are_not_regular_files_are_refused() {
     assert!(is_not_a_regular_file(&err), "FIFO: {err}");
 }
 
+// Linux filesystems keep a file extended by `set_len` sparse; on others the
+// 64 GiB below could be written out in full.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_header_is_checked_before_the_payload_is_read() {
+    // A 64 GiB sparse file of zeros: read whole, it would exhaust the host,
+    // so it must be refused from its first 20 bytes.
+    const HUGE: u64 = 64 << 30;
+    let path = tempfile("sparse");
+    std::fs::File::create(&path).unwrap().set_len(HUGE).unwrap();
+    for err in [
+        read_frame(&path).unwrap_err(),
+        load_model(&path).unwrap_err(),
+        load_checkpoint(&path).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, SnapshotError::BadMagic { found } if found == [0; 8]),
+            "{err}"
+        );
+    }
+
+    let header = |payload_len: u64| {
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&payload_len.to_le_bytes());
+        header
+    };
+    // A valid header that declares fewer bytes than the sparse file holds.
+    {
+        use std::io::Write as _;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all(&header(16)).unwrap();
+    }
+    let err = read_frame(&path).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+
+    // A valid header that declares more bytes than the file holds, small
+    // file and sparse file alike.
+    let mut small = header(HUGE);
+    small.extend_from_slice(&[0; 16]);
+    std::fs::write(&path, &small).unwrap();
+    let err = read_frame(&path).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SnapshotError::Truncated { context: "payload", needed, available: 36 }
+                if needed as u64 == HUGE + 28
+        ),
+        "{err}"
+    );
+    std::fs::File::create(&path).unwrap().set_len(HUGE).unwrap();
+    {
+        use std::io::Write as _;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all(&header(2 * HUGE)).unwrap();
+    }
+    let err = load_model(&path).unwrap_err();
+    assert!(
+        matches!(err, SnapshotError::Truncated { context: "payload", available, .. }
+            if available as u64 == HUGE),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Rewrite the version-2 frame at `path` as a version-1 frame of the same
+/// payload: the frame the previous format revision wrote.
+fn reframe_as_version_1(path: &std::path::Path) {
+    let payload = read_frame(path).unwrap();
+    let mut frame = MAGIC.to_vec();
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    std::fs::write(path, frame).unwrap();
+}
+
+#[test]
+fn version_1_files_load_resume_and_serve_bit_identically() {
+    // The payload format did not change with version 2, so a version-1 frame
+    // of a payload is what the previous revision wrote for the same state.
+    let ds = dataset(9);
+    let config = || {
+        TrainConfig::new(2)
+            .with_batch_size(64)
+            .with_optimizer(OptimizerConfig::adam(0.02))
+            .with_seed(11)
+            .with_shards(1)
+    };
+    for kind in ModelKind::ALL {
+        let trainer = trained_trainer(&ds, kind, 1);
+        let (v1, v2) = (tempfile("v1"), tempfile("v2"));
+        save_checkpoint(&v1, &trainer).unwrap();
+        save_checkpoint(&v2, &trainer).unwrap();
+        reframe_as_version_1(&v1);
+
+        let checkpoint = load_checkpoint(&v1).unwrap();
+        assert_tables_bitwise_equal(trainer.model(), &checkpoint.model);
+        assert_tables_bitwise_equal(trainer.model(), &load_model(&v1).unwrap());
+        let state = trainer.checkpoint();
+        assert_eq!(checkpoint.state.optimizer, state.optimizer);
+        assert_eq!(checkpoint.state.rng, state.rng);
+        assert_eq!(checkpoint.state.batch_order, state.batch_order);
+
+        let sampler = || nscaching::build_sampler(&SamplerConfig::Bernoulli, &ds, 7);
+        let mut resumed = [&v1, &v2].map(|path| {
+            let checkpoint = load_checkpoint(path).unwrap();
+            resume_trainer(checkpoint, sampler(), &ds, config()).unwrap()
+        });
+        for trainer in &mut resumed {
+            trainer.train_epoch();
+        }
+        let after_v2 = ModelSnapshot::capture(resumed[1].model());
+        assert_tables_bitwise_equal(resumed[0].model(), &after_v2);
+
+        let servers = [&v1, &v2].map(|path| KnowledgeServer::load(path, 0).unwrap());
+        let mut scratch = QueryScratch::default();
+        for entity in 0..4 {
+            let query = TopKQuery::tails(entity, 0, 5);
+            let [a, b] = [&servers[0], &servers[1]].map(|server| {
+                let answer = server.top_k(&query, &mut scratch).unwrap();
+                answer
+                    .iter()
+                    .map(|r| (r.entity, r.score.to_bits()))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(a, b, "{kind:?} tails of {entity}");
+        }
+        std::fs::remove_file(&v1).ok();
+        std::fs::remove_file(&v2).ok();
+    }
+}
+
 #[test]
 fn every_single_bit_flip_in_the_payload_is_caught() {
     let ds = dataset(5);
@@ -495,7 +628,7 @@ fn zeroed_rng_state_with_valid_checksum_fails_typed_not_panicking() {
     }
     // Recompute the checksum so only the RNG validation can catch this.
     let payload_end = bytes.len() - 8;
-    let checksum = nscaching_serve::format::fnv1a64(&bytes[20..payload_end]);
+    let checksum = nscaching_serve::format::xxh64(&bytes[20..payload_end]);
     bytes[payload_end..].copy_from_slice(&checksum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 

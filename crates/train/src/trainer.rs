@@ -187,9 +187,11 @@ pub struct Trainer {
     /// first epoch with more than one shard, reused for the trainer's
     /// lifetime (resized only if the shard count changes), joined on drop.
     pool: Option<WorkerPool>,
-    /// The batch gradient arena, reused across batches *and* epochs so the
-    /// zero-allocation steady state spans the whole run.
-    grads: GradientArena,
+    /// The arena the shards' gradients merge into when there are more than
+    /// one, reused across batches *and* epochs so the zero-allocation steady
+    /// state spans the whole run. One shard's own arena is the batch
+    /// gradient, so a one-shard run never touches this one.
+    merged: GradientArena,
     /// Per-shard worker outputs, likewise reused.
     shard_outputs: Vec<ShardOutput>,
     /// Per-shard positive lists of the batch partition.
@@ -244,7 +246,7 @@ impl Trainer {
             epochs_done: 0,
             train_seconds: 0.0,
             pool: None,
-            grads: GradientArena::new(),
+            merged: GradientArena::new(),
             shard_outputs: Vec::new(),
             shard_tasks: Vec::new(),
             metrics: None,
@@ -363,7 +365,7 @@ impl Trainer {
         // Borrow the trainer-owned buffers for the epoch (returned below);
         // arenas, per-shard outputs and task lists all keep their high-water
         // allocations across batches and epochs.
-        let mut grads = std::mem::take(&mut self.grads);
+        let mut merged = std::mem::take(&mut self.merged);
 
         if shards > 1 {
             if self.pool.as_ref().is_none_or(|p| p.workers() != shards) {
@@ -467,7 +469,6 @@ impl Trainer {
             // Stage 3 — merge: fold shard outputs in ascending shard order so
             // the floating-point reduction is deterministic (each shard's
             // arena is walked in sorted slot order; see GradientArena::merge).
-            grads.clear();
             for out in &mut outputs {
                 for &(example_loss, nonzero) in &out.examples {
                     acc.record_example(example_loss, nonzero);
@@ -477,17 +478,31 @@ impl Trainer {
                     self.repeat_tracker.record(negative);
                 }
                 out.negatives.clear();
-                grads.merge(&mut out.grads);
-                out.grads.clear();
             }
+            // One shard's arena is the batch gradient as it stands: merging
+            // it into the empty batch arena would copy every row to add each
+            // to +0.0, which changes no value (an arena slot starts at +0.0
+            // and a sum is −0.0 only when both terms are), and every reader
+            // walks the rows in sorted order either way.
+            let grads = match outputs.as_mut_slice() {
+                [only] => &mut only.grads,
+                all => {
+                    for out in all {
+                        merged.merge(&mut out.grads);
+                        out.grads.clear();
+                    }
+                    &mut merged
+                }
+            };
 
             // Stage 4 — apply: one optimizer step per mini-batch.
             let apply_started = metrics.as_ref().map(|_| Instant::now());
             if !grads.is_empty() {
                 acc.record_batch_gradient(grads.norm());
-                self.optimizer.step(self.model.as_mut(), &mut grads);
+                self.optimizer.step(self.model.as_mut(), grads);
                 self.model.apply_constraints(grads.touched());
             }
+            grads.clear();
             if let (Some(metrics), Some(score_started), Some(merge_started), Some(apply_started)) =
                 (&metrics, score_started, merge_started, apply_started)
             {
@@ -499,8 +514,7 @@ impl Trainer {
             }
         }
 
-        grads.clear();
-        self.grads = grads;
+        self.merged = merged;
         self.shard_tasks = tasks;
         self.shard_outputs = outputs;
         self.finish_epoch(acc, started, phase_acc, shards)
